@@ -68,8 +68,8 @@ def _split_from_args(args) -> SplitSpec:
     )
 
 
-def _add_common(p: argparse.ArgumentParser):
-    p.add_argument("--seed", type=int, default=0, help="base random seed")
+def _add_common(p: argparse.ArgumentParser, seed_help="base random seed"):
+    p.add_argument("--seed", type=int, default=None, help=seed_help)
     p.add_argument("--out", required=True, help="output directory")
 
 
@@ -116,9 +116,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", default="", help="method label for the records")
 
     p = sub.add_parser("run", help="full experiment from a config file")
-    _add_common(p)
+    _add_common(p, seed_help="base random seed (default: the config's base_seed)")
     p.add_argument("--config", required=True, help="experiment config JSON")
-    p.add_argument("--jobs", type=int, default=None, help="worker cap")
 
     p = sub.add_parser("report", help="emit report tables from records JSON")
     _add_common(p)
@@ -200,9 +199,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = ExperimentConfig.from_json(args.config)
-    if args.jobs is not None:
-        cfg.jobs = args.jobs
-    if args.seed:
+    if args.seed is not None:
         cfg.base_seed = args.seed
     records = run_experiment(cfg, args.out)
     emit_report(records, args.out)
@@ -234,6 +231,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
+    if args.seed is None and args.command != "run":
+        args.seed = 0
     try:
         return COMMANDS[args.command](args)
     except (ValueError, OSError) as e:

@@ -1,17 +1,17 @@
 """End-to-end experiment orchestration: select -> train -> rollout -> evaluate.
 
 A config describes a dataset (file path or synthetic generator), a list of
-selection strategies, a forecaster and seed/ensemble settings. Each
-(strategy, seed) cell is an independent job; the full-data baseline is always
-included. Records and per-variable report tables are written under the
-output directory.
+selection strategies, a forecaster and seed/ensemble settings. The
+(strategy, seed) cells run one after another; the full-data baseline is
+always included. Unknown config keys (such as the retired ``jobs``) are
+ignored. Records and per-variable report tables are written under the output
+directory.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -46,7 +46,6 @@ class ExperimentConfig:
     n_steps: int = 10
     eval_stride_hours: float = 24.0
     flat_grid: bool = False
-    jobs: int = 1
 
     def __post_init__(self):
         if not self.strategies:
@@ -89,7 +88,6 @@ class ExperimentConfig:
             n_steps=int(d.get("n_steps", 10)),
             eval_stride_hours=float(d.get("eval_stride_hours", 24.0)),
             flat_grid=bool(d.get("flat_grid", False)),
-            jobs=int(d.get("jobs", 1)),
         )
 
 
@@ -136,6 +134,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> list[MetricRec
         strategies.insert(0, "full")
     budget = SelectionBudget(cfg.fraction)
 
+    # One function per cell, so a cell's selection, model and forecast are
+    # freed before the next cell starts.
     def run_cell(strategy: str, seed: int) -> list[MetricRecord]:
         try:
             log.info("cell start: strategy=%s seed=%d", strategy, seed)
@@ -151,15 +151,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> list[MetricRec
         except Exception as e:  # tag the failing stage for the caller
             raise ExperimentError(f"cell ({strategy}, seed {seed}) failed: {e}") from e
 
-    cells = [(s, cfg.base_seed + i) for s in strategies for i in range(cfg.n_seeds)]
     records: list[MetricRecord] = []
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            for recs in pool.map(lambda c: run_cell(*c), cells):
-                records.extend(recs)
-    else:
-        for c in cells:
-            records.extend(run_cell(*c))
+    for strategy in strategies:
+        for seed in range(cfg.base_seed, cfg.base_seed + cfg.n_seeds):
+            records.extend(run_cell(strategy, seed))
 
     records.sort(key=lambda r: (r.method, r.variable, r.lead_days, r.seed))
     records.extend(aggregate_means(records))

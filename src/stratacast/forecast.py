@@ -9,8 +9,18 @@ Desk-scale stand-ins for an operational probabilistic model:
 * toy_diffusion — a one-hidden-layer denoiser trained on the noise-prediction
   objective with a log-linear sigma schedule and ancestral sampling
 
-All forecasters expose ``step(state, rng, valid_time) -> next state`` and are
-immutable once trained, so rollouts can share them across workers.
+All forecasters expose ``step(states, rng, valid_times) -> next states`` over
+a block of rollout rows: ``states`` is [B, var, lat, lon] float64, row b of
+every ``rng.standard_normal((B, ...))`` draw comes from row b's own random
+stream, and ``valid_times`` is a [B] datetime64 array. Forecasters are
+immutable once trained.
+
+Reproducibility: each (seed, member, init) row draws from its own Generator
+in a fixed order, so a rollout is bitwise reproducible for a fixed init/member
+layout. ``persistence``, ``climatology`` and ``stochastic_linear`` rows are
+bitwise independent of the layout (which inits are rolled out together and
+how they are blocked); ``toy_diffusion`` rows agree across layouts within
+float32 rounding, because its matrix products see a different number of rows.
 """
 
 from __future__ import annotations
@@ -18,7 +28,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from datetime import datetime, timedelta
+from datetime import datetime
 from pathlib import Path
 
 import numpy as np
@@ -87,8 +97,8 @@ def _pairs_from_subset(
 class PersistenceForecaster:
     kind = "persistence"
 
-    def step(self, state, rng, valid_time):
-        return state
+    def step(self, states, rng, valid_times):
+        return states
 
 
 class ClimatologyForecaster:
@@ -100,11 +110,12 @@ class ClimatologyForecaster:
         self.monthly_means = monthly_means  # [12, var, lat, lon]
         self.present = present
 
-    def step(self, state, rng, valid_time):
-        m = valid_time.month - 1
-        if not self.present[m]:
-            raise ForecastError(f"no training data for month {m + 1}")
-        return self.monthly_means[m].copy()
+    def step(self, states, rng, valid_times):
+        m = valid_times.astype("datetime64[M]").astype(np.int64) % 12
+        missing = m[~self.present[m]]
+        if missing.size:
+            raise ForecastError(f"no training data for month {missing[0] + 1}")
+        return self.monthly_means[m]
 
 
 def climatology_forecaster(ds: GriddedDataset, split: SplitSpec) -> ClimatologyForecaster:
@@ -138,9 +149,9 @@ class StochasticLinearForecaster:
         self.resid_std = resid_std
         self.variables = variables
 
-    def step(self, state, rng, valid_time):
-        noise = rng.standard_normal(state.shape)
-        return self.a * state + self.b + self.resid_std * noise
+    def step(self, states, rng, valid_times):
+        noise = rng.standard_normal(states.shape)
+        return self.a * states + self.b + self.resid_std * noise
 
     def to_json(self) -> str:
         return json.dumps(
@@ -216,33 +227,38 @@ class ToyDiffusionForecaster:
         self.state_shape = state_shape
         self.training_losses: list[float] = []
 
-    def _predict_noise(self, cond: np.ndarray, noisy: np.ndarray, sigma: float) -> np.ndarray:
-        inp = np.concatenate(
-            [cond, noisy, np.full((cond.shape[0], 1), math.log(sigma))], axis=1
-        )
-        h = np.tanh(inp @ self.w1 + self.b1)
-        return h @ self.w2 + self.b2
+    def sample(self, cond_flat: np.ndarray, rng) -> np.ndarray:
+        """One sample per row of cond_flat via ancestral denoising.
 
-    def sample(self, cond_flat: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """One sample per row of cond_flat via ancestral denoising."""
+        The first layer is split by input block: the conditioning half
+        ``cond @ w1[:D] + b1`` is the same at every noise level, so it is
+        computed once per call.
+        """
         sig = _log_linear_sigmas(
             self.hyper["sigma_max"], self.hyper["sigma_min"], self.hyper["n_sample_steps"]
         )
+        d = cond_flat.shape[1]
+        w_noisy, w_sigma = self.w1[d : 2 * d], self.w1[2 * d]
+        cond_h = cond_flat @ self.w1[:d] + self.b1
+
+        def predict_noise(noisy, sigma):
+            h = np.tanh(cond_h + noisy @ w_noisy + math.log(sigma) * w_sigma)
+            return h @ self.w2 + self.b2
+
         y = rng.standard_normal(cond_flat.shape) * sig[0]
         for i in range(len(sig) - 1):
-            eps_hat = self._predict_noise(cond_flat, y, sig[i])
+            eps_hat = predict_noise(y, sig[i])
             score = -eps_hat / sig[i]
             dv = sig[i] ** 2 - sig[i + 1] ** 2
             y = y + dv * score + np.sqrt(dv * sig[i + 1] ** 2 / sig[i] ** 2) * rng.standard_normal(
                 cond_flat.shape
             )
-        eps_hat = self._predict_noise(cond_flat, y, sig[-1])
+        eps_hat = predict_noise(y, sig[-1])
         return y - sig[-1] * eps_hat
 
-    def step(self, state, rng, valid_time):
-        flat = state.reshape(1, -1).astype(np.float64)
-        out = self.sample(flat, rng)
-        return out.reshape(self.state_shape)
+    def step(self, states, rng, valid_times):
+        flat = states.reshape(states.shape[0], -1)
+        return self.sample(flat, rng).reshape(states.shape)
 
 
 def _train_toy_diffusion(
@@ -356,6 +372,26 @@ def train(
     return model
 
 
+# Upper bound on the init x member rows advanced together. It keeps the
+# per-row Generators and the batched temporaries of one block small.
+ROLLOUT_BLOCK_ROWS = 64
+
+
+class _RowStreams:
+    """Noise source for a block of rollout rows: row b of every draw comes
+    from ``gens[b]``, so each row's stream is drawn in the same order as in a
+    one-row rollout."""
+
+    def __init__(self, gens: list[np.random.Generator]):
+        self.gens = gens
+
+    def standard_normal(self, shape) -> np.ndarray:
+        out = np.empty(shape)
+        for gen, row in zip(self.gens, out):
+            gen.standard_normal(out=row)
+        return out
+
+
 def rollout(
     forecaster,
     ds: GriddedDataset,
@@ -368,27 +404,36 @@ def rollout(
     """Autoregressive ensemble rollout from standardized initial states.
 
     Member m of init i uses an rng derived from (seed, m, i), so members are
-    independent and the whole forecast is bitwise reproducible.
+    independent and the whole forecast is bitwise reproducible. Inits are
+    advanced in blocks of at most ``ROLLOUT_BLOCK_ROWS`` init x member rows,
+    one ``forecaster.step`` call per block and step.
     """
     init_indices = [int(i) for i in init_indices]
     shape = ds.data.shape[1:]
     traj = np.empty(
         (len(init_indices), n_members, n_steps) + shape, dtype=np.float32
     )
-    step_dt = timedelta(hours=lead_stride_hours)
-    for ii, t0 in enumerate(init_indices):
-        for m in range(n_members):
-            rng = np.random.default_rng([seed, m, t0])
-            state = ds.data[t0].astype(np.float64)
-            t = ds.timestamps[t0]
-            for k in range(n_steps):
-                t = t + step_dt
-                state = forecaster.step(state, rng, t)
-                if not np.isfinite(state).all():
-                    raise ForecastError(
-                        f"non-finite state at init {t0}, member {m}, step {k}"
-                    )
-                traj[ii, m, k] = state
+    step_dt = np.timedelta64(round(lead_stride_hours * 3.6e9), "us")
+    per_block = max(ROLLOUT_BLOCK_ROWS // max(n_members, 1), 1)
+    for start in range(0, len(init_indices), per_block):
+        inits = init_indices[start : start + per_block]
+        gens = [np.random.default_rng([seed, m, t0]) for t0 in inits for m in range(n_members)]
+        rng = _RowStreams(gens)
+        states = np.repeat(ds.data[inits].astype(np.float64), n_members, axis=0)
+        times = np.repeat(
+            np.array([ds.timestamps[t0] for t0 in inits], dtype="datetime64[us]"), n_members
+        )
+        out = traj[start : start + len(inits)]
+        for k in range(n_steps):
+            times = times + step_dt
+            states = forecaster.step(states, rng, times)
+            if not np.isfinite(states).all():
+                bad = np.isfinite(states.reshape(len(gens), -1)).all(axis=1).argmin()
+                ii, m = divmod(int(bad), n_members)
+                raise ForecastError(
+                    f"non-finite state at init {inits[ii]}, member {m}, step {k}"
+                )
+            out[:, :, k] = states.reshape((len(inits), n_members) + shape)
     return EnsembleForecast(
         init_indices=init_indices,
         init_times=[ds.timestamps[i] for i in init_indices],
@@ -438,7 +483,8 @@ def load_forecast(prefix: str | Path) -> EnsembleForecast:
 # ---------------------------------------------------------------------------
 
 def save_forecaster(model, prefix: str | Path) -> None:
-    """Write ``<prefix>.json`` (+ ``<prefix>.bin`` for array-heavy kinds)."""
+    """Write ``<prefix>.json`` (+ ``<prefix>.bin``, little-endian float64 arrays,
+    for array-heavy kinds)."""
     prefix = Path(prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     if model.kind == "persistence":
@@ -449,7 +495,7 @@ def save_forecaster(model, prefix: str | Path) -> None:
         header = {"kind": model.kind, "shape": list(model.monthly_means.shape)}
         prefix.with_suffix(".json").write_text(json.dumps(header))
         prefix.with_suffix(".bin").write_bytes(
-            model.monthly_means.astype("<f4").tobytes()
+            model.monthly_means.astype("<f8").tobytes()
         )
     elif model.kind == "toy_diffusion":
         arrays = [model.w1, model.b1, model.w2, model.b2]
@@ -460,7 +506,7 @@ def save_forecaster(model, prefix: str | Path) -> None:
             "state_shape": list(model.state_shape),
         }
         prefix.with_suffix(".json").write_text(json.dumps(header))
-        blob = b"".join(np.asarray(a, dtype="<f4").tobytes() for a in arrays)
+        blob = b"".join(np.asarray(a, dtype="<f8").tobytes() for a in arrays)
         prefix.with_suffix(".bin").write_bytes(blob)
     else:
         raise ForecastError(f"cannot serialize kind {model.kind!r}")
@@ -476,7 +522,7 @@ def load_forecaster(prefix: str | Path):
         return StochasticLinearForecaster.from_json(prefix.with_suffix(".json").read_text())
     if kind == "climatology":
         shape = tuple(header["shape"])
-        arr = np.frombuffer(prefix.with_suffix(".bin").read_bytes(), dtype="<f4")
+        arr = np.frombuffer(prefix.with_suffix(".bin").read_bytes(), dtype="<f8")
         means = arr.reshape(shape).astype(np.float64)
         return ClimatologyForecaster(means, np.ones(12, dtype=bool))
     if kind == "toy_diffusion":
@@ -486,11 +532,11 @@ def load_forecaster(prefix: str | Path):
         for shp in header["shapes"]:
             n = int(np.prod(shp))
             arrays.append(
-                np.frombuffer(blob, dtype="<f4", count=n, offset=offset)
+                np.frombuffer(blob, dtype="<f8", count=n, offset=offset)
                 .reshape(shp)
                 .astype(np.float64)
             )
-            offset += n * 4
+            offset += n * 8
         return ToyDiffusionForecaster(
             *arrays, hyper=header["hyper"], state_shape=tuple(header["state_shape"])
         )

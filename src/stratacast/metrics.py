@@ -57,10 +57,10 @@ def crps_ensemble(members: np.ndarray, y) -> np.ndarray:
     term1 = np.mean(np.abs(members - y), axis=0)
     if m == 1:
         return term1
-    pair = np.zeros_like(term1)
-    for i in range(m):
-        for j in range(i + 1, m):
-            pair += np.abs(members[i] - members[j])
+    # sum_{i<j} |x_i - x_j| = sum_i (2i - M - 1) x_(i) over sorted members,
+    # i = 1..M (Ferro 2014): O(M log M) instead of the O(M^2) pair loop
+    coef = (2.0 * np.arange(1, m + 1) - m - 1).reshape((m,) + (1,) * (members.ndim - 1))
+    pair = (coef * np.sort(members, axis=0)).sum(axis=0)
     return term1 - pair / (m * (m - 1))
 
 

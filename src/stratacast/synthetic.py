@@ -129,8 +129,3 @@ def generate(cfg: SyntheticConfig) -> GriddedDataset:
         data=data,
         static_fields=static,
     )
-
-
-def monthly_regime_mean(cfg: SyntheticConfig, var: int, month: int) -> np.ndarray:
-    """Closed-form regime contribution to the month's climatology (flat, n_cells)."""
-    return cfg.regime_amplitude * regime_patterns(cfg, var)[month - 1]

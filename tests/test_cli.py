@@ -150,6 +150,25 @@ class TestPipeline:
             out / "report_synthetic_0.csv"
         ).read_bytes()
 
+    def test_run_seed_zero_overrides_config_base_seed(self, data_dir, tmp_path):
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({
+            "strategies": ["random"],
+            "forecaster": {"kind": "persistence"},
+            "split": {"train_years": [2000, 2000], "test_years": [2001, 2001]},
+            "dataset_path": str(data_dir / "synthetic.ften"),
+            "n_members": 2,
+            "n_seeds": 1,
+            "base_seed": 9,
+            "eval_stride_hours": 240,
+            "flat_grid": True,
+        }))
+        out = tmp_path / "run_out"
+        assert main(["run", "--config", str(cfg), "--seed", "0",
+                     "--out", str(out)]) == 0
+        names = sorted(p.name for p in (out / "selections").iterdir())
+        assert names == ["full_seed0.json", "random_seed0.json"]
+
     def test_outputs_confined_to_out_dir(self, data_dir, tmp_path):
         before = sorted(p.name for p in data_dir.iterdir())
         out = tmp_path / "only"

@@ -181,6 +181,7 @@ class TestConfig:
         assert set(cfg.strategies) >= {"full", "random", "stratified_time"}
         assert cfg.synthetic is not None and cfg.dataset_path is None
         assert cfg.flat_grid is True
+        assert not hasattr(cfg, "jobs")  # the file's retired "jobs" key is ignored
 
     def test_from_json_round_trip(self, tmp_path):
         d = {

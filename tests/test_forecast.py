@@ -4,6 +4,7 @@ from datetime import datetime, timedelta
 import numpy as np
 import pytest
 
+from stratacast import forecast as forecast_mod
 from stratacast.dataset import GriddedDataset, GridSpec, SplitSpec
 from stratacast.forecast import (
     ForecastError,
@@ -82,9 +83,10 @@ class TestStochasticLinear:
 class TestPersistence:
     def test_train_noop_and_identity_step(self):
         model = train(ForecasterSpec("persistence"), None, None)
-        state = np.random.default_rng(2).normal(size=(1, 2, 2))
-        out = model.step(state, np.random.default_rng(0), datetime(2000, 1, 2))
-        np.testing.assert_array_equal(out, state)
+        states = np.random.default_rng(2).normal(size=(3, 1, 2, 2))
+        times = np.full(3, np.datetime64("2000-01-02"), dtype="datetime64[us]")
+        out = model.step(states, np.random.default_rng(0), times)
+        np.testing.assert_array_equal(out, states)
 
 
 @pytest.fixture(scope="module")
@@ -102,11 +104,12 @@ class TestClimatology:
         model = climatology_forecaster(noisefree, split)
         months = noisefree.months()
         train_years = np.array([t.year for t in noisefree.timestamps]) == 2000
-        for month in (1, 6, 12):
+        times = np.array([datetime(2001, m, 15) for m in (1, 6, 12)], dtype="datetime64[us]")
+        got = model.step(None, None, times)
+        for row, month in enumerate((1, 6, 12)):
             sel = np.nonzero((months == month) & train_years)[0]
             expected = noisefree.data[sel].astype(np.float64).mean(axis=0)
-            got = model.step(None, None, datetime(2001, month, 15))
-            np.testing.assert_allclose(got, expected, atol=1e-4)
+            np.testing.assert_allclose(got[row], expected, atol=1e-4)
 
     def test_deterministic_zero_spread(self, noisefree):
         split = SplitSpec((2000, 2000))
@@ -217,7 +220,110 @@ class TestToyDiffusion:
         out_a = back.sample(cond, np.random.default_rng(0))
         out_b = back.sample(cond, np.random.default_rng(0))
         np.testing.assert_array_equal(out_a, out_b)
-        np.testing.assert_allclose(back.w1, model.w1, atol=1e-6)
+        np.testing.assert_array_equal(back.w1, model.w1)
+
+
+def _loop_rollout(model, ds, init_indices, n_members, n_steps, seed):
+    """Reference: one member at a time, each drawing from its own Generator."""
+    out = np.empty((len(init_indices), n_members, n_steps) + ds.data.shape[1:])
+    for ii, t0 in enumerate(init_indices):
+        for m in range(n_members):
+            rng = np.random.default_rng([seed, m, t0])
+            state = ds.data[t0][None].astype(np.float64)
+            t = ds.timestamps[t0]
+            for k in range(n_steps):
+                t = t + timedelta(hours=24)
+                state = model.step(state, rng, np.array([t], dtype="datetime64[us]"))
+                out[ii, m, k] = state[0]
+    return out.astype(np.float32)
+
+
+@pytest.fixture(scope="module")
+def trained_models(small_grid):
+    cfg = SyntheticConfig(
+        grid=small_grid, n_years=2, stride_hours=24, seasonal_amplitude=2.0,
+        regime_amplitude=1.0, ar1_coefficient=0.5, noise_std=0.3, seed=5,
+        n_variables=2,
+    )
+    ds = generate(cfg)
+    split = SplitSpec((2000, 2000))
+    sel = SubsetSelection("full", list(range(300)), 1.0, 0)
+    hyper = {"toy_diffusion": {"n_epochs": 3, "hidden_width": 16}}
+    models = {
+        kind: train(ForecasterSpec(kind, hyper.get(kind, {})), ds, sel, seed=0, split=split)
+        for kind in ("persistence", "climatology", "stochastic_linear", "toy_diffusion")
+    }
+    return ds, models
+
+
+class TestBatchedRollout:
+    INITS = [370, 400, 371, 450, 500, 600]
+
+    @pytest.mark.parametrize("kind", ["persistence", "climatology", "stochastic_linear"])
+    def test_equals_member_loop_bitwise(self, trained_models, kind):
+        ds, models = trained_models
+        fc = rollout(models[kind], ds, self.INITS, n_members=3, n_steps=4, seed=9)
+        ref = _loop_rollout(models[kind], ds, self.INITS, 3, 4, 9)
+        assert fc.trajectories.tobytes() == ref.tobytes()
+
+    def test_diffusion_equals_member_loop(self, trained_models):
+        ds, models = trained_models
+        fc = rollout(models["toy_diffusion"], ds, self.INITS, n_members=3, n_steps=4, seed=9)
+        ref = _loop_rollout(models["toy_diffusion"], ds, self.INITS, 3, 4, 9)
+        np.testing.assert_allclose(fc.trajectories, ref, rtol=1e-6, atol=1e-6)
+
+    @pytest.mark.parametrize("kind", ["stochastic_linear", "toy_diffusion"])
+    def test_subset_of_inits_matches_full_rows(self, trained_models, kind):
+        ds, models = trained_models
+        full = rollout(models[kind], ds, self.INITS, n_members=2, n_steps=3, seed=4)
+        part = rollout(models[kind], ds, self.INITS[2:4], n_members=2, n_steps=3, seed=4)
+        if kind == "toy_diffusion":
+            np.testing.assert_allclose(part.trajectories, full.trajectories[2:4],
+                                       rtol=1e-6, atol=1e-6)
+        else:
+            assert part.trajectories.tobytes() == full.trajectories[2:4].tobytes()
+
+    @pytest.mark.parametrize("kind", ["climatology", "stochastic_linear", "toy_diffusion"])
+    def test_many_blocks_equal_one_block(self, trained_models, kind, monkeypatch):
+        ds, models = trained_models
+        one = rollout(models[kind], ds, self.INITS, n_members=3, n_steps=3, seed=1)
+        # 7 rows per block -> 2 inits (6 rows) per block, 3 blocks
+        monkeypatch.setattr(forecast_mod, "ROLLOUT_BLOCK_ROWS", 7)
+        many = rollout(models[kind], ds, self.INITS, n_members=3, n_steps=3, seed=1)
+        if kind == "toy_diffusion":
+            np.testing.assert_allclose(many.trajectories, one.trajectories,
+                                       rtol=1e-6, atol=1e-6)
+        else:
+            assert many.trajectories.tobytes() == one.trajectories.tobytes()
+
+    def test_non_finite_state_names_init_member_step(self, trained_models):
+        ds, _ = trained_models
+
+        class NanAtRow3Step2:
+            kind = "persistence"
+            calls = 0
+
+            def step(self, states, rng, valid_times):
+                out = states.copy()
+                if self.calls == 2:
+                    out[3, 0, 1, 1] = np.nan
+                self.calls += 1
+                return out
+
+        # rows are init-major: row 3 is init 20, member 1
+        with pytest.raises(ForecastError, match="init 20, member 1, step 2"):
+            rollout(NanAtRow3Step2(), ds, [10, 20, 30], n_members=2, n_steps=4, seed=0)
+
+    @pytest.mark.parametrize(
+        "kind", ["persistence", "climatology", "stochastic_linear", "toy_diffusion"]
+    )
+    def test_save_load_rollout_bitwise(self, trained_models, kind, tmp_path):
+        ds, models = trained_models
+        save_forecaster(models[kind], tmp_path / kind)
+        back = load_forecaster(tmp_path / kind)
+        a = rollout(models[kind], ds, self.INITS[:3], n_members=2, n_steps=3, seed=6)
+        b = rollout(back, ds, self.INITS[:3], n_members=2, n_steps=3, seed=6)
+        assert a.trajectories.tobytes() == b.trajectories.tobytes()
 
 
 class TestEvaluateForecast:

@@ -113,6 +113,20 @@ class TestCrps:
                 c * base, abs=1e-9 * max(1, c)
             )
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 8, 50])
+    def test_sorted_identity_matches_pairwise_form(self, m):
+        rng = np.random.default_rng(m)
+        members = rng.normal(size=(m, 3, 5))
+        y = rng.normal(size=(3, 5))
+        pair = np.zeros((3, 5))
+        for i in range(m):
+            for j in range(i + 1, m):
+                pair += np.abs(members[i] - members[j])
+        expected = np.mean(np.abs(members - y), axis=0)
+        if m > 1:
+            expected = expected - pair / (m * (m - 1))
+        np.testing.assert_allclose(crps_ensemble(members, y), expected, rtol=0, atol=1e-12)
+
     def test_field_shape(self):
         rng = np.random.default_rng(6)
         members = rng.normal(size=(4, 3, 5))
