@@ -338,6 +338,14 @@ def normalize_static(fld: np.ndarray) -> np.ndarray:
     return ((fld - lo) / (hi - lo)).astype(np.float32)
 
 
+def day_offset(ds: GriddedDataset) -> int:
+    """Index offset of each time step's 24 h successor (the stride must divide 24 h)."""
+    off = 24.0 / ds.stride_hours
+    if abs(off - round(off)) > 1e-9:
+        raise DatasetError("dataset stride does not divide 24 hours")
+    return int(round(off))
+
+
 def valid_init_times(
     ds: GriddedDataset,
     split: SplitSpec,

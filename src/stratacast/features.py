@@ -45,13 +45,20 @@ def _fix_signs(axes: np.ndarray, tol: float = 1e-12) -> np.ndarray:
     return out
 
 
-def numerical_rank(x: np.ndarray) -> int:
-    """Rank of the centered matrix, with SVD-scale tolerance."""
-    xc = x - x.mean(axis=0)
-    s = np.linalg.svd(xc, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > s[0] * max(xc.shape) * np.finfo(np.float64).eps * 10))
+def _svd_pca(x: np.ndarray, max_m: int) -> tuple[PcaModel | None, int]:
+    """Top min(max_m, rank) principal axes from one SVD of the centered x.
+
+    Returns the model (None when the rank is 0) and the numerical rank, which
+    counts singular values above an SVD-scale tolerance.
+    """
+    center = x.mean(axis=0)
+    _, s, vt = np.linalg.svd(x - center, full_matrices=False)
+    rank = int(np.sum(s > s[0] * max(x.shape) * np.finfo(np.float64).eps * 10)) if s.size else 0
+    if rank == 0:
+        return None, 0
+    m = min(max_m, rank)
+    explained = (s[:m] ** 2) / x.shape[0]
+    return PcaModel(center=center, axes=_fix_signs(vt[:m]), explained_variance=explained), rank
 
 
 def pca_fit(x: np.ndarray, m: int) -> PcaModel:
@@ -64,15 +71,10 @@ def pca_fit(x: np.ndarray, m: int) -> PcaModel:
     n, d = x.shape
     if not 1 <= m <= min(n, d):
         raise FeatureError(f"m={m} out of range for shape {(n, d)}")
-    center = x.mean(axis=0)
-    xc = x - center
-    _, s, vt = np.linalg.svd(xc, full_matrices=False)
-    rank = int(np.sum(s > (s[0] * max(n, d) * np.finfo(np.float64).eps * 10 if s.size else 0)))
+    model, rank = _svd_pca(x, m)
     if m > rank:
         raise FeatureError(f"requested m={m} exceeds numerical rank {rank}")
-    axes = _fix_signs(vt[:m])
-    explained = (s[:m] ** 2) / n
-    return PcaModel(center=center, axes=axes, explained_variance=explained)
+    return model
 
 
 def pca_transform(model: PcaModel, x: np.ndarray) -> np.ndarray:
@@ -88,21 +90,10 @@ def default_pca_dims(n: int, d: int) -> int:
     return min(64, n, d)
 
 
-def spatial_mean_vector(
-    ds: GriddedDataset, t: int, weights: np.ndarray | None = None
-) -> np.ndarray:
-    """Per-variable (area-weighted) spatial mean at one time index."""
-    fields = ds.data[t].astype(np.float64)
-    if weights is None:
-        return fields.mean(axis=(1, 2))
-    w = np.asarray(weights, dtype=np.float64)
-    return (fields * w).sum(axis=(1, 2)) / w.sum()
-
-
 def spatial_mean_matrix(
     ds: GriddedDataset, times, weights: np.ndarray | None = None
 ) -> np.ndarray:
-    """Stacked spatial_mean_vector rows for a list of time indices."""
+    """Per-variable (area-weighted) spatial mean, one row per time index."""
     times = np.asarray(times, dtype=np.int64)
     fields = ds.data[times].astype(np.float64)
     if weights is None:

@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import GriddedDataset, SplitSpec, split_time_indices
+from .dataset import GriddedDataset, SplitSpec, day_offset, split_time_indices
 from .selection import SubsetSelection
 
 
@@ -83,11 +83,7 @@ class EnsembleForecast:
 def _pairs_from_subset(
     ds: GriddedDataset, subset: SubsetSelection
 ) -> tuple[np.ndarray, int, int]:
-    stride = ds.stride_hours
-    off = 24.0 / stride
-    if abs(off - round(off)) > 1e-9:
-        raise ForecastError("dataset stride does not divide 24 hours")
-    off = int(round(off))
+    off = day_offset(ds)
     idx = np.asarray(subset.indices, dtype=np.int64)
     ok = idx + off < ds.n_times
     dropped = int((~ok).sum())

@@ -11,17 +11,17 @@ from __future__ import annotations
 
 import json
 import math
+import weakref
 from dataclasses import dataclass, field as dc_field
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import GriddedDataset
+from .dataset import GriddedDataset, day_offset
 from .features import (
+    _svd_pca,
     default_pca_dims,
     flatten_samples,
-    numerical_rank,
-    pca_fit,
     pca_transform,
     spatial_mean_matrix,
 )
@@ -136,19 +136,33 @@ def _month_bins(ds: GriddedDataset, cand: np.ndarray) -> list[np.ndarray]:
 # Shared feature-space helpers
 # ---------------------------------------------------------------------------
 
+# One-entry memo of pca_features: (weakref to ds, candidate bytes, features).
+# run_experiment hands every cell the same dataset view and candidates, so the
+# kmeans and herding cells of every seed share one SVD. The weakref keeps no
+# dataset alive; the entry holds one feature array until the next miss.
+_pca_memo: tuple | None = None
+
+
 def pca_features(ds: GriddedDataset, cand: np.ndarray) -> np.ndarray:
-    """Flatten candidates and project to the default PCA space.
+    """Flatten candidates and project to the default PCA space (read-only).
 
     The PCA dimension is clamped to the numerical rank of the flattened
-    matrix (low-noise synthetic data is routinely rank-deficient).
+    matrix (low-noise synthetic data is routinely rank-deficient). The result
+    is computed once per dataset object and candidate set: datasets are
+    immutable, so a repeated call returns the previous array, while a new
+    dataset object, even with equal data, recomputes.
     """
+    global _pca_memo
+    key = np.asarray(cand, dtype=np.int64).tobytes()
+    memo = _pca_memo
+    if memo is not None and memo[0]() is ds and memo[1] == key:
+        return memo[2]
     x = flatten_samples(ds, cand)
-    rank = numerical_rank(x)
-    if rank == 0:
-        return np.zeros((x.shape[0], 1))
-    m = min(default_pca_dims(*x.shape), rank)
-    model = pca_fit(x, m)
-    return pca_transform(model, x)
+    model, _ = _svd_pca(x, default_pca_dims(*x.shape))
+    feats = np.zeros((x.shape[0], 1)) if model is None else pca_transform(model, x)
+    feats.flags.writeable = False
+    _pca_memo = (weakref.ref(ds), key, feats)
+    return feats
 
 
 # ---------------------------------------------------------------------------
@@ -362,11 +376,8 @@ def select_spatial_stratified(
 ) -> SubsetSelection:
     cand, k = _check_candidates(candidate_times, budget)
     feats = spatial_mean_matrix(ds, cand, weights)
-    if numerical_rank(feats) == 0:
-        scores = np.zeros(cand.size)
-    else:
-        model = pca_fit(feats, 1)
-        scores = pca_transform(model, feats)[:, 0]
+    model, _ = _svd_pca(feats, 1)
+    scores = np.zeros(cand.size) if model is None else pca_transform(model, feats)[:, 0]
     bin_of = quantile_bins(scores, 12)
     bins = [cand[bin_of == b] for b in range(12)]
     quotas = allocate_quotas(k, [b.size for b in bins])
@@ -411,11 +422,7 @@ def select_stratified_kmeanspp(ds, candidate_times, budget, seed, weights=None):
 
 def persistence_difficulty_scores(ds: GriddedDataset, cand: np.ndarray) -> np.ndarray:
     """||x_{t+24h} - x_t||_2 per candidate; -inf where t+24h has no successor."""
-    stride = ds.stride_hours
-    off = 24.0 / stride
-    if abs(off - round(off)) > 1e-9:
-        raise SelectionError("dataset stride does not divide 24 hours")
-    off = int(round(off))
+    off = day_offset(ds)
     scores = np.full(cand.size, -np.inf)
     ok = cand + off < ds.n_times
     if ok.any():
@@ -514,6 +521,4 @@ def run_strategy(
 ) -> SubsetSelection:
     if name not in STRATEGIES:
         raise SelectionError(f"unknown strategy {name!r}")
-    if name == "full":
-        return select_full(ds, candidate_times, seed=seed)
     return STRATEGIES[name](ds, candidate_times, budget, seed)

@@ -8,7 +8,6 @@ from stratacast.features import (
     pca_fit,
     pca_transform,
     spatial_mean_matrix,
-    spatial_mean_vector,
 )
 
 
@@ -150,16 +149,16 @@ class TestSpatialMean:
             grid=ds.grid, variables=list(ds.variables),
             timestamps=list(ds.timestamps), data=data,
         )
-        np.testing.assert_allclose(spatial_mean_vector(ds2, 0), [3.5, 3.5], atol=1e-6)
+        np.testing.assert_allclose(spatial_mean_matrix(ds2, [0])[0], [3.5, 3.5], atol=1e-6)
 
     def test_two_cell_uniform(self, toy_dataset):
-        v = spatial_mean_vector(toy_dataset, 7)
+        v = spatial_mean_matrix(toy_dataset, [7])[0]
         np.testing.assert_allclose(v, toy_dataset.data[7].mean(axis=(1, 2)), atol=1e-7)
 
     def test_weighted_matches_brute_force(self, toy_dataset):
         rng = np.random.default_rng(11)
         w = rng.uniform(0.5, 2.0, size=(4, 8))
-        v = spatial_mean_vector(toy_dataset, 9, weights=w)
+        v = spatial_mean_matrix(toy_dataset, [9], weights=w)[0]
         for var in range(2):
             acc = 0.0
             for i in range(4):
@@ -171,7 +170,7 @@ class TestSpatialMean:
         times = [0, 3, 9]
         mat = spatial_mean_matrix(toy_dataset, times)
         for row, t in zip(mat, times):
-            np.testing.assert_allclose(row, spatial_mean_vector(toy_dataset, t), atol=1e-12)
+            np.testing.assert_allclose(row, spatial_mean_matrix(toy_dataset, [t])[0], atol=1e-12)
 
 
 class TestCosineDistance:

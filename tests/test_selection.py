@@ -1,11 +1,15 @@
+import gc
+import weakref
 from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sstats
 
 from stratacast.dataset import GriddedDataset, GridSpec
-from stratacast.features import cosine_distance
+from stratacast.features import cosine_distance, flatten_samples, pca_fit, pca_transform
 from stratacast.selection import (
     STRATEGIES,
     SelectionBudget,
@@ -16,9 +20,11 @@ from stratacast.selection import (
     herding_order,
     kmeans,
     nearest_to_centroids,
+    pca_features,
     run_strategy,
     select_full,
     select_greedy_diverse,
+    select_herding,
     select_kmeans_coreset,
     select_random,
     select_spatial_stratified,
@@ -80,6 +86,21 @@ class TestQuotas:
     def test_insufficient_capacity(self):
         with pytest.raises(SelectionError):
             allocate_quotas(10, [1] * 5 + [0] * 7)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        target=st.integers(0, 120),
+        bin_sizes=st.lists(st.integers(0, 15), min_size=1, max_size=12),
+    )
+    def test_property_sum_caps_and_capacity(self, target, bin_sizes):
+        if sum(bin_sizes) < target:
+            with pytest.raises(SelectionError):
+                allocate_quotas(target, bin_sizes)
+            return
+        quotas = allocate_quotas(target, bin_sizes)
+        assert len(quotas) == len(bin_sizes)
+        assert sum(quotas) == target
+        assert all(0 <= q <= size for q, size in zip(quotas, bin_sizes))
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +214,106 @@ class TestStratifiedTime:
         months = ds.months()[sel.indices]
         counts = [(months == m).sum() for m in range(1, 13)]
         assert max(counts) - min(counts) <= 1
+
+
+# ---------------------------------------------------------------------------
+# Shared PCA features
+# ---------------------------------------------------------------------------
+
+def field_series(fields):
+    """Daily 1-variable dataset from an array of [N, lat, lon] fields."""
+    fields = np.asarray(fields, dtype=np.float32)
+    n, n_lat, n_lon = fields.shape
+    return GriddedDataset(
+        grid=GridSpec(np.linspace(-45.0, 45.0, n_lat), np.linspace(0.0, 300.0, n_lon)),
+        variables=["synthetic_0"],
+        timestamps=[datetime(2000, 1, 1) + timedelta(days=i) for i in range(n)],
+        data=fields[:, None],
+    )
+
+
+def reference_pca_features(ds, cand, rank):
+    x = flatten_samples(ds, cand)
+    return pca_transform(pca_fit(x, min(64, rank)), x)
+
+
+class TestPcaFeatures:
+    N = 90
+
+    def full_rank(self):
+        # 90 x 80 features: centered rank 80, so PCA keeps the 64-axis default
+        return field_series(np.random.default_rng(21).normal(size=(self.N, 8, 10))), 80
+
+    def rank_three(self):
+        # every grid cell copies one of three series: centered rank 3
+        f = np.random.default_rng(22).normal(size=(self.N, 3))
+        return field_series(f[:, np.arange(40) % 3].reshape(self.N, 5, 8)), 3
+
+    @pytest.mark.parametrize("case", ["full_rank", "rank_three"])
+    def test_bitwise_equal_to_pca_fit_transform(self, case):
+        ds, rank = getattr(self, case)()
+        cand = np.arange(2, self.N - 1)
+        feats = pca_features(ds, cand)
+        ref = reference_pca_features(ds, cand, rank)
+        assert feats.shape == (cand.size, min(64, rank))
+        assert feats.tobytes() == ref.tobytes()
+
+    def test_rank_zero_gives_one_zero_column(self):
+        ds = field_series(np.full((12, 2, 3), 1.5))
+        feats = pca_features(ds, np.arange(12))
+        assert feats.shape == (12, 1)
+        assert not feats.any()
+
+    def test_one_svd_then_reuse(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+
+        def counting_svd(*args, **kwargs):
+            calls.append(1)
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        ds, _ = self.full_rank()
+        cand = np.arange(self.N)
+        first = pca_features(ds, cand)
+        assert len(calls) == 1
+        again = pca_features(ds, list(range(self.N)))
+        assert len(calls) == 1 and again is first
+        pca_features(ds, cand[1:])
+        assert len(calls) == 2
+
+        equal_copy, _ = self.full_rank()
+        fresh = pca_features(equal_copy, cand)
+        assert len(calls) == 3
+        assert fresh is not first and fresh.tobytes() == first.tobytes()
+
+    def test_read_only(self):
+        ds, _ = self.rank_three()
+        feats = pca_features(ds, np.arange(self.N))
+        assert not feats.flags.writeable
+        with pytest.raises(ValueError):
+            feats[0, 0] = 1.0
+
+    def test_memo_keeps_no_dataset_alive(self):
+        ds, _ = self.rank_three()
+        pca_features(ds, np.arange(self.N))
+        ref = weakref.ref(ds)
+        del ds
+        gc.collect()
+        assert ref() is None
+
+    def test_kmeans_and_herding_use_reference_features(self):
+        ds, rank = self.full_rank()
+        cand = np.arange(5, self.N)
+        budget = SelectionBudget(0.2)
+        k = budget.target_count(cand.size)
+        ref = reference_pca_features(ds, cand, rank)
+        seed = 4
+        centers, assign = kmeans(ref, k, np.random.default_rng(seed))
+        want_kmeans = [int(cand[r]) for r in nearest_to_centroids(ref, centers, assign)]
+        assert select_kmeans_coreset(ds, cand, budget, seed).indices == want_kmeans
+        want_herding = [int(cand[r]) for r in herding_order(ref, k)]
+        assert select_herding(ds, cand, budget, seed).indices == want_herding
 
 
 # ---------------------------------------------------------------------------
