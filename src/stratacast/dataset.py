@@ -139,14 +139,6 @@ class GriddedDataset:
         except ValueError:
             raise DatasetError(f"variable {name!r} not in dataset") from None
 
-    def time_index(self, ts: datetime) -> int:
-        stride = self.timestamps[1] - self.timestamps[0]
-        off = (ts - self.timestamps[0]) / stride
-        i = int(round(off))
-        if abs(off - i) > 1e-9 or not 0 <= i < self.n_times:
-            raise DatasetError(f"timestamp {ts} not in dataset")
-        return i
-
     def slice_time(self, start: int, stop: int) -> "GriddedDataset":
         """View of a contiguous time range [start, stop). Data is not copied."""
         return GriddedDataset(

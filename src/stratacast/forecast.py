@@ -21,12 +21,18 @@ layout. ``persistence``, ``climatology`` and ``stochastic_linear`` rows are
 bitwise independent of the layout (which inits are rolled out together and
 how they are blocked); ``toy_diffusion`` rows agree across layouts within
 float32 rounding, because its matrix products see a different number of rows.
+
+Row streams equal ``np.random.default_rng([seed, member, init])``. The
+SeedSequence hash of every row is computed in one vectorized pass per
+rollout, and small draws are prefetched several at a time per row; neither
+changes the values drawn.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from datetime import datetime
 from pathlib import Path
@@ -62,7 +68,8 @@ class EnsembleForecast:
     """M-member rollout trajectories at a fixed lead stride.
 
     ``trajectories`` has shape [init, member, step, variable, lat, lon];
-    step k is lead (k+1) * lead_stride_hours.
+    step k is lead (k+1) * lead_stride_hours. Its values are finite:
+    ``rollout`` checks every step and ``load_forecast`` checks the file.
     """
 
     init_indices: list[int]
@@ -76,8 +83,6 @@ class EnsembleForecast:
     def __post_init__(self):
         if len(set(map(tuple, self.member_seeds))) != len(self.member_seeds):
             raise ForecastError("member seeds must be distinct")
-        if not np.isfinite(self.trajectories).all():
-            raise ForecastError("non-finite trajectory values")
 
 
 def _pairs_from_subset(
@@ -372,20 +377,133 @@ def train(
 # per-row Generators and the batched temporaries of one block small.
 ROLLOUT_BLOCK_ROWS = 64
 
+# Values per row that one refill of a _RowStreams buffer aims at. One
+# standard_normal call costs about as much as 100 normals, so small draws are
+# fetched several at a time; draws of this size or more get one call each.
+ROW_PREFETCH_VALUES = 1024
+
+# numpy.random.SeedSequence constants (pool of four uint32 words).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _uint32_words(n: int) -> list[int]:
+    """Little-endian 32-bit words of a non-negative int, as SeedSequence splits it."""
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _pool_state(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(row).generate_state(4, np.uint64)`` for every row of a
+    [R, L] uint32 entropy array, as one pass of uint32 array arithmetic."""
+    h = _INIT_A
+
+    def hashmix(v):
+        nonlocal h
+        v = v ^ np.uint32(h)
+        h = (h * _MULT_A) & _MASK32
+        v = v * np.uint32(h)
+        return v ^ (v >> np.uint32(16))
+
+    def mix(x, y):
+        r = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return r ^ (r >> np.uint32(16))
+
+    zero = np.zeros(entropy.shape[0], dtype=np.uint32)
+    pool = [hashmix(entropy[:, i] if i < entropy.shape[1] else zero) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(4, entropy.shape[1]):
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+    h = _INIT_B
+    state = []
+    for i in range(8):
+        v = pool[i % 4] ^ np.uint32(h)
+        h = (h * _MULT_B) & _MASK32
+        v = v * np.uint32(h)
+        state.append((v ^ (v >> np.uint32(16))).astype(np.uint64))
+    words = [lo | (hi << np.uint64(32)) for lo, hi in zip(state[::2], state[1::2])]
+    return np.stack(words, axis=1)
+
+
+def _row_seed_states(seed: int, n_members: int, init_indices) -> np.ndarray:
+    """[init x member, 4] uint64 PCG64 seeding words, init-major: row
+    (i, m) equals ``np.random.SeedSequence([seed, m, init_indices[i]])
+    .generate_state(4, np.uint64)``."""
+    seed = operator.index(seed)
+    inits = np.asarray(init_indices, dtype=np.int64).reshape(-1)
+    if seed < 0 or (inits < 0).any() or (inits > _MASK32).any():
+        raise ValueError("seed must be non-negative and init indices in [0, 2**32)")
+    rows = inits.size * n_members
+    cols = [np.full(rows, w, dtype=np.uint32) for w in _uint32_words(seed)]
+    cols.append(np.tile(np.arange(n_members, dtype=np.uint32), inits.size))
+    cols.append(np.repeat(inits.astype(np.uint32), n_members))
+    return _pool_state(np.stack(cols, axis=1))
+
+
+class _StateWords:
+    """Seed sequence that hands PCG64 the precomputed words it asks for."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _row_generators(words: np.ndarray) -> list[np.random.Generator]:
+    """One PCG64 Generator per row of ``_row_seed_states`` words.
+
+    ``_StateWords`` becomes a virtual ``ISeedSequence`` here rather than a
+    subclass at import time, because numpy imports ``numpy.random`` lazily
+    and ``import stratacast`` should not load it.
+    """
+    np.random.bit_generator.ISeedSequence.register(_StateWords)
+    return [np.random.Generator(np.random.PCG64(_StateWords(w))) for w in words]
+
 
 class _RowStreams:
     """Noise source for a block of rollout rows: row b of every draw comes
     from ``gens[b]``, so each row's stream is drawn in the same order as in a
-    one-row rollout."""
+    one-row rollout.
 
-    def __init__(self, gens: list[np.random.Generator]):
+    A Generator's float64 normals do not depend on how the draws are split
+    into calls, so each row refills a buffer with several draws at once (at
+    most ``n_steps`` and about ``ROW_PREFETCH_VALUES`` values) and serves
+    the next draws as views into it.
+    """
+
+    def __init__(self, gens: list[np.random.Generator], n_steps: int):
         self.gens = gens
+        self.n_steps = n_steps
+        self.buf = np.empty((len(gens), 0))
+        self.pos = 0
 
     def standard_normal(self, shape) -> np.ndarray:
-        out = np.empty(shape)
-        for gen, row in zip(self.gens, out):
-            gen.standard_normal(out=row)
-        return out
+        r = math.prod(shape[1:])
+        if self.buf.shape[1] - self.pos < r:
+            n_draws = max(min(self.n_steps, ROW_PREFETCH_VALUES // r), 1)
+            tail = self.buf[:, self.pos :]
+            buf = np.empty((len(self.gens), tail.shape[1] + n_draws * r))
+            buf[:, : tail.shape[1]] = tail
+            for gen, row in zip(self.gens, buf):
+                gen.standard_normal(out=row[tail.shape[1] :])
+            self.buf, self.pos = buf, 0
+        out = self.buf[:, self.pos : self.pos + r]
+        self.pos += r
+        if self.pos == self.buf.shape[1]:
+            # a spent buffer is held only by the caller's view, so its memory
+            # is freed (and reused) as soon as the caller drops the draw
+            self.buf, self.pos = np.empty((len(self.gens), 0)), 0
+        return out.reshape(shape)
 
 
 def rollout(
@@ -410,11 +528,12 @@ def rollout(
         (len(init_indices), n_members, n_steps) + shape, dtype=np.float32
     )
     step_dt = np.timedelta64(round(lead_stride_hours * 3.6e9), "us")
+    words = _row_seed_states(seed, n_members, init_indices)
     per_block = max(ROLLOUT_BLOCK_ROWS // max(n_members, 1), 1)
     for start in range(0, len(init_indices), per_block):
         inits = init_indices[start : start + per_block]
-        gens = [np.random.default_rng([seed, m, t0]) for t0 in inits for m in range(n_members)]
-        rng = _RowStreams(gens)
+        gens = _row_generators(words[start * n_members : (start + len(inits)) * n_members])
+        rng = _RowStreams(gens, n_steps)
         states = np.repeat(ds.data[inits].astype(np.float64), n_members, axis=0)
         times = np.repeat(
             np.array([ds.timestamps[t0] for t0 in inits], dtype="datetime64[us]"), n_members
@@ -463,6 +582,8 @@ def load_forecast(prefix: str | Path) -> EnsembleForecast:
     header = json.loads(prefix.with_suffix(".json").read_text())
     shape = tuple(header["shape"])
     traj = np.frombuffer(prefix.with_suffix(".bin").read_bytes(), dtype="<f4").reshape(shape)
+    if not np.isfinite(traj).all():
+        raise ForecastError("non-finite trajectory values")
     return EnsembleForecast(
         init_indices=[int(i) for i in header["init_indices"]],
         init_times=[datetime.fromisoformat(s) for s in header["init_times"]],

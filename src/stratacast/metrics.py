@@ -14,7 +14,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .dataset import GriddedDataset, GridSpec
+from .dataset import DatasetError, GriddedDataset, GridSpec
 
 
 class MetricError(ValueError):
@@ -119,6 +119,25 @@ def records_to_csv(records: Iterable[MetricRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _target_indices(truth: GriddedDataset, init_indices, lead_hours: float) -> np.ndarray:
+    """Index of each init's valid time ``lead_hours`` later in ``truth``.
+
+    Raises DatasetError naming the first target off the time grid or
+    outside the dataset.
+    """
+    stride = truth.timestamps[1] - truth.timestamps[0]
+    inits = np.asarray(init_indices, dtype=np.int64)
+    k = timedelta(hours=lead_hours) / stride
+    idx = inits + int(round(k))
+    bad = (idx < 0) | (idx >= truth.n_times) | (inits < 0) | (inits >= truth.n_times)
+    bad |= abs(k - round(k)) > 1e-9
+    if bad.any():
+        first = int(bad.argmax())
+        target = truth.timestamps[0] + int(inits[first]) * stride + timedelta(hours=lead_hours)
+        raise DatasetError(f"timestamp {target} not in dataset")
+    return idx
+
+
 def evaluate_forecast(
     forecast,
     truth: GriddedDataset,
@@ -141,10 +160,7 @@ def evaluate_forecast(
         step = int(round(lead_hours / forecast.lead_stride_hours)) - 1
         if not 0 <= step < forecast.n_steps:
             raise MetricError(f"lead {lead}d not covered by {forecast.n_steps} steps")
-        truth_idx = []
-        for ti in forecast.init_indices:
-            target = truth.timestamps[ti] + timedelta(hours=lead_hours)
-            truth_idx.append(truth.time_index(target))
+        truth_idx = _target_indices(truth, forecast.init_indices, lead_hours)
         for v, name in enumerate(truth.variables):
             # members: [M, case, lat, lon]
             members = forecast.trajectories[:, :, step, v].transpose(1, 0, 2, 3)

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from stratacast.dataset import GridSpec
 from stratacast.synthetic import SyntheticConfig, generate
+
+# Property tests draw the same examples on every run.
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 
 @pytest.fixture(scope="session")

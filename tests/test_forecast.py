@@ -3,9 +3,11 @@ from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stratacast import forecast as forecast_mod
-from stratacast.dataset import GriddedDataset, GridSpec, SplitSpec
+from stratacast.dataset import DatasetError, GriddedDataset, GridSpec, SplitSpec
 from stratacast.forecast import (
     ForecastError,
     ForecasterSpec,
@@ -182,6 +184,14 @@ class TestRollout:
         assert back.trajectories.tobytes() == fc.trajectories.tobytes()
         assert back.init_times == fc.init_times
 
+    def test_load_rejects_non_finite_trajectory(self, tmp_path):
+        ds = series_ds(np.random.default_rng(11).normal(size=300))
+        fc = rollout(PersistenceForecaster(), ds, [3, 9], n_members=2, n_steps=4, seed=5)
+        fc.trajectories[1, 0, 2] = np.nan
+        save_forecast(fc, tmp_path / "f")
+        with pytest.raises(ForecastError, match="non-finite"):
+            load_forecast(tmp_path / "f")
+
 
 class TestToyDiffusion:
     def test_training_loss_decreases(self):
@@ -326,6 +336,82 @@ class TestBatchedRollout:
         assert a.trajectories.tobytes() == b.trajectories.tobytes()
 
 
+class TestRowSeeds:
+    """``_row_seed_states`` against numpy's own SeedSequence."""
+
+    @staticmethod
+    def reference(seed, n_members, inits):
+        return np.array(
+            [np.random.SeedSequence([seed, m, t0]).generate_state(4, np.uint64)
+             for t0 in inits for m in range(n_members)],
+            dtype=np.uint64,
+        ).reshape(-1, 4)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5])
+    def test_words_equal_seed_sequence(self, seed):
+        inits = [0, 1, 370, 2**32 - 1]
+        words = forecast_mod._row_seed_states(seed, 8, inits)
+        assert words.dtype == np.uint64
+        np.testing.assert_array_equal(words, self.reference(seed, 8, inits))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**96),
+        n_members=st.integers(1, 4),
+        inits=st.lists(st.integers(0, 2**32 - 1), max_size=6),
+    )
+    def test_property_words_equal_seed_sequence(self, seed, n_members, inits):
+        words = forecast_mod._row_seed_states(seed, n_members, inits)
+        np.testing.assert_array_equal(words, self.reference(seed, n_members, inits))
+
+    def test_generator_equals_default_rng(self):
+        words = forecast_mod._row_seed_states(100, 3, [4, 9])
+        gen = forecast_mod._row_generators(words)[5]
+        ref = np.random.default_rng([100, 2, 9])
+        assert gen.standard_normal(50).tobytes() == ref.standard_normal(50).tobytes()
+
+    @pytest.mark.parametrize("seed, inits", [(-1, [0, 1]), (0, [3, -1]), (0, [2**32])])
+    def test_negative_seed_or_out_of_range_init_raises(self, seed, inits):
+        with pytest.raises(ValueError):
+            forecast_mod._row_seed_states(seed, 2, inits)
+        ds = series_ds(np.zeros(20))
+        with pytest.raises(ValueError):
+            rollout(PersistenceForecaster(), ds, inits, n_members=2, n_steps=2, seed=seed)
+
+
+class TestRowStreamsPrefetch:
+    class MixedDraws:
+        """Draws (B, 3), (B, 5) and a state-shaped array each step and keeps
+        the returned arrays (not copies)."""
+
+        kind = "persistence"
+
+        def __init__(self):
+            self.draws = []
+
+        def step(self, states, rng, valid_times):
+            b = states.shape[0]
+            self.draws.append([rng.standard_normal((b, 3)), rng.standard_normal((b, 5)),
+                               rng.standard_normal(states.shape)])
+            return states + self.draws[-1][2]
+
+    @pytest.mark.parametrize("prefetch", [1024, 7])
+    def test_mixed_draw_sizes_equal_per_row_streams(self, trained_models, prefetch,
+                                                    monkeypatch):
+        ds, _ = trained_models
+        monkeypatch.setattr(forecast_mod, "ROW_PREFETCH_VALUES", prefetch)
+        inits, n_members, n_steps, seed = [30, 11, 52], 2, 4, 3
+        model = self.MixedDraws()
+        rollout(model, ds, inits, n_members=n_members, n_steps=n_steps, seed=seed)
+        assert len(model.draws) == n_steps
+        for row, (t0, m) in enumerate((t0, m) for t0 in inits for m in range(n_members)):
+            gen = np.random.default_rng([seed, m, t0])
+            for k in range(n_steps):
+                for drawn in model.draws[k]:
+                    ref = gen.standard_normal(drawn.shape[1:])
+                    assert drawn[row].tobytes() == ref.tobytes()
+
+
 class TestEvaluateForecast:
     def test_persistence_on_constant_dataset(self):
         ds = series_ds(np.full(400, 3.0).reshape(-1, 1, 1, 1) + 0.0)
@@ -364,6 +450,19 @@ class TestEvaluateForecast:
         fc = rollout(PersistenceForecaster(), ds, [15], n_members=1, n_steps=10, seed=0)
         with pytest.raises(Exception):
             evaluate_forecast(fc, ds, leads_days=(10,))
+
+    def test_lead_past_end_names_first_missing_target(self):
+        ds = series_ds(np.zeros(20))
+        fc = rollout(PersistenceForecaster(), ds, [2, 15, 17], n_members=1, n_steps=10, seed=0)
+        assert len(evaluate_forecast(fc, ds, leads_days=(2,))) == 1
+        with pytest.raises(DatasetError, match="timestamp 2000-01-21 00:00:00 not in dataset"):
+            evaluate_forecast(fc, ds, leads_days=(5,))
+
+    def test_lead_off_the_time_grid_raises(self):
+        ds = series_ds(np.zeros(20), stride_hours=48)
+        fc = rollout(PersistenceForecaster(), ds, [3], n_members=1, n_steps=10, seed=0)
+        with pytest.raises(DatasetError, match="timestamp 2000-01-12 00:00:00 not in dataset"):
+            evaluate_forecast(fc, ds, leads_days=(5,))
 
 
 class TestForecasterSpec:
