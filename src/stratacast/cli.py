@@ -20,8 +20,9 @@ import numpy as np
 from . import dataset as dsmod
 from . import synthetic
 from .dataset import SplitSpec
-from .experiment import ExperimentConfig, emit_report, run_experiment
+from .experiment import ExperimentConfig, emit_report, eval_init_times, run_experiment
 from .forecast import (
+    VALID_KINDS,
     ForecasterSpec,
     load_forecast,
     load_forecaster,
@@ -92,8 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--data", required=True)
     p.add_argument("--selection", required=True, help="selection JSON path")
-    p.add_argument("--forecaster", required=True,
-                   choices=["persistence", "climatology", "stochastic_linear", "toy_diffusion"])
+    p.add_argument("--forecaster", required=True, choices=VALID_KINDS)
     p.add_argument("--train-years", required=True)
     p.add_argument("--hyper", default="{}", help="hyperparameters as JSON")
 
@@ -173,12 +173,8 @@ def cmd_rollout(args) -> int:
     ds, split = _load_standardized(args.data, _years(args.train_years))
     split = SplitSpec(train_years=split.train_years, test_years=_years(args.test_years))
     model = load_forecaster(args.model)
-    inits = dsmod.valid_init_times(
-        ds, split, which="test", max_lead_hours=args.steps * 24.0
-    )
-    stride = max(int(round(24.0 / ds.stride_hours)), 1)
-    fc = rollout(model, ds, inits[::stride], args.members, n_steps=args.steps,
-                 seed=args.seed)
+    inits = eval_init_times(ds, split, args.steps, 24.0)
+    fc = rollout(model, ds, inits, args.members, n_steps=args.steps, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_forecast(fc, out / "forecast")

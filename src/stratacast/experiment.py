@@ -97,14 +97,15 @@ def _load_or_generate(cfg: ExperimentConfig) -> GriddedDataset:
     return synthetic.generate(cfg.synthetic)
 
 
-def _eval_inits(ds: GriddedDataset, cfg: ExperimentConfig) -> list[int]:
-    inits = dsmod.valid_init_times(
-        ds, cfg.split, which="test", max_lead_hours=cfg.n_steps * 24.0
-    )
+def eval_init_times(
+    ds: GriddedDataset, split: SplitSpec, n_steps: int, eval_stride_hours: float
+) -> list[int]:
+    """Test-split init indices with room for ``n_steps`` daily steps, one per
+    ``eval_stride_hours``; raises when there are none."""
+    inits = dsmod.valid_init_times(ds, split, which="test", max_lead_hours=n_steps * 24.0)
     if not inits:
         raise ExperimentError("test split yields no valid init times")
-    stride = ds.stride_hours
-    every = max(int(round(cfg.eval_stride_hours / stride)), 1)
+    every = max(int(round(eval_stride_hours / ds.stride_hours)), 1)
     return inits[::every]
 
 
@@ -126,7 +127,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> list[MetricRec
     )
     if not candidates:
         raise ExperimentError("training split yields no candidate times")
-    eval_inits = _eval_inits(ds, cfg)
+    eval_inits = eval_init_times(ds, cfg.split, cfg.n_steps, cfg.eval_stride_hours)
     w = area_weights(ds.grid, flat=cfg.flat_grid)
 
     strategies = list(cfg.strategies)

@@ -154,27 +154,6 @@ class StochasticLinearForecaster:
         noise = rng.standard_normal(states.shape)
         return self.a * states + self.b + self.resid_std * noise
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "kind": self.kind,
-                "variables": self.variables,
-                "a": self.a.tolist(),
-                "b": self.b.tolist(),
-                "resid_std": self.resid_std.tolist(),
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "StochasticLinearForecaster":
-        d = json.loads(text)
-        return cls(
-            np.asarray(d["a"], dtype=np.float64),
-            np.asarray(d["b"], dtype=np.float64),
-            np.asarray(d["resid_std"], dtype=np.float64),
-            list(d["variables"]),
-        )
-
 
 def _fit_stochastic_linear(
     ds: GriddedDataset, pair_idx: np.ndarray, off: int, ridge_lambda: float
@@ -560,101 +539,82 @@ def rollout(
     )
 
 
+# ---------------------------------------------------------------------------
+# Serialization: one ``<prefix>.npz`` per forecast or forecaster
+# ---------------------------------------------------------------------------
+
+def _write_npz(prefix: str | Path, **entries) -> None:
+    path = Path(prefix).with_suffix(".npz")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    np.savez(path, **entries)
+
+
 def save_forecast(fc: EnsembleForecast, prefix: str | Path) -> None:
-    """Write ``<prefix>.json`` (metadata) + ``<prefix>.bin`` (f32 LE trajectories)."""
-    prefix = Path(prefix)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
-    header = {
-        "init_indices": fc.init_indices,
-        "init_times": [t.isoformat() for t in fc.init_times],
-        "n_members": fc.n_members,
-        "lead_stride_hours": fc.lead_stride_hours,
-        "n_steps": fc.n_steps,
-        "shape": list(fc.trajectories.shape),
-        "member_seeds": [list(s) for s in fc.member_seeds],
-    }
-    prefix.with_suffix(".json").write_text(json.dumps(header))
-    prefix.with_suffix(".bin").write_bytes(fc.trajectories.astype("<f4").tobytes())
+    """Write ``<prefix>.npz``: float32 trajectories and the forecast's metadata.
 
-
-def load_forecast(prefix: str | Path) -> EnsembleForecast:
-    prefix = Path(prefix)
-    header = json.loads(prefix.with_suffix(".json").read_text())
-    shape = tuple(header["shape"])
-    traj = np.frombuffer(prefix.with_suffix(".bin").read_bytes(), dtype="<f4").reshape(shape)
-    if not np.isfinite(traj).all():
-        raise ForecastError("non-finite trajectory values")
-    return EnsembleForecast(
-        init_indices=[int(i) for i in header["init_indices"]],
-        init_times=[datetime.fromisoformat(s) for s in header["init_times"]],
-        n_members=int(header["n_members"]),
-        lead_stride_hours=float(header["lead_stride_hours"]),
-        n_steps=int(header["n_steps"]),
-        trajectories=traj.copy(),
-        member_seeds=[tuple(s) for s in header["member_seeds"]],
+    Member seeds are stored as JSON, since a seed may exceed 64 bits.
+    """
+    _write_npz(
+        prefix,
+        trajectories=np.asarray(fc.trajectories, dtype=np.float32),
+        init_indices=np.asarray(fc.init_indices, dtype=np.int64),
+        init_times=np.array(fc.init_times, dtype="datetime64[us]"),
+        n_members=fc.n_members,
+        lead_stride_hours=fc.lead_stride_hours,
+        n_steps=fc.n_steps,
+        member_seeds=json.dumps([list(s) for s in fc.member_seeds]),
     )
 
 
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
+def load_forecast(prefix: str | Path) -> EnsembleForecast:
+    with np.load(Path(prefix).with_suffix(".npz"), allow_pickle=False) as z:
+        traj = z["trajectories"]
+        if not np.isfinite(traj).all():
+            raise ForecastError("non-finite trajectory values")
+        return EnsembleForecast(
+            init_indices=z["init_indices"].tolist(),
+            init_times=z["init_times"].tolist(),
+            n_members=int(z["n_members"]),
+            lead_stride_hours=float(z["lead_stride_hours"]),
+            n_steps=int(z["n_steps"]),
+            trajectories=traj,
+            member_seeds=[tuple(s) for s in json.loads(str(z["member_seeds"]))],
+        )
+
 
 def save_forecaster(model, prefix: str | Path) -> None:
-    """Write ``<prefix>.json`` (+ ``<prefix>.bin``, little-endian float64 arrays,
-    for array-heavy kinds)."""
-    prefix = Path(prefix)
-    prefix.parent.mkdir(parents=True, exist_ok=True)
+    """Write ``<prefix>.npz``: the kind and the model's float64 arrays (lossless),
+    plus ``hyper`` as JSON and ``state_shape`` for ``toy_diffusion``."""
     if model.kind == "persistence":
-        prefix.with_suffix(".json").write_text(json.dumps({"kind": model.kind}))
-    elif model.kind == "stochastic_linear":
-        prefix.with_suffix(".json").write_text(model.to_json())
+        entries = {}
     elif model.kind == "climatology":
-        header = {"kind": model.kind, "shape": list(model.monthly_means.shape)}
-        prefix.with_suffix(".json").write_text(json.dumps(header))
-        prefix.with_suffix(".bin").write_bytes(
-            model.monthly_means.astype("<f8").tobytes()
-        )
+        entries = {"monthly_means": model.monthly_means}
+    elif model.kind == "stochastic_linear":
+        entries = {"a": model.a, "b": model.b, "resid_std": model.resid_std,
+                   "variables": model.variables}
     elif model.kind == "toy_diffusion":
-        arrays = [model.w1, model.b1, model.w2, model.b2]
-        header = {
-            "kind": model.kind,
-            "shapes": [list(a.shape) for a in arrays],
-            "hyper": model.hyper,
-            "state_shape": list(model.state_shape),
-        }
-        prefix.with_suffix(".json").write_text(json.dumps(header))
-        blob = b"".join(np.asarray(a, dtype="<f8").tobytes() for a in arrays)
-        prefix.with_suffix(".bin").write_bytes(blob)
+        entries = {"w1": model.w1, "b1": model.b1, "w2": model.w2, "b2": model.b2,
+                   "hyper": json.dumps(model.hyper), "state_shape": model.state_shape}
     else:
         raise ForecastError(f"cannot serialize kind {model.kind!r}")
+    _write_npz(prefix, kind=model.kind, **entries)
 
 
 def load_forecaster(prefix: str | Path):
-    prefix = Path(prefix)
-    header = json.loads(prefix.with_suffix(".json").read_text())
-    kind = header["kind"]
-    if kind == "persistence":
-        return PersistenceForecaster()
-    if kind == "stochastic_linear":
-        return StochasticLinearForecaster.from_json(prefix.with_suffix(".json").read_text())
-    if kind == "climatology":
-        shape = tuple(header["shape"])
-        arr = np.frombuffer(prefix.with_suffix(".bin").read_bytes(), dtype="<f8")
-        means = arr.reshape(shape).astype(np.float64)
-        return ClimatologyForecaster(means, np.ones(12, dtype=bool))
-    if kind == "toy_diffusion":
-        blob = prefix.with_suffix(".bin").read_bytes()
-        arrays = []
-        offset = 0
-        for shp in header["shapes"]:
-            n = int(np.prod(shp))
-            arrays.append(
-                np.frombuffer(blob, dtype="<f8", count=n, offset=offset)
-                .reshape(shp)
-                .astype(np.float64)
+    with np.load(Path(prefix).with_suffix(".npz"), allow_pickle=False) as z:
+        kind = str(z.get("kind"))  # a file without one is an unknown kind
+        if kind == "persistence":
+            return PersistenceForecaster()
+        if kind == "climatology":
+            return ClimatologyForecaster(z["monthly_means"], np.ones(12, dtype=bool))
+        if kind == "stochastic_linear":
+            return StochasticLinearForecaster(
+                z["a"], z["b"], z["resid_std"], z["variables"].tolist()
             )
-            offset += n * 8
-        return ToyDiffusionForecaster(
-            *arrays, hyper=header["hyper"], state_shape=tuple(header["state_shape"])
-        )
+        if kind == "toy_diffusion":
+            return ToyDiffusionForecaster(
+                z["w1"], z["b1"], z["w2"], z["b2"],
+                hyper=json.loads(str(z["hyper"])),
+                state_shape=tuple(z["state_shape"].tolist()),
+            )
     raise ForecastError(f"unknown serialized kind {kind!r}")

@@ -74,11 +74,10 @@ def ssr(members: np.ndarray, truth: np.ndarray, w: np.ndarray) -> float:
     m = members.shape[0]
     if m < 2:
         raise MetricError("SSR requires at least 2 ensemble members")
-    spread2 = float(np.mean(members.var(axis=0, ddof=1) * w))
     skill = rmse(members.mean(axis=0), truth, w)
     if skill == 0.0:
         raise MetricError("SSR undefined for zero forecast error")
-    return float(np.sqrt((m + 1) / m) * np.sqrt(spread2) / skill)
+    return float(np.sqrt((m + 1) / m) * ensemble_spread(members, w) / skill)
 
 
 def ensemble_spread(members: np.ndarray, w: np.ndarray) -> float:

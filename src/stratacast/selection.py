@@ -127,9 +127,32 @@ def allocate_quotas(target: int, bin_sizes: list[int]) -> list[int]:
     return quotas
 
 
-def _month_bins(ds: GriddedDataset, cand: np.ndarray) -> list[np.ndarray]:
-    months = ds.months()[cand]
-    return [cand[months == m] for m in range(1, 13)]
+def _stratified(cand: np.ndarray, k: int, labels: np.ndarray, pick) -> list[int]:
+    """The skeleton of every stratified strategy.
+
+    Candidates fall into 12 bins by ``labels`` (0..11, e.g. month - 1), each
+    bin gets its ``allocate_quotas`` share of ``k``, and
+    ``pick(bin, members, quota)`` chooses from the bin's candidates (in
+    candidate order) for every bin with a non-zero quota, bins in order.
+    """
+    bins = [cand[labels == b] for b in range(12)]
+    quotas = allocate_quotas(k, [members.size for members in bins])
+    chosen: list[int] = []
+    for b, (members, quota) in enumerate(zip(bins, quotas)):
+        if quota:
+            chosen.extend(int(i) for i in pick(b, members, quota))
+    return chosen
+
+
+def _random_pick(rng: np.random.Generator):
+    """Pick that draws a bin's quota without replacement from one shared rng."""
+
+    def pick(b, members, quota):
+        if quota == members.size:
+            return members
+        return rng.choice(members, size=quota, replace=False)
+
+    return pick
 
 
 # ---------------------------------------------------------------------------
@@ -273,26 +296,10 @@ def select_random(ds, candidate_times, budget, seed: int) -> SubsetSelection:
     return SubsetSelection("random", [int(i) for i in chosen], budget.fraction, seed)
 
 
-def _stratified_draw(
-    bins: list[np.ndarray], quotas: list[int], rng: np.random.Generator
-) -> list[int]:
-    chosen = []
-    for b, quota in zip(bins, quotas):
-        if quota == 0:
-            continue
-        if quota == b.size:
-            chosen.extend(int(i) for i in b)
-        else:
-            chosen.extend(int(i) for i in rng.choice(b, size=quota, replace=False))
-    return chosen
-
-
 def select_stratified_time(ds, candidate_times, budget, seed: int) -> SubsetSelection:
     cand, k = _check_candidates(candidate_times, budget)
-    bins = _month_bins(ds, cand)
-    quotas = allocate_quotas(k, [b.size for b in bins])
     rng = np.random.default_rng(seed)
-    chosen = _stratified_draw(bins, quotas, rng)
+    chosen = _stratified(cand, k, ds.months()[cand] - 1, _random_pick(rng))
     return SubsetSelection("stratified_time", chosen, budget.fraction, seed)
 
 
@@ -308,24 +315,34 @@ def select_kmeans_coreset(ds, candidate_times, budget, seed: int) -> SubsetSelec
     return SubsetSelection("kmeans", chosen, budget.fraction, seed)
 
 
-def greedy_max_min(
-    feats: np.ndarray, k: int, first: int, dist_to_selected_init: np.ndarray
-) -> list[int]:
-    """Max-min greedy over rows of feats, starting from ``first``.
+def farthest_point_order(dist, k: int, first: int, d_first: np.ndarray) -> list[int]:
+    """Farthest-point (k-center) greedy order of k rows, starting from ``first``.
 
-    ``dist_to_selected_init`` is the distance of every row to ``first``.
-    Ties break to the lowest row index (argmax takes the first maximum).
+    ``dist(i)`` returns the distance of every row to row i, and ``d_first``
+    is ``dist(first)``. Each next row maximizes the distance to its nearest
+    selected row; ties break to the lowest row index (argmax takes the first
+    maximum).
     """
     selected = [first]
-    min_d = dist_to_selected_init.copy()
+    min_d = d_first.copy()
     min_d[first] = -np.inf
     for _ in range(1, k):
         nxt = int(np.argmax(min_d))
         selected.append(nxt)
-        d_new = np.linalg.norm(feats - feats[nxt], axis=1)
-        min_d = np.minimum(min_d, d_new)
+        min_d = np.minimum(min_d, dist(nxt))
         min_d[nxt] = -np.inf
     return selected
+
+
+def greedy_max_min(
+    feats: np.ndarray, k: int, first: int, dist_to_selected_init: np.ndarray
+) -> list[int]:
+    """Max-min greedy over rows of feats under Euclidean distance, starting
+    from ``first``; ``dist_to_selected_init`` is the distance of every row to
+    ``first``."""
+    return farthest_point_order(
+        lambda i: np.linalg.norm(feats - feats[i], axis=1), k, first, dist_to_selected_init
+    )
 
 
 def select_greedy_diverse(
@@ -378,11 +395,8 @@ def select_spatial_stratified(
     feats = spatial_mean_matrix(ds, cand, weights)
     model, _ = _svd_pca(feats, 1)
     scores = np.zeros(cand.size) if model is None else pca_transform(model, feats)[:, 0]
-    bin_of = quantile_bins(scores, 12)
-    bins = [cand[bin_of == b] for b in range(12)]
-    quotas = allocate_quotas(k, [b.size for b in bins])
     rng = np.random.default_rng(seed)
-    chosen = _stratified_draw(bins, quotas, rng)
+    chosen = _stratified(cand, k, quantile_bins(scores, 12), _random_pick(rng))
     return SubsetSelection("spatial", chosen, budget.fraction, seed)
 
 
@@ -391,20 +405,15 @@ def _stratified_kmeans(
     weights: np.ndarray | None = None,
 ) -> SubsetSelection:
     cand, k = _check_candidates(candidate_times, budget)
-    bins = _month_bins(ds, cand)
-    quotas = allocate_quotas(k, [b.size for b in bins])
-    chosen: list[int] = []
-    for m, (b, quota) in enumerate(zip(bins, quotas)):
-        if quota == 0:
-            continue
-        if quota == b.size:
-            chosen.extend(int(i) for i in b)
-            continue
-        feats = spatial_mean_matrix(ds, b, weights)
-        rng = np.random.default_rng([seed, m])
-        centers, assign = kmeans(feats, quota, rng, init=init)
-        rows = nearest_to_centroids(feats, centers, assign)
-        chosen.extend(int(b[r]) for r in rows)
+
+    def pick(m, members, quota):
+        if quota == members.size:
+            return members
+        feats = spatial_mean_matrix(ds, members, weights)
+        centers, assign = kmeans(feats, quota, np.random.default_rng([seed, m]), init=init)
+        return members[nearest_to_centroids(feats, centers, assign)]
+
+    chosen = _stratified(cand, k, ds.months()[cand] - 1, pick)
     return SubsetSelection(name, chosen, budget.fraction, seed)
 
 
@@ -434,16 +443,13 @@ def persistence_difficulty_scores(ds: GriddedDataset, cand: np.ndarray) -> np.nd
 
 def select_stratified_entropy(ds, candidate_times, budget, seed: int) -> SubsetSelection:
     cand, k = _check_candidates(candidate_times, budget)
-    scores = persistence_difficulty_scores(ds, cand)
-    bins = _month_bins(ds, cand)
-    quotas = allocate_quotas(k, [b.size for b in bins])
-    pos_of = {int(c): i for i, c in enumerate(cand)}
-    chosen: list[int] = []
-    for b, quota in zip(bins, quotas):
-        if quota == 0:
-            continue
-        rows = sorted(range(b.size), key=lambda r: (-scores[pos_of[int(b[r])]], int(b[r])))
-        chosen.extend(int(b[r]) for r in rows[:quota])
+
+    def pick(m, members, quota):
+        # hardest first, ties to the lowest index; a full month is ordered too
+        scores = persistence_difficulty_scores(ds, members)
+        return members[np.lexsort((members, -scores))[:quota]]
+
+    chosen = _stratified(cand, k, ds.months()[cand] - 1, pick)
     return SubsetSelection("stratified_entropy", chosen, budget.fraction, seed)
 
 
@@ -455,44 +461,26 @@ def greedy_cosine_order(feats: np.ndarray, k: int) -> list[int]:
     def cos_d(i):
         return 1.0 - unit @ unit[i]
 
-    selected = [0]
-    min_d = cos_d(0)
-    min_d[0] = -np.inf
-    for _ in range(1, k):
-        nxt = int(np.argmax(min_d))
-        selected.append(nxt)
-        min_d = np.minimum(min_d, cos_d(nxt))
-        min_d[nxt] = -np.inf
-    return selected
+    return farthest_point_order(cos_d, k, 0, cos_d(0))
 
 
 def select_stratified_spatial_diversity(
     ds, candidate_times, budget, seed: int, weights: np.ndarray | None = None
 ) -> SubsetSelection:
     cand, k = _check_candidates(candidate_times, budget)
-    bins = _month_bins(ds, cand)
-    quotas = allocate_quotas(k, [b.size for b in bins])
-    chosen: list[int] = []
     excluded_zero: list[int] = []
-    for b, quota in zip(bins, quotas):
-        if quota == 0:
-            continue
-        feats = spatial_mean_matrix(ds, b, weights)
-        norms = np.linalg.norm(feats, axis=1)
-        zero = norms == 0.0
-        excluded_zero.extend(int(i) for i in b[zero])
-        usable = b[~zero]
-        ufeats = feats[~zero]
-        if quota >= usable.size:
-            picked = [int(i) for i in usable]
-        else:
-            rows = greedy_cosine_order(ufeats, quota)
-            picked = [int(usable[r]) for r in rows]
-        if len(picked) < quota:
-            # zero-vector exclusion left the month short: fill by lowest index
-            fill = sorted(int(i) for i in b[zero])[: quota - len(picked)]
-            picked.extend(fill)
-        chosen.extend(picked)
+
+    def pick(m, members, quota):
+        feats = spatial_mean_matrix(ds, members, weights)
+        zero = np.linalg.norm(feats, axis=1) == 0.0
+        excluded_zero.extend(int(i) for i in members[zero])
+        usable = members[~zero]
+        if quota < usable.size:
+            usable = usable[greedy_cosine_order(feats[~zero], quota)]
+        # zero-vector exclusion may leave the month short: fill by lowest index
+        return np.concatenate([usable, np.sort(members[zero])[: quota - usable.size]])
+
+    chosen = _stratified(cand, k, ds.months()[cand] - 1, pick)
     meta = {}
     if excluded_zero:
         meta["zero_vector_candidates"] = sorted(excluded_zero)

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from stratacast.cli import main
+from stratacast.forecast import VALID_KINDS
 
 PKG_ROOT = Path(__file__).resolve().parents[1]
 
@@ -105,26 +106,67 @@ class TestPipeline:
         assert fa.read_bytes() == fb.read_bytes()
 
     def test_select_train_rollout_evaluate_chain(self, data_dir, tmp_path):
+        """For every forecaster kind, the step-by-step chain scores exactly what
+        ``run`` scores for the same (strategy, seed) cell."""
         data = str(data_dir / "synthetic.ften")
         assert main(["select", "--data", data, "--strategy", "random",
                      "--train-years", "2000:2000", "--seed", "1",
                      "--out", str(tmp_path)]) == 0
         sel = tmp_path / "random_seed1.json"
-        assert main(["train", "--data", data, "--selection", str(sel),
-                     "--forecaster", "stochastic_linear",
+        for kind in VALID_KINDS:
+            out = tmp_path / kind
+            hyper = {"n_epochs": 3, "hidden_width": 8, "n_sample_steps": 4}
+            hyper = hyper if kind == "toy_diffusion" else {}
+            assert main(["train", "--data", data, "--selection", str(sel),
+                         "--forecaster", kind, "--hyper", json.dumps(hyper), "--seed", "1",
+                         "--train-years", "2000:2000", "--out", str(out)]) == 0
+            assert main(["rollout", "--data", data,
+                         "--model", str(out / kind), "--seed", "1",
+                         "--members", "3", "--steps", "10",
+                         "--train-years", "2000:2000", "--test-years", "2001:2001",
+                         "--out", str(out)]) == 0
+            assert main(["evaluate", "--data", data,
+                         "--forecast", str(out / "forecast"),
+                         "--train-years", "2000:2000", "--flat-grid",
+                         "--method", "random", "--out", str(out)]) == 0
+            assert sorted(p.name for p in out.iterdir()) == sorted(
+                [f"{kind}.npz", "forecast.npz", "metrics.csv"]
+            )
+            lines = (out / "metrics.csv").read_text().strip().split("\n")
+            assert lines[0] == "method,variable,lead_days,crps,rmse,ssr"
+            assert len(lines) == 3  # one variable, leads 5 and 10
+
+            cfg = out / "exp.json"
+            cfg.write_text(json.dumps({
+                "strategies": ["random"],
+                "forecaster": {"kind": kind, "hyperparameters": hyper},
+                "split": {"train_years": [2000, 2000], "test_years": [2001, 2001]},
+                "dataset_path": data,
+                "n_members": 3,
+                "base_seed": 1,
+                "flat_grid": True,
+            }))
+            assert main(["run", "--config", str(cfg), "--out", str(out / "run")]) == 0
+            by_seed = (out / "run" / "metrics_by_seed.csv").read_text().split("\n")
+            run_rows = [r.replace("random,1,", "random,", 1)
+                        for r in by_seed if r.startswith("random,1,")]
+            assert run_rows == lines[1:], kind
+
+    def test_rollout_with_no_valid_inits_exits_2(self, data_dir, tmp_path):
+        data = str(data_dir / "synthetic.ften")
+        assert main(["select", "--data", data, "--strategy", "random",
                      "--train-years", "2000:2000", "--out", str(tmp_path)]) == 0
-        assert main(["rollout", "--data", data,
-                     "--model", str(tmp_path / "stochastic_linear"),
-                     "--members", "3", "--steps", "10",
-                     "--train-years", "2000:2000", "--test-years", "2001:2001",
-                     "--out", str(tmp_path)]) == 0
-        assert main(["evaluate", "--data", data,
-                     "--forecast", str(tmp_path / "forecast"),
-                     "--train-years", "2000:2000", "--flat-grid",
-                     "--method", "random", "--out", str(tmp_path)]) == 0
-        lines = (tmp_path / "metrics.csv").read_text().strip().split("\n")
-        assert lines[0] == "method,variable,lead_days,crps,rmse,ssr"
-        assert len(lines) == 3  # one variable, leads 5 and 10
+        assert main(["train", "--data", data, "--selection", str(tmp_path / "random_seed0.json"),
+                     "--forecaster", "persistence",
+                     "--train-years", "2000:2000", "--out", str(tmp_path)]) == 0
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["rollout", "--data", data, "--model", str(tmp_path / "persistence"),
+                         "--train-years", "2000:2000", "--test-years", "2005:2005",
+                         "--out", str(tmp_path / "fc")])
+        assert code == 2
+        assert "test split yields no valid init times" in err.getvalue()
+        assert not (tmp_path / "fc").exists()
 
     def test_run_and_report(self, data_dir, tmp_path):
         cfg = tmp_path / "exp.json"

@@ -180,9 +180,17 @@ class TestRollout:
         ds = series_ds(np.random.default_rng(11).normal(size=300))
         fc = rollout(PersistenceForecaster(), ds, [3, 9], n_members=2, n_steps=4, seed=5)
         save_forecast(fc, tmp_path / "f")
+        assert [p.name for p in tmp_path.iterdir()] == ["f.npz"]
         back = load_forecast(tmp_path / "f")
         assert back.trajectories.tobytes() == fc.trajectories.tobytes()
         assert back.init_times == fc.init_times
+        assert (back.init_indices, back.n_members, back.lead_stride_hours, back.n_steps) == (
+            fc.init_indices, fc.n_members, fc.lead_stride_hours, fc.n_steps
+        )
+        # member seeds are kept exactly, also past 64 bits
+        big = rollout(PersistenceForecaster(), ds, [3], n_members=2, n_steps=4, seed=2**64 + 5)
+        save_forecast(big, tmp_path / "g")
+        assert load_forecast(tmp_path / "g").member_seeds == big.member_seeds
 
     def test_load_rejects_non_finite_trajectory(self, tmp_path):
         ds = series_ds(np.random.default_rng(11).normal(size=300))
@@ -324,12 +332,20 @@ class TestBatchedRollout:
         with pytest.raises(ForecastError, match="init 20, member 1, step 2"):
             rollout(NanAtRow3Step2(), ds, [10, 20, 30], n_members=2, n_steps=4, seed=0)
 
+    def test_load_forecaster_rejects_forecast_file(self, tmp_path):
+        ds = series_ds(np.random.default_rng(11).normal(size=300))
+        fc = rollout(PersistenceForecaster(), ds, [3, 9], n_members=2, n_steps=4, seed=5)
+        save_forecast(fc, tmp_path / "f")
+        with pytest.raises(ForecastError, match="unknown serialized kind"):
+            load_forecaster(tmp_path / "f")
+
     @pytest.mark.parametrize(
         "kind", ["persistence", "climatology", "stochastic_linear", "toy_diffusion"]
     )
     def test_save_load_rollout_bitwise(self, trained_models, kind, tmp_path):
         ds, models = trained_models
         save_forecaster(models[kind], tmp_path / kind)
+        assert [p.name for p in tmp_path.iterdir()] == [f"{kind}.npz"]
         back = load_forecaster(tmp_path / kind)
         a = rollout(models[kind], ds, self.INITS[:3], n_members=2, n_steps=3, seed=6)
         b = rollout(back, ds, self.INITS[:3], n_members=2, n_steps=3, seed=6)
