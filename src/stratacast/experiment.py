@@ -91,10 +91,14 @@ class ExperimentConfig:
         )
 
 
-def _load_or_generate(cfg: ExperimentConfig) -> GriddedDataset:
+def _load_standardized(cfg: ExperimentConfig) -> GriddedDataset:
+    """The config's dataset, standardized on its training split; the raw
+    archive is freed when this returns."""
     if cfg.dataset_path is not None:
-        return dsmod.load_dataset(cfg.dataset_path)
-    return synthetic.generate(cfg.synthetic)
+        raw = dsmod.load_dataset(cfg.dataset_path)
+    else:
+        raw = synthetic.generate(cfg.synthetic)
+    return dsmod.standardize(raw, dsmod.fit_standardization(raw, cfg.split))
 
 
 def eval_init_times(
@@ -114,9 +118,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> list[MetricRec
     out_dir = Path(out_dir)
     (out_dir / "selections").mkdir(parents=True, exist_ok=True)
 
-    raw = _load_or_generate(cfg)
-    stats = dsmod.fit_standardization(raw, cfg.split)
-    ds = dsmod.standardize(raw, stats)
+    ds = _load_standardized(cfg)
 
     train_idx = dsmod.split_time_indices(ds, cfg.split.train_years)
     if train_idx.size == 0:

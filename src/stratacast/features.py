@@ -3,6 +3,13 @@
 Feature matrices are plain (N, D) float64 arrays. PCA is computed by SVD of
 the centered matrix; axes carry a deterministic sign convention (first
 nonzero component positive) so downstream selections are reproducible.
+
+A tall pool (N >= floor(11 D / 6)) is first reduced to the D x D triangular
+factor R of its QR decomposition, and the SVD runs on R. LAPACK's ``dgesdd``
+takes exactly this path itself above that crossover (the R-SVD of Chan, ACM
+TOMS 8:72, 1982), so the singular values and right singular vectors are the
+same bits as a direct thin SVD, while the N x D left factor is never built
+and the centered pool is freed before the SVD starts.
 """
 
 from __future__ import annotations
@@ -50,14 +57,26 @@ def _svd_pca(x: np.ndarray, max_m: int) -> tuple[PcaModel | None, int]:
 
     Returns the model (None when the rank is 0) and the numerical rank, which
     counts singular values above an SVD-scale tolerance.
+
+    When N >= floor(11 D / 6), the SVD runs on the D x D factor R of
+    ``qr(x - center)``: ``dgesdd``'s own crossover to an internal QR, so
+    ``s`` and ``vt`` are a direct thin SVD's bits. Below it they differ in
+    the last bits, so the direct call stays. x is dropped once centered and
+    the centered copy once QR returns: a pool passed as a temporary leaves
+    no N x D array alive during the SVD.
     """
+    n, d = x.shape
     center = x.mean(axis=0)
-    _, s, vt = np.linalg.svd(x - center, full_matrices=False)
-    rank = int(np.sum(s > s[0] * max(x.shape) * np.finfo(np.float64).eps * 10)) if s.size else 0
+    a = x - center
+    del x
+    if n >= 11 * d // 6:
+        a = np.linalg.qr(a, mode="r")
+    _, s, vt = np.linalg.svd(a, full_matrices=False)
+    rank = int(np.sum(s > s[0] * max(n, d) * np.finfo(np.float64).eps * 10)) if s.size else 0
     if rank == 0:
         return None, 0
     m = min(max_m, rank)
-    explained = (s[:m] ** 2) / x.shape[0]
+    explained = (s[:m] ** 2) / n
     return PcaModel(center=center, axes=_fix_signs(vt[:m]), explained_variance=explained), rank
 
 

@@ -180,9 +180,14 @@ def pca_features(ds: GriddedDataset, cand: np.ndarray) -> np.ndarray:
     memo = _pca_memo
     if memo is not None and memo[0]() is ds and memo[1] == key:
         return memo[2]
-    x = flatten_samples(ds, cand)
-    model, _ = _svd_pca(x, default_pca_dims(*x.shape))
-    feats = np.zeros((x.shape[0], 1)) if model is None else pca_transform(model, x)
+    # The pool goes in as a temporary, so no flattened copy is alive during
+    # the SVD; it is flattened again for the projection.
+    n, d = len(cand), ds.data[0].size
+    model, _ = _svd_pca(flatten_samples(ds, cand), default_pca_dims(n, d))
+    if model is None:
+        feats = np.zeros((n, 1))
+    else:
+        feats = pca_transform(model, flatten_samples(ds, cand))
     feats.flags.writeable = False
     _pca_memo = (weakref.ref(ds), key, feats)
     return feats
@@ -264,14 +269,25 @@ def kmeans(
 def nearest_to_centroids(
     x: np.ndarray, centers: np.ndarray, assign: np.ndarray
 ) -> list[int]:
-    """Row index of each cluster's member closest to its centroid (ties: lowest)."""
+    """Row index of each cluster's member closest to its centroid (ties: lowest).
+
+    Duplicate rows can leave clusters empty. Each emptied cluster, in
+    centroid order after all member picks, takes the unpicked row closest to
+    its centroid (ties: lowest), so every cluster yields one distinct row.
+    """
     out = []
+    emptied = []
     for c in range(centers.shape[0]):
         members = np.nonzero(assign == c)[0]
         if members.size == 0:
+            emptied.append(c)
             continue
         d = np.linalg.norm(x[members] - centers[c], axis=1)
         out.append(int(members[np.argmin(d)]))  # argmin takes the first = lowest index
+    for c in emptied:
+        d = np.linalg.norm(x - centers[c], axis=1)
+        d[out] = np.inf
+        out.append(int(np.argmin(d)))
     return out
 
 
@@ -305,13 +321,13 @@ def select_stratified_time(ds, candidate_times, budget, seed: int) -> SubsetSele
 
 def select_kmeans_coreset(ds, candidate_times, budget, seed: int) -> SubsetSelection:
     cand, k = _check_candidates(candidate_times, budget)
+    if k == cand.size:  # as random and a whole stratified k-means bin do
+        return SubsetSelection("kmeans", [int(i) for i in cand], budget.fraction, seed)
     feats = pca_features(ds, cand)
     rng = np.random.default_rng(seed)
     centers, assign = kmeans(feats, k, rng, init="kmeans++")
     rows = nearest_to_centroids(feats, centers, assign)
     chosen = [int(cand[r]) for r in rows]
-    if len(chosen) != k:
-        raise SelectionError("k-means produced fewer representatives than clusters")
     return SubsetSelection("kmeans", chosen, budget.fraction, seed)
 
 

@@ -1,14 +1,23 @@
+import json
+import tracemalloc
+from datetime import datetime, timedelta
+
 import numpy as np
 import pytest
+from test_golden_selection import GOLDEN, blas_signature
 
+from stratacast.dataset import GriddedDataset, GridSpec
 from stratacast.features import (
     FeatureError,
+    _fix_signs,
+    _svd_pca,
     cosine_distance,
     flatten_samples,
     pca_fit,
     pca_transform,
     spatial_mean_matrix,
 )
+from stratacast.selection import pca_features
 
 
 def brute_force_pca(x, m):
@@ -138,6 +147,88 @@ class TestPcaTransform:
         model = pca_fit(rng.normal(size=(10, 6)), 2)
         with pytest.raises(FeatureError):
             pca_transform(model, rng.normal(size=(3, 5)))
+
+
+class TestQrFirstPca:
+    """A tall pool is reduced to R of its QR before the SVD, at dgesdd's own
+    crossover N >= floor(11 D / 6), so nothing changes but memory."""
+
+    D = 64
+
+    @staticmethod
+    def direct(x, max_m):
+        """Reference: rank, variances and axes from a direct thin SVD."""
+        _, s, vt = np.linalg.svd(x - x.mean(axis=0), full_matrices=False)
+        rank = int(np.sum(s > s[0] * max(x.shape) * np.finfo(np.float64).eps * 10))
+        m = min(max_m, rank)
+        return rank, s[:m] ** 2 / x.shape[0], _fix_signs(vt[:m])
+
+    @classmethod
+    def pool(cls, rows, rank_deficient=False):
+        rng = np.random.default_rng(rows)
+        if not rank_deficient:
+            return rng.normal(size=(rows, cls.D))
+        x = rng.normal(size=(rows, 12)) @ rng.normal(size=(12, cls.D))
+        x[::9] = 0.0
+        x[1::5] = x[4]
+        return x
+
+    @pytest.fixture
+    def svd_shapes(self, monkeypatch):
+        shapes = []
+        svd = np.linalg.svd
+
+        def spy(a, *args, **kw):
+            shapes.append(a.shape)
+            return svd(a, *args, **kw)
+
+        monkeypatch.setattr(np.linalg, "svd", spy)
+        return shapes
+
+    @pytest.mark.parametrize(
+        "rows,rank_deficient",
+        [(11 * D // 6, False), (2 * D, False), (3 * D, True)],
+        ids=["crossover", "double", "duplicate_and_zero_rows"],
+    )
+    def test_bitwise_equal_to_direct_svd(self, rows, rank_deficient):
+        listed = json.loads(GOLDEN.read_text())["blas"]
+        if blas_signature() not in listed:
+            pytest.skip(f"checked under {listed}, this machine has {blas_signature()}")
+        x = self.pool(rows, rank_deficient)
+        model, rank = _svd_pca(x, 20)
+        want_rank, want_explained, want_axes = self.direct(x, 20)
+        assert rank == want_rank
+        assert rank < self.D if rank_deficient else rank == self.D
+        assert np.array_equal(model.explained_variance, want_explained)
+        assert np.array_equal(model.axes, want_axes)
+        assert np.array_equal(model.center, x.mean(axis=0))
+
+    def test_svd_sees_the_pool_below_crossover_and_r_above(self, svd_shapes):
+        below = 11 * self.D // 6 - 1
+        _svd_pca(self.pool(below), 8)
+        _svd_pca(self.pool(below + 1), 8)
+        assert svd_shapes == [(below, self.D), (self.D, self.D)]
+
+    def test_pca_features_peak_under_three_pools(self, svd_shapes):
+        # desk-shaped (N ~ 2.1 D): a flattened pool, its centered copy and an
+        # N x D left factor alive together reach about 3.5 pools
+        n, shape = 540, (2, 8, 16)
+        rng = np.random.default_rng(0)
+        ds = GriddedDataset(
+            grid=GridSpec(np.linspace(-70.0, 70.0, shape[1]), np.linspace(0.0, 337.5, shape[2])),
+            variables=["synthetic_0", "synthetic_1"],
+            timestamps=[datetime(2000, 1, 1) + timedelta(days=i) for i in range(n)],
+            data=rng.normal(size=(n, *shape)).astype(np.float32),
+        )
+        d = int(np.prod(shape))
+        tracemalloc.start()
+        try:
+            pca_features(ds, np.arange(n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * n * d * 8
+        assert svd_shapes == [(d, d)]
 
 
 class TestSpatialMean:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sstats
 
-from stratacast.dataset import GriddedDataset, GridSpec
+from stratacast.dataset import GriddedDataset, GridSpec, SplitSpec, valid_init_times
 from stratacast.features import cosine_distance, flatten_samples, pca_fit, pca_transform
 from stratacast.selection import (
     STRATEGIES,
@@ -638,3 +638,53 @@ class TestFull:
         a = select_full(std_toy, cand)
         b = select_full(std_toy, a.indices)
         assert a.indices == b.indices
+
+
+# ---------------------------------------------------------------------------
+# The contract of every strategy, on tiny archives with repeated rows
+# ---------------------------------------------------------------------------
+
+@st.composite
+def tiny_archives(draw):
+    """A 1-3 year daily archive on a 2x3 grid, some rows exact copies of one
+    row and some all zero, with its training candidates (maybe permuted)."""
+    n_years = draw(st.integers(1, 3))
+    n_vars = draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    start = datetime(2000, 1, 1)
+    n = (datetime(2000 + n_years, 1, 1) - start).days
+    data = rng.normal(size=(n, n_vars, 2, 3)).astype(np.float32)
+    dup = rng.random(n) < draw(st.sampled_from([0.0, 0.1, 0.5]))
+    data[dup] = data[int(rng.integers(n))]
+    zero = rng.random(n) < draw(st.sampled_from([0.0, 0.1, 0.5]))
+    data[zero] = 0.0
+    ds = GriddedDataset(
+        grid=GridSpec(np.array([-30.0, 30.0]), np.array([0.0, 120.0, 240.0])),
+        variables=[f"synthetic_{v}" for v in range(n_vars)],
+        timestamps=[start + timedelta(days=i) for i in range(n)],
+        data=data,
+    )
+    split = SplitSpec((2000, 1999 + n_years))
+    cand = valid_init_times(ds, split, which="train", max_lead_hours=24.0)
+    if draw(st.booleans()):
+        cand = [int(i) for i in rng.permutation(cand)]
+    return ds, cand
+
+
+class TestEveryStrategyContract:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        archive=tiny_archives(),
+        fraction=st.one_of(st.just(1.0), st.floats(0.01, 1.0)),
+    )
+    def test_exact_unique_members_reproducible(self, archive, fraction):
+        ds, cand = archive
+        budget = SelectionBudget(fraction)
+        for name in sorted(STRATEGIES):
+            sel = run_strategy(name, ds, cand, budget, seed=7)
+            k = len(cand) if name == "full" else budget.target_count(len(cand))
+            assert len(sel.indices) == k, name
+            assert len(set(sel.indices)) == k, name
+            assert set(sel.indices) <= set(cand), name
+            again = run_strategy(name, ds, cand, budget, seed=7)
+            assert again.to_json() == sel.to_json(), name
