@@ -49,18 +49,58 @@ class ForecastError(ValueError):
 
 VALID_KINDS = ("persistence", "climatology", "stochastic_linear", "toy_diffusion")
 
+DIFFUSION_DEFAULTS = {
+    "n_noise_levels": 20,
+    "n_sample_steps": 24,
+    "hidden_width": 64,
+    "learning_rate": 1e-3,
+    "n_epochs": 150,
+    "batch_size": 64,
+    "sigma_min": 0.02,
+    "sigma_max": 3.0,
+}
+
+_HYPER_KEYS = {
+    "persistence": (),
+    "climatology": (),
+    "stochastic_linear": ("ridge_lambda",),
+    "toy_diffusion": tuple(DIFFUSION_DEFAULTS),
+}
+_COUNT_KEYS = ("n_noise_levels", "n_sample_steps", "hidden_width", "n_epochs", "batch_size")
+
 
 @dataclass(frozen=True)
 class ForecasterSpec:
+    """A forecaster kind and its hyperparameters, validated on construction.
+
+    Each kind accepts only its own keys, every value must be a positive
+    finite number, the counts must be integral (``24.0`` is stored as 24)
+    and ``sigma_min`` must be below ``sigma_max``.
+    """
+
     kind: str
     hyperparameters: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.kind not in VALID_KINDS:
             raise ForecastError(f"unknown forecaster kind {self.kind!r}")
-        for k, v in self.hyperparameters.items():
-            if isinstance(v, (int, float)) and v <= 0:
-                raise ForecastError(f"hyperparameter {k!r} must be positive")
+        hyper = dict(self.hyperparameters)
+        for k, v in hyper.items():
+            if k not in _HYPER_KEYS[self.kind]:
+                raise ForecastError(f"unknown hyperparameter {k!r} for {self.kind}")
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or not (
+                math.isfinite(v) and v > 0
+            ):
+                raise ForecastError(f"hyperparameter {k!r} must be a positive finite number")
+            if k in _COUNT_KEYS:
+                if v != int(v):
+                    raise ForecastError(f"hyperparameter {k!r} must be an integer")
+                hyper[k] = int(v)
+        if self.kind == "toy_diffusion":
+            hp = {**DIFFUSION_DEFAULTS, **hyper}
+            if not hp["sigma_min"] < hp["sigma_max"]:
+                raise ForecastError("sigma_min must be below sigma_max")
+        object.__setattr__(self, "hyperparameters", hyper)
 
 
 @dataclass
@@ -175,18 +215,6 @@ def _fit_stochastic_linear(
 # Toy diffusion: one-hidden-layer denoiser, VE noise schedule, ancestral sampler
 # ---------------------------------------------------------------------------
 
-DIFFUSION_DEFAULTS = {
-    "n_noise_levels": 20,
-    "n_sample_steps": 24,
-    "hidden_width": 64,
-    "learning_rate": 1e-3,
-    "n_epochs": 150,
-    "batch_size": 64,
-    "sigma_min": 0.02,
-    "sigma_max": 3.0,
-}
-
-
 def _log_linear_sigmas(sigma_max: float, sigma_min: float, n: int) -> np.ndarray:
     return np.exp(np.linspace(math.log(sigma_max), math.log(sigma_min), n))
 
@@ -241,32 +269,60 @@ class ToyDiffusionForecaster:
         return self.sample(flat, rng).reshape(states.shape)
 
 
+# Elements per step of the chunked Adam update: two scratch buffers of this
+# many float64 values serve every parameter.
+_ADAM_CHUNK = 16384
+
+
 def _train_toy_diffusion(
     ds: GriddedDataset, pair_idx: np.ndarray, off: int, hyper: dict, seed: int
 ) -> ToyDiffusionForecaster:
+    """Adam on the noise-prediction loss over the (t, t + off) pairs.
+
+    Memory is O(batch · D), not O(pairs · D): each batch's conditioning and
+    target rows are read from the float32 archive into reused float64
+    buffers, and every product and gradient is written into a buffer. The
+    four parameters are views into one flat vector, which Adam updates in
+    fixed-size chunks. Neither changes a bit of the result: the ``rng``
+    draws and every floating-point operation keep their order, e.g.
+    ``((1 - beta2) * g) * g`` and ``(lr * mhat) / (sqrt(vhat) + eps)``.
+    """
     hp = dict(DIFFUSION_DEFAULTS)
     hp.update(hyper)
     rng = np.random.default_rng([seed, 7])
-    cond = ds.data[pair_idx].astype(np.float64).reshape(pair_idx.size, -1)
-    target = ds.data[pair_idx + off].astype(np.float64).reshape(pair_idx.size, -1)
-    d = cond.shape[1]
-    h = int(hp["hidden_width"])
+    frames = ds.data.reshape(ds.n_times, -1)
+    target_idx = pair_idx + off
+    d = frames.shape[1]
+    h = hp["hidden_width"]
     in_dim = 2 * d + 1
 
-    w1 = rng.standard_normal((in_dim, h)) / math.sqrt(in_dim)
-    b1 = np.zeros(h)
-    w2 = rng.standard_normal((h, d)) / math.sqrt(h)
-    b2 = np.zeros(d)
+    theta = np.zeros(in_dim * h + h + h * d + d)
+    grad = np.empty_like(theta)
+    ends = np.cumsum([in_dim * h, h, h * d])
+    shapes = [(in_dim, h), (h,), (h, d), (d,)]
+    w1, b1, w2, b2 = (p.reshape(s) for p, s in zip(np.split(theta, ends), shapes))
+    g_w1, g_b1, g_w2, g_b2 = (g.reshape(s) for g, s in zip(np.split(grad, ends), shapes))
+    rng.standard_normal(out=w1)
+    w1 /= math.sqrt(in_dim)
+    rng.standard_normal(out=w2)
+    w2 /= math.sqrt(h)
 
-    sigmas = _log_linear_sigmas(hp["sigma_max"], hp["sigma_min"], int(hp["n_noise_levels"]))
+    sigmas = _log_linear_sigmas(hp["sigma_max"], hp["sigma_min"], hp["n_noise_levels"])
     lr = float(hp["learning_rate"])
-    n_epochs = int(hp["n_epochs"])
-    batch = int(hp["batch_size"])
-    params = [w1, b1, w2, b2]
-    adam_m = [np.zeros_like(p) for p in params]
-    adam_v = [np.zeros_like(p) for p in params]
+    n_epochs = hp["n_epochs"]
+    batch = hp["batch_size"]
+    adam_m = np.zeros_like(theta)
+    adam_v = np.zeros_like(theta)
     beta1, beta2, eps_adam = 0.9, 0.999, 1e-8
     t_adam = 0
+
+    rows_max = min(batch, pair_idx.size)
+    inp_buf = np.empty((rows_max, in_dim))    # [cond | noisy | log sigma]
+    eps_buf = np.empty((rows_max, d))
+    hact_buf = np.empty((rows_max, h))
+    diff_buf = np.empty((rows_max, d))
+    gh_buf = np.empty((rows_max, h))
+    scratch = np.empty((2, min(_ADAM_CHUNK, theta.size)))
 
     model = ToyDiffusionForecaster(w1, b1, w2, b2, hp, ds.data.shape[1:])
 
@@ -276,41 +332,63 @@ def _train_toy_diffusion(
         n_batches = 0
         for start in range(0, order.size, batch):
             rows = order[start : start + batch]
-            c = cond[rows]
-            y = target[rows]
-            level = rng.integers(0, sigmas.size, size=rows.size)
+            n = rows.size
+            inp, eps, hact, diff, gh = (
+                buf[:n] for buf in (inp_buf, eps_buf, hact_buf, diff_buf, gh_buf)
+            )
+            cond, noisy = inp[:, :d], inp[:, d : 2 * d]
+            cond[...] = frames[pair_idx[rows]]
+            level = rng.integers(0, sigmas.size, size=n)
             sigma = sigmas[level][:, None]
-            eps = rng.standard_normal(y.shape)
-            noisy = y + sigma * eps
-            inp = np.concatenate([c, noisy, np.log(sigma)], axis=1)
+            rng.standard_normal(out=eps)
+            np.multiply(sigma, eps, out=noisy)
+            noisy += frames[target_idx[rows]]
+            inp[:, 2 * d :] = np.log(sigma)
 
-            z1 = inp @ params[0] + params[1]
-            hact = np.tanh(z1)
-            pred = hact @ params[2] + params[3]
-            diff = pred - eps
-            loss = float(np.mean(diff ** 2))
+            np.matmul(inp, w1, out=hact)
+            hact += b1
+            np.tanh(hact, out=hact)
+            np.matmul(hact, w2, out=diff)
+            diff += b2
+            diff -= eps
+            np.square(diff, out=eps)  # eps is spent; its buffer takes diff ** 2
+            loss = float(np.mean(eps))
             epoch_loss += loss
             n_batches += 1
 
-            gout = 2.0 * diff / diff.size
-            g_w2 = hact.T @ gout
-            g_b2 = gout.sum(axis=0)
-            gh = (gout @ params[2].T) * (1.0 - hact ** 2)
-            g_w1 = inp.T @ gh
-            g_b1 = gh.sum(axis=0)
+            gout = diff  # 2 * diff / diff.size, in place
+            gout *= 2.0
+            gout /= diff.size
+            np.matmul(hact.T, gout, out=g_w2)
+            np.sum(gout, axis=0, out=g_b2)
+            np.matmul(gout, w2.T, out=gh)
+            np.square(hact, out=hact)  # hact becomes 1 - hact ** 2
+            np.subtract(1.0, hact, out=hact)
+            gh *= hact
+            np.matmul(inp.T, gh, out=g_w1)
+            np.sum(gh, axis=0, out=g_b1)
 
             t_adam += 1
-            for p, g, m_, v_ in zip(params, [g_w1, g_b1, g_w2, g_b2], adam_m, adam_v):
+            for lo in range(0, theta.size, scratch.shape[1]):
+                hi = min(lo + scratch.shape[1], theta.size)
+                p, g, m_, v_ = theta[lo:hi], grad[lo:hi], adam_m[lo:hi], adam_v[lo:hi]
+                a, b = scratch[0, : hi - lo], scratch[1, : hi - lo]
                 m_ *= beta1
-                m_ += (1 - beta1) * g
+                np.multiply(g, 1 - beta1, out=a)
+                m_ += a
                 v_ *= beta2
-                v_ += (1 - beta2) * g * g
-                mhat = m_ / (1 - beta1 ** t_adam)
-                vhat = v_ / (1 - beta2 ** t_adam)
-                p -= lr * mhat / (np.sqrt(vhat) + eps_adam)
+                np.multiply(g, 1 - beta2, out=a)
+                a *= g
+                v_ += a
+                np.divide(m_, 1 - beta1 ** t_adam, out=a)      # mhat
+                a *= lr
+                np.divide(v_, 1 - beta2 ** t_adam, out=b)      # vhat
+                np.sqrt(b, out=b)
+                b += eps_adam
+                a /= b
+                p -= a
         model.training_losses.append(epoch_loss / max(n_batches, 1))
 
-    model.w1, model.b1, model.w2, model.b2 = params
     return model
 
 

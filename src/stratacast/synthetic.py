@@ -89,31 +89,45 @@ def seasonal_component(cfg: SyntheticConfig, t: datetime, phases: np.ndarray) ->
     return cfg.seasonal_amplitude * np.sin(angle + phases)
 
 
+# Float64 values per variable that one time chunk of ``generate`` holds in
+# each of its temporaries.
+_CHUNK_VALUES = 1 << 17
+
+
 def generate(cfg: SyntheticConfig) -> GriddedDataset:
-    """Generate the toy-climate dataset; bitwise reproducible from cfg.seed."""
+    """Generate the toy-climate dataset; bitwise reproducible from cfg.seed.
+
+    Each variable is built in fixed-size time chunks (seasonal term, regime
+    term and AR(1) anomaly, with the AR state carried from chunk to chunk)
+    and written to the float32 array as it goes, so the float64 temporaries
+    are chunk-sized. The values are bit for bit those of building each term
+    over the whole series: the random draws and every floating-point
+    operation keep their order.
+    """
     timestamps = _timestamps(cfg)
     n_t = len(timestamps)
     n_cells = cfg.grid.n_cells
     months = np.array([t.month for t in timestamps]) - 1
+    angles = 2.0 * math.pi * np.array([day_of_year(t) for t in timestamps]) / 365.25
     data = np.empty((n_t, cfg.n_variables, cfg.grid.n_lat, cfg.grid.n_lon), dtype=np.float32)
+    chunk = max(_CHUNK_VALUES // n_cells, 1)
 
     for var in range(cfg.n_variables):
         phases = cell_phases(cfg, var)
         patterns = regime_patterns(cfg, var)
-        angles = 2.0 * math.pi * np.array([day_of_year(t) for t in timestamps]) / 365.25
-        seasonal = cfg.seasonal_amplitude * np.sin(angles[:, None] + phases[None, :])
-        regime = cfg.regime_amplitude * patterns[months]
-
         noise_rng = np.random.default_rng([cfg.seed, var, 2])
-        anom = np.zeros((n_t, n_cells))
         prev = np.zeros(n_cells)
-        for ti in range(n_t):
-            eps = noise_rng.standard_normal(n_cells) * cfg.noise_std
-            prev = cfg.ar1_coefficient * prev + eps
-            anom[ti] = prev
-
-        fields = seasonal + regime + anom
-        data[:, var] = fields.reshape(n_t, cfg.grid.n_lat, cfg.grid.n_lon).astype(np.float32)
+        for start in range(0, n_t, chunk):
+            stop = min(start + chunk, n_t)
+            fields = cfg.seasonal_amplitude * np.sin(angles[start:stop, None] + phases)
+            fields += cfg.regime_amplitude * patterns[months[start:stop]]
+            anom = noise_rng.standard_normal((stop - start, n_cells))
+            anom *= cfg.noise_std
+            for row in anom:  # row = ar1 * prev + eps
+                row += cfg.ar1_coefficient * prev
+                prev = row
+            fields += anom
+            data[start:stop, var] = fields.reshape(stop - start, cfg.grid.n_lat, cfg.grid.n_lon)
 
     static = {}
     if cfg.with_static:

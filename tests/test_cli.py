@@ -86,6 +86,27 @@ class TestDataErrors:
         with contextlib.redirect_stderr(io.StringIO()):
             assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("hyper", [{"n_epoch": 1}, {"sigma_min": 3.0, "sigma_max": 0.5},
+                                       {"n_sample_steps": 8.5}])
+    def test_bad_hyperparameters_exit_2_before_training(self, data_dir, tmp_path, hyper):
+        data = str(data_dir / "synthetic.ften")
+        assert main(["select", "--data", data, "--strategy", "random",
+                     "--train-years", "2000:2000", "--out", str(tmp_path)]) == 0
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({
+            "strategies": ["random"],
+            "forecaster": {"kind": "toy_diffusion", "hyperparameters": hyper},
+            "split": {"train_years": [2000, 2000], "test_years": [2001, 2001]},
+            "dataset_path": data,
+        }))
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert main(["train", "--data", data, "--selection",
+                         str(tmp_path / "random_seed0.json"), "--forecaster", "toy_diffusion",
+                         "--hyper", json.dumps(hyper), "--train-years", "2000:2000",
+                         "--out", str(tmp_path / "model")]) == 2
+            assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+        assert not (tmp_path / "model").exists() and not (tmp_path / "run").exists()
+
 
 class TestPipeline:
     def test_generate_writes_dataset(self, data_dir):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -239,6 +240,140 @@ class TestToyDiffusion:
         out_b = back.sample(cond, np.random.default_rng(0))
         np.testing.assert_array_equal(out_a, out_b)
         np.testing.assert_array_equal(back.w1, model.w1)
+
+
+def _reference_train(ds, pair_idx, off, hyper, seed):
+    """The toy_diffusion training loop with whole-set float64 pair copies and
+    fresh per-batch arrays, kept verbatim as the oracle. Returns
+    ``(w1, b1, w2, b2, training_losses)``."""
+    hp = dict(forecast_mod.DIFFUSION_DEFAULTS)
+    hp.update(hyper)
+    rng = np.random.default_rng([seed, 7])
+    cond = ds.data[pair_idx].astype(np.float64).reshape(pair_idx.size, -1)
+    target = ds.data[pair_idx + off].astype(np.float64).reshape(pair_idx.size, -1)
+    d = cond.shape[1]
+    h = int(hp["hidden_width"])
+    in_dim = 2 * d + 1
+
+    w1 = rng.standard_normal((in_dim, h)) / math.sqrt(in_dim)
+    b1 = np.zeros(h)
+    w2 = rng.standard_normal((h, d)) / math.sqrt(h)
+    b2 = np.zeros(d)
+
+    sigmas = forecast_mod._log_linear_sigmas(
+        hp["sigma_max"], hp["sigma_min"], int(hp["n_noise_levels"]))
+    lr = float(hp["learning_rate"])
+    n_epochs = int(hp["n_epochs"])
+    batch = int(hp["batch_size"])
+    params = [w1, b1, w2, b2]
+    adam_m = [np.zeros_like(p) for p in params]
+    adam_v = [np.zeros_like(p) for p in params]
+    beta1, beta2, eps_adam = 0.9, 0.999, 1e-8
+    t_adam = 0
+    losses = []
+
+    for epoch in range(n_epochs):
+        order = rng.permutation(pair_idx.size)
+        epoch_loss = 0.0
+        n_batches = 0
+        for start in range(0, order.size, batch):
+            rows = order[start : start + batch]
+            c = cond[rows]
+            y = target[rows]
+            level = rng.integers(0, sigmas.size, size=rows.size)
+            sigma = sigmas[level][:, None]
+            eps = rng.standard_normal(y.shape)
+            noisy = y + sigma * eps
+            inp = np.concatenate([c, noisy, np.log(sigma)], axis=1)
+
+            z1 = inp @ params[0] + params[1]
+            hact = np.tanh(z1)
+            pred = hact @ params[2] + params[3]
+            diff = pred - eps
+            loss = float(np.mean(diff ** 2))
+            epoch_loss += loss
+            n_batches += 1
+
+            gout = 2.0 * diff / diff.size
+            g_w2 = hact.T @ gout
+            g_b2 = gout.sum(axis=0)
+            gh = (gout @ params[2].T) * (1.0 - hact ** 2)
+            g_w1 = inp.T @ gh
+            g_b1 = gh.sum(axis=0)
+
+            t_adam += 1
+            for p, g, m_, v_ in zip(params, [g_w1, g_b1, g_w2, g_b2], adam_m, adam_v):
+                m_ *= beta1
+                m_ += (1 - beta1) * g
+                v_ *= beta2
+                v_ += (1 - beta2) * g * g
+                mhat = m_ / (1 - beta1 ** t_adam)
+                vhat = v_ / (1 - beta2 ** t_adam)
+                p -= lr * mhat / (np.sqrt(vhat) + eps_adam)
+        losses.append(epoch_loss / max(n_batches, 1))
+    return (*params, losses)
+
+
+@pytest.fixture(scope="module")
+def two_var_grid(small_grid):
+    cfg = SyntheticConfig(
+        grid=small_grid, n_years=2, stride_hours=24, seasonal_amplitude=2.0,
+        regime_amplitude=1.0, ar1_coefficient=0.5, noise_std=0.3, seed=5,
+        n_variables=2,
+    )
+    return generate(cfg)
+
+
+class TestDiffusionTrainingOracle:
+    """Batch-buffered training equals the whole-set loop bit for bit."""
+
+    def check(self, ds, sel, hyper, seed=0):
+        spec = ForecasterSpec("toy_diffusion", hyper)
+        model = train(spec, ds, sel, seed=seed)
+        pair_idx, off, _ = forecast_mod._pairs_from_subset(ds, sel)
+        *weights, losses = _reference_train(ds, pair_idx, off, spec.hyperparameters, seed)
+        for got, want in zip((model.w1, model.b1, model.w2, model.b2), weights):
+            assert np.array_equal(got, want)
+        assert model.training_losses == losses
+
+    @pytest.mark.parametrize("batch_size", [64, 37, 1, 500])
+    def test_two_variables_batch_sizes(self, two_var_grid, batch_size):
+        # 300 pairs: full batches with a partial last one (64, 37), single
+        # rows (1) and one batch holding every pair (500)
+        sel = SubsetSelection("full", list(range(300)), 1.0, 0)
+        hyper = {"n_epochs": 2 if batch_size > 1 else 1, "hidden_width": 16,
+                 "batch_size": batch_size}
+        self.check(two_var_grid, sel, hyper)
+
+    @pytest.mark.parametrize("adam_chunk", [1000, 16384])
+    def test_hidden_width_7_and_adam_chunks(self, two_var_grid, monkeypatch, adam_chunk):
+        # 1000 splits the 1,422 parameters into one full chunk and a partial one
+        monkeypatch.setattr(forecast_mod, "_ADAM_CHUNK", adam_chunk)
+        sel = SubsetSelection("random", list(range(0, 700, 3)), 0.3, 0)
+        self.check(two_var_grid, sel, {"n_epochs": 3, "hidden_width": 7}, seed=4)
+
+    def test_one_cell_series(self):
+        rng = np.random.default_rng(2024)
+        ds = series_ds(rng.standard_normal(400))
+        hyper = {"n_epochs": 4, "hidden_width": 64, "n_noise_levels": 5,
+                 "sigma_min": 0.1, "sigma_max": 2.0, "learning_rate": 0.01}
+        self.check(ds, full_selection(ds), hyper)
+
+    def test_peak_memory_does_not_grow_with_pair_copies(self, two_var_grid):
+        # D = 64; quadrupling the pairs adds 450 x D float64 values per copy,
+        # and whole-set cond and target copies would add two such arrays
+        def peak(n_pairs):
+            sel = SubsetSelection("random", list(range(n_pairs)), 0.5, 0)
+            spec = ForecasterSpec("toy_diffusion", {"n_epochs": 1, "hidden_width": 8})
+            tracemalloc.start()
+            try:
+                train(spec, two_var_grid, sel, seed=0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        d = two_var_grid.data[0].size
+        assert peak(600) - peak(150) < (600 - 150) * d * 8
 
 
 def _loop_rollout(model, ds, init_indices, n_members, n_steps, seed):
@@ -489,3 +624,44 @@ class TestForecasterSpec:
     def test_nonpositive_hyper(self):
         with pytest.raises(ForecastError):
             ForecasterSpec("stochastic_linear", {"ridge_lambda": -1.0})
+
+    @pytest.mark.parametrize("kind, hyper", [
+        ("toy_diffusion", {"n_epoch": 1}),
+        ("toy_diffusion", {"ridge_lambda": 1e-3}),
+        ("stochastic_linear", {"n_epochs": 1}),
+        ("persistence", {"ridge_lambda": 1e-3}),
+        ("climatology", {"hidden_width": 8}),
+    ])
+    def test_unknown_key_rejected(self, kind, hyper):
+        with pytest.raises(ForecastError, match="unknown hyperparameter"):
+            ForecasterSpec(kind, hyper)
+
+    @pytest.mark.parametrize("key", forecast_mod._COUNT_KEYS)
+    def test_fractional_count_rejected(self, key):
+        with pytest.raises(ForecastError, match=f"{key!r} must be an integer"):
+            ForecasterSpec("toy_diffusion", {key: 8.5})
+
+    @pytest.mark.parametrize("hyper", [
+        {"sigma_min": 3.0, "sigma_max": 0.5},
+        {"sigma_min": 0.5, "sigma_max": 0.5},
+        {"sigma_min": 5.0},  # above the default sigma_max
+    ])
+    def test_sigma_order_rejected(self, hyper):
+        with pytest.raises(ForecastError, match="sigma_min must be below sigma_max"):
+            ForecasterSpec("toy_diffusion", hyper)
+
+    @pytest.mark.parametrize("value", ["0.1", True, float("nan"), float("inf"), None])
+    def test_non_number_rejected(self, value):
+        with pytest.raises(ForecastError, match="positive finite number"):
+            ForecasterSpec("toy_diffusion", {"learning_rate": value})
+
+    def test_integral_float_count_accepted_as_int(self):
+        spec = ForecasterSpec(
+            "toy_diffusion", {"n_sample_steps": 4.0, "n_epochs": 2.0, "hidden_width": 8}
+        )
+        assert spec.hyperparameters == {"n_sample_steps": 4, "n_epochs": 2, "hidden_width": 8}
+        assert all(type(v) is int for v in spec.hyperparameters.values())
+        ds = series_ds(np.random.default_rng(3).standard_normal(60))
+        model = train(spec, ds, full_selection(ds), seed=0)
+        fc = rollout(model, ds, [5], n_members=2, n_steps=2, seed=0)
+        assert np.isfinite(fc.trajectories).all()

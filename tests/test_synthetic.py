@@ -1,10 +1,12 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from stratacast.dataset import DatasetError
+from stratacast import synthetic
+from stratacast.dataset import DatasetError, GridSpec
 from stratacast.synthetic import (
     SyntheticConfig,
     cell_phases,
@@ -103,3 +105,73 @@ def test_static_field_in_unit_range(toy_dataset):
     assert "orography" in toy_dataset.static_fields
     f = toy_dataset.static_fields["orography"]
     assert f.min() >= 0.0 and f.max() <= 1.0
+
+
+def _reference_fields(cfg):
+    """The generator's fields built over the whole series at once: the loop
+    of the unchunked ``generate``, kept verbatim as the oracle."""
+    timestamps = synthetic._timestamps(cfg)
+    n_t = len(timestamps)
+    n_cells = cfg.grid.n_cells
+    months = np.array([t.month for t in timestamps]) - 1
+    data = np.empty((n_t, cfg.n_variables, cfg.grid.n_lat, cfg.grid.n_lon), dtype=np.float32)
+
+    for var in range(cfg.n_variables):
+        phases = cell_phases(cfg, var)
+        patterns = regime_patterns(cfg, var)
+        angles = 2.0 * math.pi * np.array([day_of_year(t) for t in timestamps]) / 365.25
+        seasonal = cfg.seasonal_amplitude * np.sin(angles[:, None] + phases[None, :])
+        regime = cfg.regime_amplitude * patterns[months]
+
+        noise_rng = np.random.default_rng([cfg.seed, var, 2])
+        anom = np.zeros((n_t, n_cells))
+        prev = np.zeros(n_cells)
+        for ti in range(n_t):
+            eps = noise_rng.standard_normal(n_cells) * cfg.noise_std
+            prev = cfg.ar1_coefficient * prev + eps
+            anom[ti] = prev
+
+        fields = seasonal + regime + anom
+        data[:, var] = fields.reshape(n_t, cfg.grid.n_lat, cfg.grid.n_lon).astype(np.float32)
+    return data
+
+
+class TestChunkedGenerate:
+    # (stride hours, chunk steps or None for the default, variables) on a
+    # one-year (366-step daily) archive of the 32-cell small grid
+    @pytest.mark.parametrize("stride, chunk_steps, n_var", [
+        (24, None, 1),    # fewer steps than one chunk
+        (24, 61, 1),      # exactly 6 chunks
+        (24, 365, 1),     # one chunk and one step
+        (1, None, 1),     # hourly: two full default chunks and a partial one
+        (24, 100, 2),     # 2 variables, partial last chunk
+    ])
+    def test_bitwise_equal_to_whole_series(self, small_grid, monkeypatch,
+                                           stride, chunk_steps, n_var):
+        if chunk_steps is not None:
+            monkeypatch.setattr(synthetic, "_CHUNK_VALUES", chunk_steps * small_grid.n_cells)
+        cfg = SyntheticConfig(
+            grid=small_grid, n_years=1, stride_hours=stride, seasonal_amplitude=2.0,
+            regime_amplitude=1.5, ar1_coefficient=0.7, noise_std=0.5, seed=3,
+            n_variables=n_var,
+        )
+        data = generate(cfg).data
+        assert data.shape[0] == 366 * 24 // stride
+        assert data.tobytes() == _reference_fields(cfg).tobytes()
+
+    def test_desk_archive_peak_under_two_archives(self):
+        # 8 years of a 16 x 32 x 2 grid: 12 MB of float32; whole-series
+        # float64 temporaries would trace about 7 archives
+        grid = GridSpec(np.linspace(-75, 75, 16), np.linspace(0, 348.75, 32))
+        cfg = SyntheticConfig(
+            grid=grid, n_years=8, stride_hours=24, seasonal_amplitude=2.0,
+            regime_amplitude=2.5, ar1_coefficient=0.3, noise_std=0.4, seed=0,
+            n_variables=2,
+        )
+        tracemalloc.start()
+        try:
+            ds = generate(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * ds.data.nbytes
