@@ -11,10 +11,8 @@ from .dataset import (
     GridSpec,
     SplitSpec,
     StandardizationStats,
-    derive_wind_speed,
     fit_standardization,
     load_dataset,
-    normalize_static,
     save_dataset,
     standardize,
     valid_init_times,
@@ -29,8 +27,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "GriddedDataset", "GridSpec", "SplitSpec", "StandardizationStats",
-    "derive_wind_speed", "fit_standardization", "load_dataset",
-    "normalize_static", "save_dataset", "standardize", "valid_init_times",
+    "fit_standardization", "load_dataset", "save_dataset", "standardize",
+    "valid_init_times",
     "PcaModel", "cosine_distance", "flatten_samples", "pca_fit", "pca_transform",
     "EnsembleForecast", "ForecasterSpec", "rollout", "train",
     "MetricRecord", "area_weights", "crps_ensemble", "evaluate_forecast",

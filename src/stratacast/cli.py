@@ -15,8 +15,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import dataset as dsmod
 from . import synthetic
 from .dataset import SplitSpec
@@ -135,10 +133,7 @@ def _load_standardized(path, train_years):
 
 def cmd_generate_data(args) -> int:
     cfg = json.loads(Path(args.config).read_text())
-    grid = dsmod.GridSpec(np.asarray(cfg.pop("lats")), np.asarray(cfg.pop("lons")))
-    cfg.setdefault("seed", args.seed)
-    scfg = synthetic.SyntheticConfig(grid=grid, **cfg)
-    ds = synthetic.generate(scfg)
+    ds = synthetic.generate(synthetic.SyntheticConfig.from_dict({"seed": args.seed, **cfg}))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = dsmod.save_dataset(ds, out / "synthetic.ften")

@@ -1,19 +1,28 @@
 """Gridded spatiotemporal data model: file format, preprocessing, splits.
 
+A dataset's time axis is one ``datetime64[us]`` array: calendar months,
+years, the stride and forecast init windows are array arithmetic on it. Its
+invariants (shape, variable names, constant stride, finite values) are
+checked once, when a ``GriddedDataset`` is built; ``load_dataset``,
+``synthetic.generate`` and ``standardize`` build one, and ``slice_time``
+views of it are not re-checked.
+
 The on-disk container is a minimal binary tensor file ("FTEN"): magic bytes,
 a version word, four little-endian u32 dims (time, var, lat, lon) and a flat
 little-endian f32 payload in [time][var][lat][lon] order. A JSON sidecar
-``<name>.meta.json`` carries timestamps, variable names, grid coordinates
-and paths to static fields.
+``<name>.meta.json`` carries the timestamps as ISO 8601 strings
+(``2000-01-01T06:00:00``), the variable names and the grid coordinates
+(``lats``, ``lons``). A ``static`` key, written by older versions of the
+format, is ignored on read.
 """
 
 from __future__ import annotations
 
+import copy
 import json
 import re
 import struct
-from dataclasses import dataclass, field
-from datetime import datetime, timedelta
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +36,11 @@ _SYNTH_RE = re.compile(r"^synthetic_\d+$")
 
 class DatasetError(ValueError):
     """Raised for malformed files, invalid dimensions or invariant violations."""
+
+
+def hours_delta(hours: float) -> np.timedelta64:
+    """``hours`` as a ``timedelta64``, rounded to the microsecond."""
+    return np.timedelta64(round(hours * 3.6e9), "us")
 
 
 def validate_variable_name(name: str) -> str:
@@ -73,23 +87,24 @@ class GridSpec:
 
 @dataclass
 class GriddedDataset:
-    """Time-indexed multi-variable fields on a lat-lon grid plus static fields.
+    """Time-indexed multi-variable fields on a lat-lon grid.
 
-    ``data`` has shape [time, variable, lat, lon]; timestamps are strictly
-    increasing at a constant stride. Instances are treated as immutable after
-    construction and may be shared across workers.
+    ``data`` has shape [time, variable, lat, lon] and finite float32 values.
+    ``timestamps`` is stored as a ``datetime64[us]`` array (any sequence of
+    datetimes is accepted) and strictly increases at a constant stride. Both
+    are checked here, once; instances are treated as immutable after
+    construction.
     """
 
     grid: GridSpec
     variables: list[str]
-    timestamps: list[datetime]
+    timestamps: np.ndarray
     data: np.ndarray
-    static_fields: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
+        self.timestamps = np.asarray(self.timestamps, dtype="datetime64[us]")
         self.data = np.asarray(self.data, dtype=np.float32)
-        if self.data.shape != (
-            len(self.timestamps),
+        if self.data.shape != self.timestamps.shape + (
             len(self.variables),
             self.grid.n_lat,
             self.grid.n_lon,
@@ -101,27 +116,18 @@ class GriddedDataset:
             )
         for name in self.variables:
             validate_variable_name(name)
-        if len(self.timestamps) > 1:
-            deltas = {
-                (b - a).total_seconds()
-                for a, b in zip(self.timestamps[:-1], self.timestamps[1:])
-            }
-            if len(deltas) != 1 or min(deltas) <= 0:
-                raise DatasetError("timestamps must strictly increase at a constant stride")
+        if np.isnat(self.timestamps).any():
+            raise DatasetError("timestamps must not be NaT")
+        d = np.diff(self.timestamps)
+        if d.size and (d[0] <= np.timedelta64(0) or (d != d[0]).any()):
+            raise DatasetError("timestamps must strictly increase at a constant stride")
         bad = ~np.isfinite(self.data)
         if bad.any():
             t, v = np.argwhere(bad)[0][:2]
             raise DatasetError(
-                f"non-finite value at time index {t} ({self.timestamps[t]}), "
+                f"non-finite value at time index {t} ({self.timestamps[t].item()}), "
                 f"variable {self.variables[v]!r}"
             )
-        for name, f in self.static_fields.items():
-            f = np.asarray(f, dtype=np.float32)
-            if f.shape != (self.grid.n_lat, self.grid.n_lon):
-                raise DatasetError(f"static field {name!r} shape mismatch")
-            if not np.isfinite(f).all() or f.min() < 0.0 or f.max() > 1.0:
-                raise DatasetError(f"static field {name!r} must lie in [0, 1]")
-            self.static_fields[name] = f
 
     @property
     def n_times(self) -> int:
@@ -131,27 +137,21 @@ class GriddedDataset:
     def stride_hours(self) -> float:
         if len(self.timestamps) < 2:
             raise DatasetError("stride undefined for a single-timestep dataset")
-        return (self.timestamps[1] - self.timestamps[0]).total_seconds() / 3600.0
-
-    def variable_index(self, name: str) -> int:
-        try:
-            return self.variables.index(name)
-        except ValueError:
-            raise DatasetError(f"variable {name!r} not in dataset") from None
+        stride = self.timestamps[1] - self.timestamps[0]
+        return float(stride / np.timedelta64(1, "s") / 3600.0)
 
     def slice_time(self, start: int, stop: int) -> "GriddedDataset":
-        """View of a contiguous time range [start, stop). Data is not copied."""
-        return GriddedDataset(
-            grid=self.grid,
-            variables=list(self.variables),
-            timestamps=self.timestamps[start:stop],
-            data=self.data[start:stop],
-            static_fields=dict(self.static_fields),
-        )
+        """View of a contiguous time range [start, stop). Data is not copied,
+        and the view is not re-checked."""
+        view = copy.copy(self)
+        view.variables = list(self.variables)
+        view.timestamps = self.timestamps[start:stop]
+        view.data = self.data[start:stop]
+        return view
 
     def months(self) -> np.ndarray:
         """Calendar month (1..12) of every timestamp."""
-        return np.array([t.month for t in self.timestamps], dtype=np.int64)
+        return self.timestamps.astype("datetime64[M]").astype(np.int64) % 12 + 1
 
 
 @dataclass(frozen=True)
@@ -193,10 +193,10 @@ class SplitSpec:
 
 
 def split_time_indices(ds: GriddedDataset, years: tuple[int, int]) -> np.ndarray:
+    """Indices of the time steps whose calendar year lies in ``years`` (inclusive)."""
     lo, hi = years
-    return np.array(
-        [i for i, t in enumerate(ds.timestamps) if lo <= t.year <= hi], dtype=np.int64
-    )
+    year = ds.timestamps.astype("datetime64[Y]").astype(np.int64) + 1970
+    return np.flatnonzero((year >= lo) & (year <= hi))
 
 
 # ---------------------------------------------------------------------------
@@ -209,21 +209,15 @@ def save_dataset(ds: GriddedDataset, path: str | Path) -> Path:
     if "ws10" in ds.variables:
         raise DatasetError("ws10 is a derived variable and is never stored raw")
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<5I", FORMAT_VERSION, *ds.data.shape))
-        f.write(ds.data.astype("<f4").tobytes())
-    static = {}
-    for name, fld in ds.static_fields.items():
-        sp = path.with_name(f"{path.stem}.static.{name}{path.suffix or '.ften'}")
-        _write_raw_tensor(sp, fld[np.newaxis, np.newaxis])
-        static[name] = sp.name
+    _write_raw_tensor(path, ds.data)
+    # whole seconds print as isoformat() does; finer timestamps keep their microseconds
+    ts = ds.timestamps
+    unit = "s" if (ts == ts.astype("datetime64[s]")).all() else "us"
     meta = {
-        "timestamps": [t.isoformat() for t in ds.timestamps],
+        "timestamps": np.datetime_as_string(ts, unit=unit).tolist(),
         "variables": ds.variables,
         "lats": ds.grid.lats.tolist(),
         "lons": ds.grid.lons.tolist(),
-        "static": static,
     }
     sidecar = path.with_name(path.name + ".meta.json")
     sidecar.write_text(json.dumps(meta, indent=2))
@@ -255,32 +249,30 @@ def _read_raw_tensor(path: Path) -> np.ndarray:
 
 
 def load_dataset(path: str | Path) -> GriddedDataset:
-    """Load a field-tensor file and its sidecar into a validated dataset."""
+    """Load a field-tensor file and its sidecar into a validated dataset.
+
+    Errors name the sidecar or the data file. A ``static`` sidecar key is
+    ignored.
+    """
     path = Path(path)
     sidecar = path.with_name(path.name + ".meta.json")
     if not sidecar.exists():
         raise DatasetError(f"missing sidecar {sidecar}")
     meta = json.loads(sidecar.read_text())
+    try:
+        timestamps = np.array(meta["timestamps"], dtype="datetime64[us]")
+    except (TypeError, ValueError) as e:
+        raise DatasetError(f"{sidecar}: bad timestamp: {e}") from None
     data = _read_raw_tensor(path)
-    timestamps = [datetime.fromisoformat(s) for s in meta["timestamps"]]
-    variables = list(meta["variables"])
-    bad = ~np.isfinite(data)
-    if bad.any():
-        t, v = np.argwhere(bad)[0][:2]
-        raise DatasetError(
-            f"{path}: non-finite value at time index {t}, variable {variables[v]!r}"
+    try:
+        return GriddedDataset(
+            grid=GridSpec(np.asarray(meta["lats"]), np.asarray(meta["lons"])),
+            variables=list(meta["variables"]),
+            timestamps=timestamps,
+            data=data,
         )
-    static = {}
-    for name, rel in meta.get("static", {}).items():
-        arr = _read_raw_tensor(path.with_name(rel))
-        static[name] = arr[0, 0]
-    return GriddedDataset(
-        grid=GridSpec(np.asarray(meta["lats"]), np.asarray(meta["lons"])),
-        variables=variables,
-        timestamps=timestamps,
-        data=data,
-        static_fields=static,
-    )
+    except DatasetError as e:
+        raise DatasetError(f"{path}: {e}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +296,11 @@ def fit_standardization(ds: GriddedDataset, split: SplitSpec) -> Standardization
 
 
 def standardize(ds: GriddedDataset, stats: StandardizationStats) -> GriddedDataset:
-    """(x - mean) / std per variable; static fields pass through untouched."""
+    """(x - mean) / std per variable.
+
+    The result is re-checked: a finite value far from a tiny training std
+    can overflow to inf here.
+    """
     out = np.empty_like(ds.data)
     for v, name in enumerate(ds.variables):
         if name not in stats.means:
@@ -313,21 +309,9 @@ def standardize(ds: GriddedDataset, stats: StandardizationStats) -> GriddedDatas
     return GriddedDataset(
         grid=ds.grid,
         variables=list(ds.variables),
-        timestamps=list(ds.timestamps),
+        timestamps=ds.timestamps,
         data=out,
-        static_fields=dict(ds.static_fields),
     )
-
-
-def normalize_static(fld: np.ndarray) -> np.ndarray:
-    """Affine rescale of a 2-D field to [0, 1]."""
-    fld = np.asarray(fld, dtype=np.float64)
-    if not np.isfinite(fld).all():
-        raise DatasetError("static field contains non-finite values")
-    lo, hi = fld.min(), fld.max()
-    if hi <= lo:
-        raise DatasetError("cannot normalize a constant static field")
-    return ((fld - lo) / (hi - lo)).astype(np.float32)
 
 
 def day_offset(ds: GriddedDataset) -> int:
@@ -353,17 +337,7 @@ def valid_init_times(
     idx = split_time_indices(ds, split.years_of(which))
     if idx.size == 0:
         return []
-    t0 = ds.timestamps[idx[0]]
-    t1 = ds.timestamps[idx[-1]]
-    lo = t0 + timedelta(hours=history_hours)
-    hi = t1 - timedelta(hours=max_lead_hours)
-    return [int(i) for i in idx if lo <= ds.timestamps[i] <= hi]
-
-
-def derive_wind_speed(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Elementwise wind speed sqrt(u^2 + v^2)."""
-    u = np.asarray(u)
-    v = np.asarray(v)
-    if u.shape != v.shape:
-        raise DatasetError(f"shape mismatch {u.shape} vs {v.shape}")
-    return np.sqrt(u * u + v * v)
+    ts = ds.timestamps[idx]
+    lo = ts[0] + hours_delta(history_hours)
+    hi = ts[-1] - hours_delta(max_lead_hours)
+    return idx[(ts >= lo) & (ts <= hi)].tolist()

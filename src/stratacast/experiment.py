@@ -61,9 +61,7 @@ class ExperimentConfig:
         d = json.loads(path.read_text())
         synth = None
         if "synthetic" in d:
-            s = dict(d["synthetic"])
-            grid = dsmod.GridSpec(np.asarray(s.pop("lats")), np.asarray(s.pop("lons")))
-            synth = synthetic.SyntheticConfig(grid=grid, **s)
+            synth = synthetic.SyntheticConfig.from_dict(d["synthetic"])
         ds_path = d.get("dataset_path")
         if ds_path is not None:
             ds_path = str((path.parent / ds_path).resolve())

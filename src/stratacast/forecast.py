@@ -34,12 +34,11 @@ import json
 import math
 import operator
 from dataclasses import dataclass, field
-from datetime import datetime
 from pathlib import Path
 
 import numpy as np
 
-from .dataset import GriddedDataset, SplitSpec, day_offset, split_time_indices
+from .dataset import GriddedDataset, SplitSpec, day_offset, hours_delta, split_time_indices
 from .selection import SubsetSelection
 
 
@@ -113,7 +112,7 @@ class EnsembleForecast:
     """
 
     init_indices: list[int]
-    init_times: list[datetime]
+    init_times: np.ndarray  # datetime64[us]
     n_members: int
     lead_stride_hours: float
     n_steps: int
@@ -584,7 +583,7 @@ def rollout(
     traj = np.empty(
         (len(init_indices), n_members, n_steps) + shape, dtype=np.float32
     )
-    step_dt = np.timedelta64(round(lead_stride_hours * 3.6e9), "us")
+    step_dt = hours_delta(lead_stride_hours)
     words = _row_seed_states(seed, n_members, init_indices)
     per_block = max(ROLLOUT_BLOCK_ROWS // max(n_members, 1), 1)
     for start in range(0, len(init_indices), per_block):
@@ -592,9 +591,7 @@ def rollout(
         gens = _row_generators(words[start * n_members : (start + len(inits)) * n_members])
         rng = _RowStreams(gens, n_steps)
         states = np.repeat(ds.data[inits].astype(np.float64), n_members, axis=0)
-        times = np.repeat(
-            np.array([ds.timestamps[t0] for t0 in inits], dtype="datetime64[us]"), n_members
-        )
+        times = np.repeat(ds.timestamps[inits], n_members)
         out = traj[start : start + len(inits)]
         for k in range(n_steps):
             times = times + step_dt
@@ -608,7 +605,7 @@ def rollout(
             out[:, :, k] = states.reshape((len(inits), n_members) + shape)
     return EnsembleForecast(
         init_indices=init_indices,
-        init_times=[ds.timestamps[i] for i in init_indices],
+        init_times=ds.timestamps[init_indices],
         n_members=n_members,
         lead_stride_hours=lead_stride_hours,
         n_steps=n_steps,
@@ -636,7 +633,7 @@ def save_forecast(fc: EnsembleForecast, prefix: str | Path) -> None:
         prefix,
         trajectories=np.asarray(fc.trajectories, dtype=np.float32),
         init_indices=np.asarray(fc.init_indices, dtype=np.int64),
-        init_times=np.array(fc.init_times, dtype="datetime64[us]"),
+        init_times=np.asarray(fc.init_times, dtype="datetime64[us]"),
         n_members=fc.n_members,
         lead_stride_hours=fc.lead_stride_hours,
         n_steps=fc.n_steps,
@@ -651,7 +648,7 @@ def load_forecast(prefix: str | Path) -> EnsembleForecast:
             raise ForecastError("non-finite trajectory values")
         return EnsembleForecast(
             init_indices=z["init_indices"].tolist(),
-            init_times=z["init_times"].tolist(),
+            init_times=z["init_times"],
             n_members=int(z["n_members"]),
             lead_stride_hours=float(z["lead_stride_hours"]),
             n_steps=int(z["n_steps"]),

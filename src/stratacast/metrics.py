@@ -9,12 +9,11 @@ sqrt((M+1)/M) finite-ensemble correction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import timedelta
 from typing import Iterable
 
 import numpy as np
 
-from .dataset import DatasetError, GriddedDataset, GridSpec
+from .dataset import DatasetError, GriddedDataset, GridSpec, hours_delta
 
 
 class MetricError(ValueError):
@@ -126,14 +125,15 @@ def _target_indices(truth: GriddedDataset, init_indices, lead_hours: float) -> n
     """
     stride = truth.timestamps[1] - truth.timestamps[0]
     inits = np.asarray(init_indices, dtype=np.int64)
-    k = timedelta(hours=lead_hours) / stride
+    lead = hours_delta(lead_hours)
+    k = lead / stride
     idx = inits + int(round(k))
     bad = (idx < 0) | (idx >= truth.n_times) | (inits < 0) | (inits >= truth.n_times)
     bad |= abs(k - round(k)) > 1e-9
     if bad.any():
         first = int(bad.argmax())
-        target = truth.timestamps[0] + int(inits[first]) * stride + timedelta(hours=lead_hours)
-        raise DatasetError(f"timestamp {target} not in dataset")
+        target = truth.timestamps[0] + inits[first] * stride + lead
+        raise DatasetError(f"timestamp {target.item()} not in dataset")
     return idx
 
 

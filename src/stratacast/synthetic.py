@@ -9,13 +9,13 @@ informative at desk scale.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
-from datetime import datetime, timedelta
 
 import numpy as np
 
-from .dataset import DatasetError, GriddedDataset, GridSpec, normalize_static
+from .dataset import DatasetError, GriddedDataset, GridSpec, hours_delta
 
 
 @dataclass(frozen=True)
@@ -31,9 +31,10 @@ class SyntheticConfig:
     n_regimes: int = 12  # one pattern per calendar month
     n_variables: int = 1
     start_year: int = 2000
-    with_static: bool = True
 
     def __post_init__(self):
+        if not self.stride_hours > 0:
+            raise DatasetError("stride_hours must be > 0")
         if not 0.0 <= self.ar1_coefficient < 1.0:
             raise DatasetError("ar1_coefficient must lie in [0, 1)")
         if self.noise_std < 0:
@@ -45,16 +46,30 @@ class SyntheticConfig:
         if self.n_regimes > self.grid.n_cells:
             raise DatasetError("grid too small to orthogonalize 12 regime patterns")
 
+    @classmethod
+    def from_dict(cls, d: dict) -> "SyntheticConfig":
+        """A config from JSON keys: ``lats`` and ``lons`` give the grid, and
+        every other key is a field. A missing or unknown key raises
+        DatasetError naming it."""
+        fields = [f for f in dataclasses.fields(cls) if f.name != "grid"]
+        known = {"lats", "lons"} | {f.name for f in fields}
+        required = ["lats", "lons"] + [f.name for f in fields if f.default is dataclasses.MISSING]
+        for key in d:
+            if key not in known:
+                raise DatasetError(f"unknown synthetic config key {key!r}")
+        for key in required:
+            if key not in d:
+                raise DatasetError(f"missing synthetic config key {key!r}")
+        s = dict(d)
+        grid = GridSpec(np.asarray(s.pop("lats")), np.asarray(s.pop("lons")))
+        return cls(grid=grid, **s)
 
-def _timestamps(cfg: SyntheticConfig) -> list[datetime]:
-    out = []
-    t = datetime(cfg.start_year, 1, 1)
-    end_year = cfg.start_year + cfg.n_years
-    step = timedelta(hours=cfg.stride_hours)
-    while t.year < end_year:
-        out.append(t)
-        t = t + step
-    return out
+
+def _timestamps(cfg: SyntheticConfig) -> np.ndarray:
+    """Every stride from 1 January of ``start_year`` up to, excluding, 1 January
+    ``n_years`` later."""
+    start = np.datetime64(cfg.start_year - 1970, "Y")
+    return np.arange(start, start + cfg.n_years, hours_delta(cfg.stride_hours))
 
 
 def cell_phases(cfg: SyntheticConfig, var: int) -> np.ndarray:
@@ -79,14 +94,10 @@ def regime_patterns(cfg: SyntheticConfig, var: int) -> np.ndarray:
     return out
 
 
-def day_of_year(t: datetime) -> float:
-    """Fractional days since the start of the timestamp's year."""
-    return (t - datetime(t.year, 1, 1)).total_seconds() / 86400.0
-
-
-def seasonal_component(cfg: SyntheticConfig, t: datetime, phases: np.ndarray) -> np.ndarray:
-    angle = 2.0 * math.pi * day_of_year(t) / 365.25
-    return cfg.seasonal_amplitude * np.sin(angle + phases)
+def day_of_year(ts) -> np.ndarray:
+    """Fractional days since the start of each timestamp's year."""
+    ts = np.asarray(ts, dtype="datetime64[us]")
+    return (ts - ts.astype("datetime64[Y]")) / np.timedelta64(1, "s") / 86400.0
 
 
 # Float64 values per variable that one time chunk of ``generate`` holds in
@@ -107,8 +118,8 @@ def generate(cfg: SyntheticConfig) -> GriddedDataset:
     timestamps = _timestamps(cfg)
     n_t = len(timestamps)
     n_cells = cfg.grid.n_cells
-    months = np.array([t.month for t in timestamps]) - 1
-    angles = 2.0 * math.pi * np.array([day_of_year(t) for t in timestamps]) / 365.25
+    months = timestamps.astype("datetime64[M]").astype(np.int64) % 12
+    angles = 2.0 * math.pi * day_of_year(timestamps) / 365.25
     data = np.empty((n_t, cfg.n_variables, cfg.grid.n_lat, cfg.grid.n_lon), dtype=np.float32)
     chunk = max(_CHUNK_VALUES // n_cells, 1)
 
@@ -129,17 +140,9 @@ def generate(cfg: SyntheticConfig) -> GriddedDataset:
             fields += anom
             data[start:stop, var] = fields.reshape(stop - start, cfg.grid.n_lat, cfg.grid.n_lon)
 
-    static = {}
-    if cfg.with_static:
-        srng = np.random.default_rng([cfg.seed, 10**6])
-        orography = srng.standard_normal((cfg.grid.n_lat, cfg.grid.n_lon))
-        if orography.max() > orography.min():
-            static["orography"] = normalize_static(orography)
-
     return GriddedDataset(
         grid=cfg.grid,
         variables=[f"synthetic_{k}" for k in range(cfg.n_variables)],
         timestamps=timestamps,
         data=data,
-        static_fields=static,
     )

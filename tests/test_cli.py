@@ -107,6 +107,30 @@ class TestDataErrors:
             assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
         assert not (tmp_path / "model").exists() and not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("command", ["generate-data", "run"])
+    @pytest.mark.parametrize("add, drop, key", [
+        ({"n_yeers": 2}, "n_years", "n_yeers"),
+        ({}, "noise_std", "noise_std"),
+        ({"with_static": True}, None, "with_static"),
+    ], ids=["misspelt", "missing", "with_static"])
+    def test_bad_synthetic_key_exits_2_naming_it(self, synth_config, tmp_path,
+                                                 command, add, drop, key):
+        synth = dict(json.loads(synth_config.read_text()), seed=1, **add)
+        synth.pop(drop, None)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(synth if command == "generate-data" else {
+            "strategies": ["random"],
+            "forecaster": {"kind": "persistence"},
+            "split": {"train_years": [2000, 2000], "test_years": [2001, 2001]},
+            "synthetic": synth,
+        }))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert repr(key) in err.getvalue()
+        assert not (tmp_path / "out").exists()
+
 
 class TestPipeline:
     def test_generate_writes_dataset(self, data_dir):

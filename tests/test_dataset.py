@@ -1,19 +1,21 @@
+import json
 import struct
 from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stratacast.dataset import (
     DatasetError,
     GriddedDataset,
     GridSpec,
     SplitSpec,
-    derive_wind_speed,
     fit_standardization,
     load_dataset,
-    normalize_static,
     save_dataset,
+    split_time_indices,
     standardize,
     valid_init_times,
 )
@@ -38,15 +40,13 @@ class TestFileFormat:
         path = save_dataset(ds, tmp_path / "d.ften")
         back = load_dataset(path)
         assert back.data.shape == (2, 1, 2, 2)
-        assert back.timestamps == ds.timestamps
+        assert np.array_equal(back.timestamps, ds.timestamps)
         assert back.variables == ds.variables
 
     def test_round_trip_bitwise(self, tmp_path, toy_dataset):
         path = save_dataset(toy_dataset, tmp_path / "toy.ften")
         back = load_dataset(path)
         assert back.data.tobytes() == toy_dataset.data.tobytes()
-        for name, f in toy_dataset.static_fields.items():
-            assert np.array_equal(back.static_fields[name], f)
 
     def test_nan_payload_rejected_with_index(self, tmp_path):
         ds = make_ds(np.zeros((2, 1, 2, 2), dtype=np.float32))
@@ -67,6 +67,53 @@ class TestFileFormat:
         path = save_dataset(ds, tmp_path / "d.ften")
         path.write_bytes(path.read_bytes()[:-4])
         with pytest.raises(DatasetError, match="does not match header"):
+            load_dataset(path)
+
+    def test_sub_second_timestamps_round_trip(self, tmp_path):
+        start = datetime(2000, 1, 1, 0, 0, 0, 500000)
+        ds = make_ds(np.zeros((3, 1, 1, 1)), start=start, stride_hours=1.5)
+        back = load_dataset(save_dataset(ds, tmp_path / "d.ften"))
+        assert back.timestamps.tolist() == [start + timedelta(hours=1.5 * i) for i in range(3)]
+
+    def test_sidecar_timestamps_are_isoformat(self, tmp_path):
+        ds = make_ds(np.zeros((3, 1, 1, 1)), start=datetime(2000, 2, 28, 18), stride_hours=6)
+        path = save_dataset(ds, tmp_path / "d.ften")
+        meta = json.loads((tmp_path / "d.ften.meta.json").read_text())
+        assert meta["timestamps"] == [t.isoformat() for t in ds.timestamps.tolist()]
+        assert set(meta) == {"timestamps", "variables", "lats", "lons"}
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name, "d.ften.meta.json"]
+
+    def test_older_layout_with_static_key_loads(self, tmp_path):
+        # written byte for byte as the format's writer did when it still
+        # stored static fields: a "static" sidecar key naming an extra file
+        data = np.arange(24, dtype=np.float32).reshape(3, 2, 2, 2)
+        path = tmp_path / "old.ften"
+        path.write_bytes(b"FTEN" + struct.pack("<5I", 1, 3, 2, 2, 2) + data.astype("<f4").tobytes())
+        static = tmp_path / "old.static.orography.ften"
+        static.write_bytes(
+            b"FTEN" + struct.pack("<5I", 1, 1, 1, 2, 2) + np.full(4, 0.5, "<f4").tobytes()
+        )
+        meta = {
+            "timestamps": ["2000-01-01T00:00:00", "2000-01-01T06:00:00", "2000-01-01T12:00:00"],
+            "variables": ["synthetic_0", "synthetic_1"],
+            "lats": [-30.0, 30.0],
+            "lons": [0.0, 300.0],
+            "static": {"orography": static.name},
+        }
+        (tmp_path / "old.ften.meta.json").write_text(json.dumps(meta, indent=2))
+        back = load_dataset(path)
+        assert back.data.tobytes() == data.tobytes()
+        assert back.timestamps.tolist() == [datetime(2000, 1, 1, h) for h in (0, 6, 12)]
+        assert back.variables == ["synthetic_0", "synthetic_1"]
+
+    def test_unparseable_timestamp_names_sidecar(self, tmp_path):
+        ds = make_ds(np.zeros((2, 1, 2, 2), dtype=np.float32))
+        path = save_dataset(ds, tmp_path / "d.ften")
+        sidecar = tmp_path / "d.ften.meta.json"
+        meta = json.loads(sidecar.read_text())
+        meta["timestamps"][1] = "2000-01-01T25:00:00"
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(DatasetError, match="d.ften.meta.json"):
             load_dataset(path)
 
     def test_ws10_never_stored(self, tmp_path):
@@ -94,7 +141,7 @@ class TestStandardization:
         base = rng.normal(size=(48, 1, 2, 2))
         ds1 = make_ds(base, stride_hours=24 * 30)  # spans multiple years
         mutated = base.copy()
-        test_times = [i for i, t in enumerate(ds1.timestamps) if t.year > 2000]
+        test_times = [i for i, t in enumerate(ds1.timestamps.tolist()) if t.year > 2000]
         mutated[test_times] += 100.0
         ds2 = make_ds(mutated, stride_hours=24 * 30)
         split = SplitSpec((2000, 2000), None, (2001, 2003))
@@ -136,33 +183,22 @@ class TestStandardization:
             assert abs(vals.mean()) < 1e-5
             assert abs(vals.std() - 1.0) < 1e-5
 
+    def test_overflow_to_inf_rejected_with_index(self):
+        # a training std of ~6e-8 maps the finite 3e38 at time index 5 (2001)
+        # past the float32 range: the one place checked data turns non-finite
+        vals = np.array([1.0, 1.0000001, 1.0, 1.0000001, 1.0, 3e38]).reshape(6, 1, 1, 1)
+        ds = make_ds(vals, stride_hours=24 * 100)
+        stats = fit_standardization(ds, SplitSpec((2000, 2000)))
+        assert stats.stds["synthetic_0"] < 1e-7
+        with np.errstate(over="ignore"), pytest.raises(DatasetError, match="time index 5"):
+            standardize(ds, stats)
+
     def test_missing_variable_in_stats(self, toy_dataset):
         from stratacast.dataset import StandardizationStats
 
         stats = StandardizationStats({"synthetic_0": 0.0}, {"synthetic_0": 1.0})
         with pytest.raises(DatasetError, match="synthetic_1"):
             standardize(toy_dataset, stats)
-
-
-class TestNormalizeStatic:
-    def test_affine(self):
-        out = normalize_static(np.array([[0.0, 5.0, 10.0]]))
-        np.testing.assert_allclose(out, [[0.0, 0.5, 1.0]])
-
-    def test_already_unit(self):
-        out = normalize_static(np.array([[0.0, 1.0]]))
-        np.testing.assert_allclose(out, [[0.0, 1.0]])
-
-    def test_constant_rejected(self):
-        with pytest.raises(DatasetError):
-            normalize_static(np.full((2, 2), 3.0))
-
-    def test_random_field_exact_range(self):
-        rng = np.random.default_rng(3)
-        for _ in range(10):
-            out = normalize_static(rng.normal(size=(5, 7)) * 100)
-            assert out.min() == 0.0
-            assert out.max() == 1.0
 
 
 class TestValidInitTimes:
@@ -184,28 +220,83 @@ class TestValidInitTimes:
         assert idx == []
 
 
-class TestWindSpeed:
-    def test_pythagorean(self):
-        assert derive_wind_speed(np.array(3.0), np.array(4.0)) == pytest.approx(5.0)
+# datetime-loop oracles for the array arithmetic on the time axis
 
-    def test_zero(self):
-        assert derive_wind_speed(np.array(0.0), np.array(0.0)) == 0.0
+def _oracle_split(ts, years):
+    lo, hi = years
+    return [i for i, t in enumerate(ts) if lo <= t.year <= hi]
 
-    def test_sqrt2(self):
-        assert derive_wind_speed(np.array(1.0), np.array(1.0)) == pytest.approx(
-            1.41421, abs=1e-5
-        )
 
-    def test_shape_mismatch(self):
-        with pytest.raises(DatasetError):
-            derive_wind_speed(np.zeros(3), np.zeros(4))
+def _oracle_valid_inits(ts, years, max_lead_hours, history_hours):
+    idx = _oracle_split(ts, years)
+    if not idx:
+        return []
+    lo = ts[idx[0]] + timedelta(hours=history_hours)
+    hi = ts[idx[-1]] - timedelta(hours=max_lead_hours)
+    return [i for i in idx if lo <= ts[i] <= hi]
 
-    def test_square_identity(self):
-        rng = np.random.default_rng(1)
-        u = rng.normal(size=(4, 5))
-        v = rng.normal(size=(4, 5))
-        ws = derive_wind_speed(u, v)
-        np.testing.assert_allclose(ws**2, u**2 + v**2, rtol=1e-6)
+
+def _oracle_rejects(ts):
+    deltas = {(b - a).total_seconds() for a, b in zip(ts[:-1], ts[1:])}
+    return len(ts) > 1 and (len(deltas) != 1 or min(deltas) <= 0)
+
+
+def _series(ts):
+    return GriddedDataset(GridSpec([0.0], [0.0]), ["synthetic_0"], ts, np.zeros((len(ts), 1, 1, 1)))
+
+
+# strides that divide 24 h and strides that do not
+STRIDES = [1, 2, 3, 4, 6, 8, 12, 24, 48, 5, 7, 10, 25, 36, 100, 720]
+
+
+@st.composite
+def time_axes(draw, max_steps=600):
+    # 1999-2005 holds the leap years 2000 and 2004; starts fall anywhere in a year
+    start = datetime(draw(st.integers(1999, 2005)), 1, 1) + timedelta(
+        hours=draw(st.integers(0, 366 * 24 - 1))
+    )
+    stride = draw(st.sampled_from(STRIDES))
+    n = draw(st.integers(1, max_steps))
+    return [start + timedelta(hours=stride * i) for i in range(n)]
+
+
+class TestTimeAxisOracles:
+    @settings(max_examples=150, deadline=None)
+    @given(ts=time_axes(), first=st.integers(-1, 3), span=st.integers(0, 3),
+           max_lead=st.integers(0, 3000), history=st.integers(0, 500))
+    @example(ts=[datetime(2000, 6, 1)], first=1, span=0, max_lead=0, history=0)  # one step
+    @example(ts=[datetime(2000, 12, 31, 22), datetime(2000, 12, 31, 23)],  # split too short
+             first=1, span=0, max_lead=24, history=0)
+    def test_matches_datetime_loops(self, ts, first, span, max_lead, history):
+        ds = _series(ts)
+        years = (ts[0].year + first, ts[0].year + first + span)
+        assert split_time_indices(ds, years).tolist() == _oracle_split(ts, years)
+        assert ds.months().tolist() == [t.month for t in ts]
+        inits = valid_init_times(ds, SplitSpec(years), "train", float(max_lead), float(history))
+        assert inits == _oracle_valid_inits(ts, years, max_lead, history)
+        if len(ts) > 1:
+            assert ds.stride_hours == (ts[1] - ts[0]).total_seconds() / 3600.0
+        else:
+            with pytest.raises(DatasetError, match="stride undefined"):
+                ds.stride_hours
+        a, b = len(ts) // 3, 2 * len(ts) // 3 + 1
+        view = ds.slice_time(a, b)
+        assert view.timestamps.tolist() == ts[a:b]
+        assert view.months().tolist() == [t.month for t in ts[a:b]]
+
+    @settings(max_examples=150, deadline=None)
+    @given(ts=time_axes(max_steps=40), data=st.data())
+    def test_stride_rejection_matches_oracle(self, ts, data):
+        ts = list(ts)
+        j = data.draw(st.integers(0, len(ts) - 1))
+        ts[j] += timedelta(minutes=data.draw(st.integers(-3000, 3000)))
+        if data.draw(st.booleans()):
+            ts.reverse()
+        if _oracle_rejects(ts):
+            with pytest.raises(DatasetError, match="constant stride"):
+                _series(ts)
+        else:
+            assert _series(ts).timestamps.tolist() == ts
 
 
 class TestSplitSpec:

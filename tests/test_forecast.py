@@ -106,7 +106,7 @@ class TestClimatology:
         split = SplitSpec((2000, 2000))
         model = climatology_forecaster(noisefree, split)
         months = noisefree.months()
-        train_years = np.array([t.year for t in noisefree.timestamps]) == 2000
+        train_years = np.array([t.year for t in noisefree.timestamps.tolist()]) == 2000
         times = np.array([datetime(2001, m, 15) for m in (1, 6, 12)], dtype="datetime64[us]")
         got = model.step(None, None, times)
         for row, month in enumerate((1, 6, 12)):
@@ -184,7 +184,7 @@ class TestRollout:
         assert [p.name for p in tmp_path.iterdir()] == ["f.npz"]
         back = load_forecast(tmp_path / "f")
         assert back.trajectories.tobytes() == fc.trajectories.tobytes()
-        assert back.init_times == fc.init_times
+        assert np.array_equal(back.init_times, fc.init_times)
         assert (back.init_indices, back.n_members, back.lead_stride_hours, back.n_steps) == (
             fc.init_indices, fc.n_members, fc.lead_stride_hours, fc.n_steps
         )

@@ -118,7 +118,7 @@ def test_selection_orders_match_golden(golden, case):
 def test_zeroed_case_exercises_fill_and_metadata():
     ds, cand = case_inputs("zeroed")
     sel = run_strategy("stratified_spatial_diversity", ds, cand, SelectionBudget(0.2), 0)
-    jan = [i for i in sel.indices if ds.timestamps[i].month == 1]
+    jan = [i for i in sel.indices if ds.timestamps[i].item().month == 1]
     assert jan and sel.metadata["zero_vector_candidates"]
 
 

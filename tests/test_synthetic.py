@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tracemalloc
+from datetime import datetime
 
 import numpy as np
 import pytest
@@ -99,18 +100,18 @@ def test_config_validation(small_grid):
             grid=small_grid, n_years=0, stride_hours=6, seasonal_amplitude=1.0,
             regime_amplitude=1.0, ar1_coefficient=0.5, noise_std=1.0, seed=0,
         )
-
-
-def test_static_field_in_unit_range(toy_dataset):
-    assert "orography" in toy_dataset.static_fields
-    f = toy_dataset.static_fields["orography"]
-    assert f.min() >= 0.0 and f.max() <= 1.0
+    with pytest.raises(DatasetError, match="stride_hours"):
+        SyntheticConfig(
+            grid=small_grid, n_years=1, stride_hours=0, seasonal_amplitude=1.0,
+            regime_amplitude=1.0, ar1_coefficient=0.5, noise_std=1.0, seed=0,
+        )
 
 
 def _reference_fields(cfg):
     """The generator's fields built over the whole series at once: the loop
-    of the unchunked ``generate``, kept verbatim as the oracle."""
-    timestamps = synthetic._timestamps(cfg)
+    of the unchunked ``generate``, kept verbatim as the oracle, with its
+    ``datetime`` month and day-of-year arithmetic."""
+    timestamps = synthetic._timestamps(cfg).tolist()
     n_t = len(timestamps)
     n_cells = cfg.grid.n_cells
     months = np.array([t.month for t in timestamps]) - 1
@@ -119,7 +120,8 @@ def _reference_fields(cfg):
     for var in range(cfg.n_variables):
         phases = cell_phases(cfg, var)
         patterns = regime_patterns(cfg, var)
-        angles = 2.0 * math.pi * np.array([day_of_year(t) for t in timestamps]) / 365.25
+        days = [(t - datetime(t.year, 1, 1)).total_seconds() / 86400.0 for t in timestamps]
+        angles = 2.0 * math.pi * np.array(days) / 365.25
         seasonal = cfg.seasonal_amplitude * np.sin(angles[:, None] + phases[None, :])
         regime = cfg.regime_amplitude * patterns[months]
 
