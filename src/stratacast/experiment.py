@@ -1,11 +1,11 @@
 """End-to-end experiment orchestration: select -> train -> rollout -> evaluate.
 
 A config describes a dataset (file path or synthetic generator), a list of
-selection strategies, a forecaster and seed/ensemble settings. The
-(strategy, seed) cells run one after another; the full-data baseline is
-always included. Unknown config keys (such as the retired ``jobs``) are
-ignored. Records and per-variable report tables are written under the output
-directory.
+selection strategies, a forecaster and seed/ensemble settings. Every
+(strategy, seed) cell selects first; then the cells train, roll out and
+evaluate one after another. The full-data baseline is always included.
+Unknown config keys (such as the retired ``jobs``) are ignored. Records and
+per-variable report tables are written under the output directory.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from . import synthetic
 from .dataset import GriddedDataset, SplitSpec
 from .forecast import ForecasterSpec, rollout, train
 from .metrics import MetricRecord, area_weights, evaluate_forecast, records_to_csv
-from .selection import SelectionBudget, run_strategy
+from .selection import SelectionBudget, SubsetSelection, run_strategy
 
 log = logging.getLogger("stratacast")
 
@@ -59,6 +59,10 @@ class ExperimentConfig:
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
         path = Path(path)
         d = json.loads(path.read_text())
+        for key in ("strategies", "split", "split.train_years", "forecaster", "forecaster.kind"):
+            *block, name = key.split(".")
+            if name not in (d[block[0]] if block else d):
+                raise ExperimentError(f"missing run config key {key!r}")
         synth = None
         if "synthetic" in d:
             synth = synthetic.SyntheticConfig.from_dict(d["synthetic"])
@@ -135,27 +139,36 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> list[MetricRec
         strategies.insert(0, "full")
     budget = SelectionBudget(cfg.fraction)
 
-    # One function per cell, so a cell's selection, model and forecast are
-    # freed before the next cell starts.
-    def run_cell(strategy: str, seed: int) -> list[MetricRecord]:
+    # Every cell selects before any cell trains, so the PCA transient of
+    # the feature-space strategies lands on the heap as set-up left it, not
+    # on the one that fits, rollouts and evaluations have grown. One function
+    # per stage frees a cell's model and forecast before the next cell.
+    def select(strategy: str, seed: int) -> SubsetSelection:
+        log.info("cell select: strategy=%s seed=%d", strategy, seed)
+        sel = run_strategy(strategy, train_view, candidates, budget, seed)
+        sel.save(out_dir / "selections" / f"{strategy}_seed{seed}.json")
+        return sel
+
+    def score(strategy: str, seed: int, sel: SubsetSelection) -> list[MetricRecord]:
+        log.info("cell start: strategy=%s seed=%d", strategy, seed)
+        model = train(cfg.forecaster, train_view, sel, seed=seed, split=cfg.split)
+        fc = rollout(model, ds, eval_inits, cfg.n_members, n_steps=cfg.n_steps, seed=seed)
+        return evaluate_forecast(
+            fc, ds, leads_days=cfg.leads_days, w=w, method=strategy, seed=seed
+        )
+
+    def in_cell(stage, strategy: str, seed: int, *args):
         try:
-            log.info("cell start: strategy=%s seed=%d", strategy, seed)
-            sel = run_strategy(strategy, train_view, candidates, budget, seed)
-            sel.save(out_dir / "selections" / f"{strategy}_seed{seed}.json")
-            model = train(cfg.forecaster, train_view, sel, seed=seed, split=cfg.split)
-            fc = rollout(
-                model, ds, eval_inits, cfg.n_members, n_steps=cfg.n_steps, seed=seed
-            )
-            return evaluate_forecast(
-                fc, ds, leads_days=cfg.leads_days, w=w, method=strategy, seed=seed
-            )
-        except Exception as e:  # tag the failing stage for the caller
+            return stage(strategy, seed, *args)
+        except Exception as e:  # tag the failing cell for the caller
             raise ExperimentError(f"cell ({strategy}, seed {seed}) failed: {e}") from e
 
+    cells = [(strategy, seed) for strategy in strategies
+             for seed in range(cfg.base_seed, cfg.base_seed + cfg.n_seeds)]
+    selections = [in_cell(select, *cell) for cell in cells]
     records: list[MetricRecord] = []
-    for strategy in strategies:
-        for seed in range(cfg.base_seed, cfg.base_seed + cfg.n_seeds):
-            records.extend(run_cell(strategy, seed))
+    for cell, sel in zip(cells, selections):
+        records.extend(in_cell(score, *cell, sel))
 
     records.sort(key=lambda r: (r.method, r.variable, r.lead_days, r.seed))
     records.extend(aggregate_means(records))

@@ -190,24 +190,53 @@ class StochasticLinearForecaster:
         self.variables = variables
 
     def step(self, states, rng, valid_times):
+        # (a * x + b) + resid_std * z, as three operations on one new array;
+        # the draw z is scratch and takes the noise term
+        out = np.multiply(self.a, states)
+        out += self.b
         noise = rng.standard_normal(states.shape)
-        return self.a * states + self.b + self.resid_std * noise
+        noise *= self.resid_std
+        out += noise
+        return out
+
+
+# float64 values per [pair, column] temporary of the chunked stochastic_linear fit
+_FIT_CHUNK_VALUES = 1 << 17
 
 
 def _fit_stochastic_linear(
     ds: GriddedDataset, pair_idx: np.ndarray, off: int, ridge_lambda: float
 ) -> StochasticLinearForecaster:
-    x = ds.data[pair_idx].astype(np.float64)          # [P, var, lat, lon]
-    y = ds.data[pair_idx + off].astype(np.float64)
-    xm = x.mean(axis=0)
-    ym = y.mean(axis=0)
-    sxx = ((x - xm) ** 2).sum(axis=0)
-    sxy = ((x - xm) * (y - ym)).sum(axis=0)
-    a = sxy / (sxx + ridge_lambda)
-    b = ym - a * xm
-    resid = y - (a * x + b)
-    resid_std = resid.std(axis=0)
-    return StochasticLinearForecaster(a, b, resid_std, list(ds.variables))
+    """Per-cell least squares over the (t, t + off) pairs, in column chunks.
+
+    Each chunk reads its columns of the float32 frames into float64 [P, c]
+    arrays, so memory is O(P · c), not O(P · D). The columns are
+    independent and each one is summed over the pairs in the same order as
+    a whole-array fit, so the result is bitwise the same. A chunk is never
+    one column wide unless D is 1: numpy sums a lone column pairwise.
+    """
+    frames = ds.data.reshape(ds.n_times, -1)
+    d = frames.shape[1]
+    width = max(_FIT_CHUNK_VALUES // pair_idx.size, 2)
+    bounds = [*range(0, d, width), d]
+    if len(bounds) > 2 and d - bounds[-2] == 1:
+        del bounds[-2]
+    a, b, resid_std = np.empty((3, d))
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        x = frames[pair_idx, lo:hi].astype(np.float64)    # [P, c]
+        y = frames[pair_idx + off, lo:hi].astype(np.float64)
+        xm = x.mean(axis=0)
+        ym = y.mean(axis=0)
+        sxx = ((x - xm) ** 2).sum(axis=0)
+        sxy = ((x - xm) * (y - ym)).sum(axis=0)
+        a[lo:hi] = sxy / (sxx + ridge_lambda)
+        b[lo:hi] = ym - a[lo:hi] * xm
+        resid = y - (a[lo:hi] * x + b[lo:hi])
+        resid_std[lo:hi] = resid.std(axis=0)
+    shape = ds.data.shape[1:]
+    return StochasticLinearForecaster(
+        a.reshape(shape), b.reshape(shape), resid_std.reshape(shape), list(ds.variables)
+    )
 
 
 # ---------------------------------------------------------------------------

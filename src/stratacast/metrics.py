@@ -53,14 +53,16 @@ def crps_ensemble(members: np.ndarray, y) -> np.ndarray:
     m = members.shape[0]
     if m < 1:
         raise MetricError("need at least one ensemble member")
-    term1 = np.mean(np.abs(members - y), axis=0)
+    err = members - y
+    term1 = np.mean(np.abs(err, out=err), axis=0)
     if m == 1:
         return term1
     # sum_{i<j} |x_i - x_j| = sum_i (2i - M - 1) x_(i) over sorted members,
     # i = 1..M (Ferro 2014): O(M log M) instead of the O(M^2) pair loop
     coef = (2.0 * np.arange(1, m + 1) - m - 1).reshape((m,) + (1,) * (members.ndim - 1))
-    pair = (coef * np.sort(members, axis=0)).sum(axis=0)
-    return term1 - pair / (m * (m - 1))
+    pair = np.sort(members, axis=0)
+    pair *= coef
+    return term1 - pair.sum(axis=0) / (m * (m - 1))
 
 
 def ssr(members: np.ndarray, truth: np.ndarray, w: np.ndarray) -> float:
@@ -123,9 +125,11 @@ def _target_indices(truth: GriddedDataset, init_indices, lead_hours: float) -> n
     Raises DatasetError naming the first target off the time grid or
     outside the dataset.
     """
-    stride = truth.timestamps[1] - truth.timestamps[0]
     inits = np.asarray(init_indices, dtype=np.int64)
     lead = hours_delta(lead_hours)
+    if truth.n_times < 2:  # no stride, and a lead steps past the one time
+        raise DatasetError(f"timestamp {(truth.timestamps[0] + lead).item()} not in dataset")
+    stride = truth.timestamps[1] - truth.timestamps[0]
     k = lead / stride
     idx = inits + int(round(k))
     bad = (idx < 0) | (idx >= truth.n_times) | (inits < 0) | (inits >= truth.n_times)
@@ -161,13 +165,15 @@ def evaluate_forecast(
             raise MetricError(f"lead {lead}d not covered by {forecast.n_steps} steps")
         truth_idx = _target_indices(truth, forecast.init_indices, lead_hours)
         for v, name in enumerate(truth.variables):
-            # members: [M, case, lat, lon]
+            # members: [M, case, lat, lon]; RMSE takes the float32 ensemble
+            # mean, CRPS and SSR share one float64 cast
             members = forecast.trajectories[:, :, step, v].transpose(1, 0, 2, 3)
+            members64 = np.asarray(members, dtype=np.float64)
             obs = truth.data[truth_idx, v].astype(np.float64)
-            crps_val = float(np.mean(crps_ensemble(members, obs) * w))
+            crps_val = float(np.mean(crps_ensemble(members64, obs) * w))
             rmse_val = rmse(members.mean(axis=0), obs, w)
             try:
-                ssr_val = ssr(members, obs, w)
+                ssr_val = ssr(members64, obs, w)
             except MetricError:
                 ssr_val = 0.0
             records.append(

@@ -5,6 +5,11 @@ Every strategy has the signature
 and returns exactly ``budget.target_count(len(candidates))`` unique candidate
 indices, reproducibly for a fixed seed. Ties break to the lowest candidate
 index everywhere.
+
+The k-means-based strategies reproduce only under a fixed BLAS build and
+thread count: ``kmeans`` takes its distances from a matrix product whose
+rounding depends on both, and with repeated rows that rounding decides ties
+between identical centroids.
 """
 
 from __future__ import annotations
@@ -198,19 +203,38 @@ def pca_features(ds: GriddedDataset, cand: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding (Arthur & Vassilvitskii, SODA 2007) in reused buffers.
+
+    Each D² draw computes what ``rng.choice(n, p=d2 / d2.sum())`` does with
+    its one ``rng.random()`` draw: the cumulative sum of p, divided by its
+    last element, searched on the right. So the picks are bitwise those of
+    ``choice``, without its argument checks.
+    """
     n = x.shape[0]
     centers = np.empty((k, x.shape[1]))
+    diff = np.empty(x.shape)
+    d2, d_new, p, cdf = np.empty((4, n))
+
+    def sq_dist(c, out):
+        np.subtract(x, centers[c], out=diff)
+        np.square(diff, out=diff)
+        np.sum(diff, axis=1, out=out)
+
     first = int(rng.integers(n))
     centers[0] = x[first]
-    d2 = np.sum((x - centers[0]) ** 2, axis=1)
+    sq_dist(0, d2)
     for c in range(1, k):
         total = d2.sum()
         if total <= 0:
             idx = int(rng.integers(n))
         else:
-            idx = int(rng.choice(n, p=d2 / total))
+            np.divide(d2, total, out=p)
+            np.cumsum(p, out=cdf)
+            cdf /= cdf[-1]
+            idx = int(cdf.searchsorted(rng.random(), side="right"))
         centers[c] = x[idx]
-        d2 = np.minimum(d2, np.sum((x - centers[c]) ** 2, axis=1))
+        sq_dist(c, d_new)
+        np.minimum(d2, d_new, out=d2)
     return centers
 
 
@@ -225,7 +249,7 @@ def kmeans(
     """Lloyd's algorithm; returns (centers, assignment).
 
     Empty clusters are reseeded from the point farthest from its assigned
-    centroid.
+    centroid (see ``_lloyd_means``).
     """
     n = x.shape[0]
     if k > n:
@@ -240,30 +264,52 @@ def kmeans(
     x_sq = np.sum(x * x, axis=1)
 
     def _dist2(cent):
-        # ||x||^2 - 2 x.c + ||c||^2, clipped against rounding
-        d = x_sq[:, None] - 2.0 * (x @ cent.T) + np.sum(cent * cent, axis=1)[None, :]
-        return np.maximum(d, 0.0)
+        # ||x||^2 - 2 x.c + ||c||^2, clipped against rounding, in one buffer
+        d = x @ cent.T
+        d *= -2.0
+        d += x_sq[:, None]
+        d += np.sum(cent * cent, axis=1)
+        return np.maximum(d, 0.0, out=d)
 
     assign = np.zeros(n, dtype=np.int64)
     for _ in range(max_iter):
         d2 = _dist2(centers)
         assign = np.argmin(d2, axis=1)
-        new_centers = centers.copy()
-        point_d2 = d2[np.arange(n), assign]
-        for c in range(k):
-            mask = assign == c
-            if mask.any():
-                new_centers[c] = x[mask].mean(axis=0)
-            else:
-                far = int(np.argmax(point_d2))
-                new_centers[c] = x[far]
-                point_d2[far] = 0.0
+        new_centers = _lloyd_means(x, assign, k, d2[np.arange(n), assign])
         shift = float(np.max(np.linalg.norm(new_centers - centers, axis=1)))
         centers = new_centers
         if shift < tol:
             break
     assign = np.argmin(_dist2(centers), axis=1)
     return centers, assign
+
+
+def _lloyd_means(
+    x: np.ndarray, assign: np.ndarray, k: int, point_d2: np.ndarray
+) -> np.ndarray:
+    """The Lloyd update: each cluster's mean, or a reseed when it is empty.
+
+    Rows sorted stably by cluster make each cluster one slice, in row order,
+    so its sum is the same reduction as ``x[assign == c].mean(axis=0)``;
+    ``np.add.reduceat`` and ``np.add.at`` add in other orders and would move
+    the last bits. Each empty cluster, in cluster order, takes the point
+    farthest from its assigned centroid, whose ``point_d2`` then drops to 0.
+    """
+    counts = np.bincount(assign, minlength=k)
+    xs = x[np.argsort(assign, kind="stable")]
+    means = np.empty((k, x.shape[1]))
+    start = 0
+    for c, end in enumerate(np.cumsum(counts).tolist()):
+        if end > start:
+            np.sum(xs[start:end], axis=0, out=means[c])
+        else:
+            far = int(np.argmax(point_d2))
+            means[c] = x[far]
+            point_d2[far] = 0.0
+        start = end
+    full = counts > 0
+    means[full] /= counts[full, None]
+    return means
 
 
 def nearest_to_centroids(

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from stratacast import dataset as dsmod
 from stratacast.cli import main
 from stratacast.forecast import VALID_KINDS
 
@@ -85,6 +86,26 @@ class TestDataErrors:
         }))
         with contextlib.redirect_stderr(io.StringIO()):
             assert main(["run", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+
+    @pytest.mark.parametrize("key", [
+        "split", "strategies", "forecaster.kind", "split.train_years", "forecaster",
+    ])
+    def test_run_config_missing_key_exits_2_naming_it(self, tmp_path, key):
+        d = {
+            "strategies": ["random"],
+            "forecaster": {"kind": "persistence"},
+            "split": {"train_years": [2000, 2000]},
+            "dataset_path": "x.ften",
+        }
+        *block, name = key.split(".")
+        del (d[block[0]] if block else d)[name]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(d))
+        r = run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert r.returncode == 2
+        assert f"missing run config key {key!r}" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("hyper", [{"n_epoch": 1}, {"sigma_min": 3.0, "sigma_max": 0.5},
                                        {"n_sample_steps": 8.5}])
@@ -212,6 +233,27 @@ class TestPipeline:
         assert code == 2
         assert "test split yields no valid init times" in err.getvalue()
         assert not (tmp_path / "fc").exists()
+
+    def test_evaluate_against_one_step_truth_exits_2(self, data_dir, tmp_path):
+        data = str(data_dir / "synthetic.ften")
+        assert main(["select", "--data", data, "--strategy", "random",
+                     "--train-years", "2000:2000", "--out", str(tmp_path)]) == 0
+        assert main(["train", "--data", data, "--selection", str(tmp_path / "random_seed0.json"),
+                     "--forecaster", "persistence",
+                     "--train-years", "2000:2000", "--out", str(tmp_path)]) == 0
+        assert main(["rollout", "--data", data, "--model", str(tmp_path / "persistence"),
+                     "--members", "2", "--train-years", "2000:2000",
+                     "--test-years", "2001:2001", "--out", str(tmp_path)]) == 0
+        one_step = dsmod.load_dataset(data).slice_time(0, 1)
+        dsmod.save_dataset(one_step, tmp_path / "one.ften")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["evaluate", "--data", str(tmp_path / "one.ften"),
+                         "--forecast", str(tmp_path / "forecast"),
+                         "--train-years", "2000:2000", "--out", str(tmp_path / "scores")])
+        assert code == 2
+        assert "not in dataset" in err.getvalue()
+        assert not (tmp_path / "scores").exists()
 
     def test_run_and_report(self, data_dir, tmp_path):
         cfg = tmp_path / "exp.json"

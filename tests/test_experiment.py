@@ -4,6 +4,7 @@ from datetime import datetime, timedelta
 import numpy as np
 import pytest
 
+from stratacast import experiment
 from stratacast.dataset import GriddedDataset, GridSpec, SplitSpec, save_dataset
 from stratacast.experiment import (
     REPORT_HEADER,
@@ -135,6 +136,22 @@ class TestRunExperiment:
         for r in records:
             assert r.crps == pytest.approx(0.0, abs=1e-10)
             assert r.rmse == pytest.approx(0.0, abs=1e-10)
+
+    def test_every_cell_selects_before_any_cell_trains(self, small_grid, tmp_path,
+                                                       monkeypatch):
+        calls = []
+        for name in ("run_strategy", "train", "rollout", "evaluate_forecast"):
+            fn = getattr(experiment, name)
+            monkeypatch.setattr(experiment, name,
+                                lambda *a, _n=name, _f=fn, **k: calls.append(_n) or _f(*a, **k))
+        run_experiment(base_config(small_grid), tmp_path)
+        cells = 3 * 2  # full, random and stratified_time; two seeds
+        assert calls == ["run_strategy"] * cells + ["train", "rollout", "evaluate_forecast"] * cells
+
+    def test_failed_selection_names_its_cell(self, small_grid, tmp_path):
+        cfg = base_config(small_grid, strategies=["random"], fraction=1e-6)
+        with pytest.raises(ExperimentError, match=r"cell \(random, seed 7\) failed"):
+            run_experiment(cfg, tmp_path)
 
     def test_stage_tagged_error(self, small_grid, tmp_path):
         cfg = base_config(

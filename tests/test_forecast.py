@@ -83,6 +83,72 @@ class TestStochasticLinear:
         np.testing.assert_allclose(back.resid_std, model.resid_std)
 
 
+def _reference_fit(ds, pair_idx, off, ridge_lambda):
+    """The stochastic_linear fit on whole-set float64 pair copies, kept as the
+    oracle. Returns ``(a, b, resid_std)``."""
+    x = ds.data[pair_idx].astype(np.float64)
+    y = ds.data[pair_idx + off].astype(np.float64)
+    xm = x.mean(axis=0)
+    ym = y.mean(axis=0)
+    sxx = ((x - xm) ** 2).sum(axis=0)
+    sxy = ((x - xm) * (y - ym)).sum(axis=0)
+    a = sxy / (sxx + ridge_lambda)
+    b = ym - a * xm
+    resid = y - (a * x + b)
+    return a, b, resid.std(axis=0)
+
+
+class TestStochasticLinearOracle:
+    """The column-chunked fit and the in-place step equal the whole-array
+    code bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.sampled_from([(1, 1, 1), (1, 1, 2), (1, 1, 3), (1, 1, 5), (2, 3, 5),
+                               (1, 4, 8)]),
+        n_pairs=st.integers(2, 60),
+        chunk_values=st.sampled_from([2, 7, 40, 1 << 17]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_chunked_fit_equals_whole_array_fit(self, shape, n_pairs, chunk_values, seed):
+        # chunk_values / n_pairs columns per chunk: from the 2-column floor to
+        # one chunk, with and without a lone last column to merge
+        rng = np.random.default_rng(seed)
+        ds = series_ds(rng.standard_normal((n_pairs + 5,) + shape) * 3.0)
+        pair_idx = np.sort(rng.choice(n_pairs + 4, size=n_pairs, replace=False))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(forecast_mod, "_FIT_CHUNK_VALUES", chunk_values)
+            model = forecast_mod._fit_stochastic_linear(ds, pair_idx, 1, 1e-3)
+        for got, want in zip((model.a, model.b, model.resid_std),
+                             _reference_fit(ds, pair_idx, 1, 1e-3)):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows=st.integers(1, 9), shape=st.sampled_from([(1, 1, 1), (2, 3, 4)]),
+           seed=st.integers(0, 2**16))
+    def test_step_equals_three_operation_form(self, rows, shape, seed):
+        rng = np.random.default_rng(seed)
+        a, b, std = rng.standard_normal((3,) + shape)
+        model = forecast_mod.StochasticLinearForecaster(a, b, np.abs(std), ["v"])
+        states = rng.standard_normal((rows,) + shape) * 10.0
+        got = model.step(states, np.random.default_rng(seed), None)
+        noise = np.random.default_rng(seed).standard_normal(states.shape)
+        assert got.tobytes() == (a * states + b + np.abs(std) * noise).tobytes()
+
+    @pytest.mark.parametrize("chunk_values", [1 << 17, 900])
+    def test_two_variable_fit_through_train(self, two_var_grid, monkeypatch, chunk_values):
+        # 64 columns and 300 pairs: one chunk, or 3-column chunks whose lone
+        # last column joins the chunk before it
+        monkeypatch.setattr(forecast_mod, "_FIT_CHUNK_VALUES", chunk_values)
+        sel = SubsetSelection("full", list(range(300)), 1.0, 0)
+        model = train(ForecasterSpec("stochastic_linear"), two_var_grid, sel)
+        pair_idx, off, _ = forecast_mod._pairs_from_subset(two_var_grid, sel)
+        want = _reference_fit(two_var_grid, pair_idx, off, 1e-3)
+        for got, ref in zip((model.a, model.b, model.resid_std), want):
+            assert got.tobytes() == ref.tobytes()
+
+
 class TestPersistence:
     def test_train_noop_and_identity_step(self):
         model = train(ForecasterSpec("persistence"), None, None)

@@ -1,15 +1,20 @@
 import math
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stratacast.dataset import GridSpec
+from stratacast.dataset import DatasetError, GriddedDataset, GridSpec
+from stratacast.forecast import EnsembleForecast
 from stratacast.metrics import (
     MetricError,
     MetricRecord,
     area_weights,
     crps_ensemble,
     ensemble_spread,
+    evaluate_forecast,
     records_to_csv,
     rmse,
     ssr,
@@ -193,3 +198,103 @@ class TestMetricRecord:
     def test_nonfinite_rejected(self):
         with pytest.raises(MetricError):
             MetricRecord("x", "z500", 5, float("nan"), 1.0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# evaluate_forecast against the per-metric casts it replaced
+# ---------------------------------------------------------------------------
+
+def _reference_crps(members, y):
+    """Fair CRPS with its own float64 cast and fresh temporaries (the oracle)."""
+    members = np.asarray(members, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    m = members.shape[0]
+    term1 = np.mean(np.abs(members - y), axis=0)
+    if m == 1:
+        return term1
+    coef = (2.0 * np.arange(1, m + 1) - m - 1).reshape((m,) + (1,) * (members.ndim - 1))
+    pair = (coef * np.sort(members, axis=0)).sum(axis=0)
+    return term1 - pair / (m * (m - 1))
+
+
+def _reference_evaluate(fc, truth, leads_days, w):
+    """``evaluate_forecast`` with one float64 cast per metric, as the oracle:
+    [(crps, rmse, ssr)] per (lead, variable)."""
+    out = []
+    for lead in leads_days:
+        step = int(round(lead * 24 / fc.lead_stride_hours)) - 1
+        idx = np.asarray(fc.init_indices) + int(round(lead * 24 / truth.stride_hours))
+        for v in range(len(truth.variables)):
+            members = fc.trajectories[:, :, step, v].transpose(1, 0, 2, 3)
+            obs = truth.data[idx, v].astype(np.float64)
+            crps_val = float(np.mean(_reference_crps(members, obs) * w))
+            rmse_val = rmse(members.mean(axis=0), obs, w)
+            try:
+                ssr_val = ssr(members, obs, w)
+            except MetricError:
+                ssr_val = 0.0
+            out.append((crps_val, rmse_val, ssr_val))
+    return out
+
+
+@st.composite
+def forecast_cases(draw):
+    """(forecast, truth, weights): random float32 members on 1x1 to 4x8 grids."""
+    m = draw(st.sampled_from([1, 2, 3, 8, 9]))
+    n_lat, n_lon = draw(st.sampled_from([(1, 1), (2, 3), (4, 8)]))
+    n_var = draw(st.integers(1, 2))
+    n_init = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    n_times = n_init + 3
+    truth = GriddedDataset(
+        grid=GridSpec(np.linspace(-40, 40, n_lat), np.linspace(0, 300, n_lon)),
+        variables=[f"synthetic_{v}" for v in range(n_var)],
+        timestamps=[datetime(2000, 1, 1) + timedelta(days=i) for i in range(n_times)],
+        data=rng.standard_normal((n_times, n_var, n_lat, n_lon)),
+    )
+    traj = rng.standard_normal((n_init, m, 2, n_var, n_lat, n_lon)).astype(np.float32)
+    if draw(st.booleans()):
+        traj[:, :, :, :, 0, 0] = 0.5  # ties among the members, zero spread
+    fc = EnsembleForecast(
+        init_indices=list(range(n_init)), init_times=truth.timestamps[:n_init],
+        n_members=m, lead_stride_hours=24.0, n_steps=2, trajectories=traj,
+        member_seeds=[(0, i) for i in range(m)],
+    )
+    w = area_weights(truth.grid, flat=draw(st.booleans()))
+    return fc, truth, w
+
+
+class TestEvaluateOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(case=forecast_cases())
+    def test_records_equal_per_metric_casts(self, case):
+        fc, truth, w = case
+        got = [(r.crps, r.rmse, r.ssr) for r in evaluate_forecast(fc, truth, (1, 2), w)]
+        assert np.array(got).tobytes() == np.array(_reference_evaluate(fc, truth, (1, 2), w)).tobytes()
+
+    @pytest.mark.parametrize("m", [1, 2, 8])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_crps_equals_fresh_temporaries(self, m, dtype):
+        rng = np.random.default_rng(m)
+        # a transposed view, as evaluate_forecast passes it
+        members = rng.standard_normal((5, m, 3, 4)).astype(dtype).transpose(1, 0, 2, 3)
+        y = rng.standard_normal((5, 3, 4))
+        assert crps_ensemble(members, y).tobytes() == _reference_crps(members, y).tobytes()
+
+
+class TestOneStepTruth:
+    def test_names_the_missing_target(self):
+        truth = GriddedDataset(
+            grid=GridSpec(np.array([0.0, 10.0]), np.array([0.0])),
+            variables=["synthetic_0"],
+            timestamps=[datetime(2001, 3, 1)],
+            data=np.array([[[[1.0], [2.0]]]]),
+        )
+        fc = EnsembleForecast(
+            init_indices=[0], init_times=truth.timestamps, n_members=2,
+            lead_stride_hours=24.0, n_steps=5,
+            trajectories=np.zeros((1, 2, 5, 1, 2, 1), dtype=np.float32),
+            member_seeds=[(0, 0), (0, 1)],
+        )
+        with pytest.raises(DatasetError, match="timestamp 2001-03-06 00:00:00 not in dataset"):
+            evaluate_forecast(fc, truth, leads_days=(5,))

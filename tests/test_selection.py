@@ -12,6 +12,8 @@ from stratacast.dataset import GriddedDataset, GridSpec, SplitSpec, valid_init_t
 from stratacast.features import cosine_distance, flatten_samples, pca_fit, pca_transform
 from stratacast.selection import (
     STRATEGIES,
+    _kmeanspp_init,
+    _lloyd_means,
     SelectionBudget,
     SelectionError,
     SubsetSelection,
@@ -355,6 +357,115 @@ class TestKmeansCoreset:
                 if best is not None:
                     oracle.append(best)
             assert picks == oracle
+
+
+def _reference_kmeanspp_init(x, k, rng):
+    """k-means++ seeding with ``rng.choice`` and fresh arrays, kept as the oracle."""
+    n = x.shape[0]
+    centers = np.empty((k, x.shape[1]))
+    first = int(rng.integers(n))
+    centers[0] = x[first]
+    d2 = np.sum((x - centers[0]) ** 2, axis=1)
+    for c in range(1, k):
+        total = d2.sum()
+        if total <= 0:
+            idx = int(rng.integers(n))
+        else:
+            idx = int(rng.choice(n, p=d2 / total))
+        centers[c] = x[idx]
+        d2 = np.minimum(d2, np.sum((x - centers[c]) ** 2, axis=1))
+    return centers
+
+
+def _reference_kmeans(x, k, rng, init="kmeans++", max_iter=100, tol=1e-6):
+    """Lloyd's algorithm with one masked mean per cluster, kept as the oracle."""
+    n = x.shape[0]
+    if init == "kmeans++":
+        centers = _reference_kmeanspp_init(x, k, rng)
+    else:
+        centers = x[rng.choice(n, size=k, replace=False)].copy()
+    x_sq = np.sum(x * x, axis=1)
+
+    def dist2(cent):
+        d = x_sq[:, None] - 2.0 * (x @ cent.T) + np.sum(cent * cent, axis=1)[None, :]
+        return np.maximum(d, 0.0)
+
+    for _ in range(max_iter):
+        d2 = dist2(centers)
+        assign = np.argmin(d2, axis=1)
+        new_centers = centers.copy()
+        point_d2 = d2[np.arange(n), assign]
+        for c in range(k):
+            mask = assign == c
+            if mask.any():
+                new_centers[c] = x[mask].mean(axis=0)
+            else:
+                far = int(np.argmax(point_d2))
+                new_centers[c] = x[far]
+                point_d2[far] = 0.0
+        shift = float(np.max(np.linalg.norm(new_centers - centers, axis=1)))
+        centers = new_centers
+        if shift < tol:
+            break
+    return centers, np.argmin(dist2(centers), axis=1)
+
+
+@st.composite
+def kmeans_problems(draw):
+    """(x, k, seed): Gaussian rows, or integer rows full of duplicates that
+    empty clusters; k anywhere from 1 to N."""
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    scale = draw(st.sampled_from([1e-3, 1.0, 250.0]))
+    if draw(st.booleans()):
+        x = rng.integers(-1, 2, size=(n, d)) * scale
+    else:
+        x = rng.standard_normal((n, d)) * scale
+    k = draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)))
+    return x, k, draw(st.integers(0, 2**16))
+
+
+class TestKmeansOracle:
+    """The buffered k-means++ draw and the sorted Lloyd update equal the
+    ``rng.choice`` and per-cluster-mean code bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(problem=kmeans_problems())
+    def test_kmeanspp_init_equals_rng_choice(self, problem):
+        x, k, seed = problem
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _kmeanspp_init(x, k, rng)
+        assert got.tobytes() == _reference_kmeanspp_init(x, k, ref_rng).tobytes()
+        assert rng.random() == ref_rng.random()  # the same draws were consumed
+
+    @settings(max_examples=150, deadline=None)
+    @given(problem=kmeans_problems(), init=st.sampled_from(["kmeans++", "random"]))
+    def test_kmeans_equals_per_cluster_mean_loop(self, problem, init):
+        x, k, seed = problem
+        centers, assign = kmeans(x, k, np.random.default_rng(seed), init=init)
+        want_centers, want_assign = _reference_kmeans(x, k, np.random.default_rng(seed), init)
+        assert centers.tobytes() == want_centers.tobytes()
+        assert assign.tobytes() == want_assign.tobytes()
+
+    @pytest.mark.parametrize("k", [1, 5, 12])
+    def test_duplicate_rows_empty_clusters(self, k):
+        # 12 rows on 3 distinct points: any k > 3 empties clusters every round
+        x = np.repeat(np.array([[0.0, 0.0], [1.0, 2.0], [-3.0, 0.5]]), 4, axis=0)
+        for seed in range(5):
+            got = kmeans(x, k, np.random.default_rng(seed))
+            want = _reference_kmeans(x, k, np.random.default_rng(seed))
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+
+    def test_lloyd_means_reseed_in_cluster_order(self):
+        x = np.array([[0.0], [1.0], [5.0], [9.0]])
+        point_d2 = np.array([0.5, 4.0, 3.0, 4.0])
+        means = _lloyd_means(x, np.array([0, 0, 3, 3]), 4, point_d2)
+        # clusters 1 and 2 are empty: 1 takes row 1 (first of the two at
+        # distance 4), then 2 takes row 3
+        assert means.ravel().tolist() == [0.5, 1.0, 9.0, 7.0]
+        assert point_d2.tolist() == [0.5, 0.0, 3.0, 0.0]
 
 
 # ---------------------------------------------------------------------------
