@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -29,6 +30,47 @@ log = logging.getLogger("stratacast")
 
 class ExperimentError(ValueError):
     pass
+
+
+def _int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _number(v) -> bool:
+    return _int(v) or (isinstance(v, float) and math.isfinite(v))
+
+
+def _list_of(ok, n=None):
+    return lambda v: isinstance(v, list) and n in (None, len(v)) and all(map(ok, v))
+
+
+_years = _list_of(_int, 2)
+
+
+def _years_or_null(v) -> bool:
+    return v is None or _years(v)
+
+
+def _dict(v) -> bool:
+    return isinstance(v, dict)
+
+
+# Run config keys in the order they are checked: what each must be, and
+# whether it is required. Optional keys are checked only when present.
+_KEY_RULES = {
+    "strategies": (_list_of(lambda s: isinstance(s, str)), "a list of strings", True),
+    "split": (_dict, "an object", True),
+    "split.train_years": (_years, "a list of two integers", True),
+    "split.val_years": (_years_or_null, "null or a list of two integers", False),
+    "split.test_years": (_years_or_null, "null or a list of two integers", False),
+    "forecaster": (_dict, "an object", True),
+    "forecaster.kind": (lambda v: isinstance(v, str), "a string", True),
+    "forecaster.hyperparameters": (_dict, "an object", False),
+    "dataset_path": (lambda v: v is None or isinstance(v, str), "a string", False),
+    "leads_days": (_list_of(_int), "a list of integers", False),
+    **{key: (_number, "a finite number", False) for key in (
+        "fraction", "n_members", "n_seeds", "base_seed", "n_steps", "eval_stride_hours")},
+}
 
 
 @dataclass
@@ -54,15 +96,22 @@ class ExperimentConfig:
             raise ExperimentError("n_seeds must be >= 1")
         if (self.dataset_path is None) == (self.synthetic is None):
             raise ExperimentError("exactly one of dataset_path / synthetic required")
+        for lead in self.leads_days:
+            if not 1 <= lead <= self.n_steps:
+                raise ExperimentError(f"lead {lead}d outside 1..{self.n_steps} rollout steps")
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
         path = Path(path)
         d = json.loads(path.read_text())
-        for key in ("strategies", "split", "split.train_years", "forecaster", "forecaster.kind"):
+        for key, (ok, what, required) in _KEY_RULES.items():
             *block, name = key.split(".")
-            if name not in (d[block[0]] if block else d):
-                raise ExperimentError(f"missing run config key {key!r}")
+            holder = d[block[0]] if block else d
+            if name not in holder:
+                if required:
+                    raise ExperimentError(f"missing run config key {key!r}")
+            elif not ok(holder[name]):
+                raise ExperimentError(f"run config key {key!r} must be {what}")
         synth = None
         if "synthetic" in d:
             synth = synthetic.SyntheticConfig.from_dict(d["synthetic"])

@@ -21,6 +21,11 @@ layout. ``persistence``, ``climatology`` and ``stochastic_linear`` rows are
 bitwise independent of the layout (which inits are rolled out together and
 how they are blocked); ``toy_diffusion`` rows agree across layouts within
 float32 rounding, because its matrix products see a different number of rows.
+Blocks are sized by state values (about 2**16, at most 512 rows, at least
+one init's members), so a state of 1,024 values steps 64 rows at a time, a
+smaller state more rows and a larger one fewer. Where that differs from a
+fixed 64-row layout, as on states under 1,024 values, ``toy_diffusion``
+trajectories move within float32 rounding.
 
 Row streams equal ``np.random.default_rng([seed, member, init])``. The
 SeedSequence hash of every row is computed in one vectorized pass per
@@ -30,6 +35,7 @@ changes the values drawn.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import operator
@@ -458,9 +464,12 @@ def train(
     return model
 
 
-# Upper bound on the init x member rows advanced together. It keeps the
-# per-row Generators and the batched temporaries of one block small.
-ROLLOUT_BLOCK_ROWS = 64
+# A rollout block holds about this many float64 state values (init x member
+# rows times values per state), so one step call does enough arithmetic to
+# outweigh its overhead, and never more than _BLOCK_MAX_ROWS rows, which
+# bounds the per-row Generators and prefetch buffers of one block.
+_BLOCK_VALUES = 1 << 16
+_BLOCK_MAX_ROWS = 512
 
 # Values per row that one refill of a _RowStreams buffer aims at. One
 # standard_normal call costs about as much as 100 normals, so small draws are
@@ -534,25 +543,31 @@ def _row_seed_states(seed: int, n_members: int, init_indices) -> np.ndarray:
     return _pool_state(np.stack(cols, axis=1))
 
 
-class _StateWords:
-    """Seed sequence that hands PCG64 the precomputed words it asks for."""
+@functools.cache
+def _state_words_type() -> type:
+    """A seed sequence type that hands PCG64 the precomputed words it asks for.
 
-    def __init__(self, words: np.ndarray):
-        self.words = words
+    It subclasses ``ISeedSequence``: the ABC caches the result of isinstance
+    for a subclass, but for a class registered with it every check walks the
+    registry again, about 0.35 us per Generator. The type is built on first
+    use, not at import, because numpy imports ``numpy.random`` lazily and
+    ``import stratacast`` should not load it.
+    """
 
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
+    class StateWords(np.random.bit_generator.ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return StateWords
 
 
 def _row_generators(words: np.ndarray) -> list[np.random.Generator]:
-    """One PCG64 Generator per row of ``_row_seed_states`` words.
-
-    ``_StateWords`` becomes a virtual ``ISeedSequence`` here rather than a
-    subclass at import time, because numpy imports ``numpy.random`` lazily
-    and ``import stratacast`` should not load it.
-    """
-    np.random.bit_generator.ISeedSequence.register(_StateWords)
-    return [np.random.Generator(np.random.PCG64(_StateWords(w))) for w in words]
+    """One PCG64 Generator per row of ``_row_seed_states`` words."""
+    state_words = _state_words_type()
+    return [np.random.Generator(np.random.PCG64(state_words(w))) for w in words]
 
 
 class _RowStreams:
@@ -591,6 +606,13 @@ class _RowStreams:
         return out.reshape(shape)
 
 
+def _inits_per_block(state_values: int, n_members: int) -> int:
+    """Inits per rollout block: about ``_BLOCK_VALUES`` state values, at most
+    ``_BLOCK_MAX_ROWS`` rows, and never fewer than one init's members."""
+    rows = min(_BLOCK_MAX_ROWS, _BLOCK_VALUES // max(state_values, 1))
+    return max(rows // max(n_members, 1), 1)
+
+
 def rollout(
     forecaster,
     ds: GriddedDataset,
@@ -604,8 +626,11 @@ def rollout(
 
     Member m of init i uses an rng derived from (seed, m, i), so members are
     independent and the whole forecast is bitwise reproducible. Inits are
-    advanced in blocks of at most ``ROLLOUT_BLOCK_ROWS`` init x member rows,
-    one ``forecaster.step`` call per block and step.
+    advanced in blocks of init x member rows, one ``forecaster.step`` call
+    per block and step. A block holds about 2**16 state values and at most
+    512 rows, but always at least one init's members: 512 rows on a
+    32-value state, 64 rows on a 1,024-value state, one init on a very
+    large state.
     """
     init_indices = [int(i) for i in init_indices]
     shape = ds.data.shape[1:]
@@ -614,7 +639,7 @@ def rollout(
     )
     step_dt = hours_delta(lead_stride_hours)
     words = _row_seed_states(seed, n_members, init_indices)
-    per_block = max(ROLLOUT_BLOCK_ROWS // max(n_members, 1), 1)
+    per_block = _inits_per_block(math.prod(shape), n_members)
     for start in range(0, len(init_indices), per_block):
         inits = init_indices[start : start + per_block]
         gens = _row_generators(words[start * n_members : (start + len(inits)) * n_members])

@@ -107,6 +107,39 @@ class TestDataErrors:
         assert "Traceback" not in r.stderr
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("block, key, value, what", [
+        ("split", "train_years", 2000, "a list of two integers"),
+        (None, "leads_days", 5, "a list of integers"),
+        (None, "fraction", None, "a finite number"),
+    ], ids=["train_years", "leads_days", "fraction"])
+    def test_run_config_bad_type_exits_2_naming_it(self, tmp_path, block, key, value, what):
+        d = {
+            "strategies": ["random"],
+            "forecaster": {"kind": "persistence"},
+            "split": {"train_years": [2000, 2000]},
+            "dataset_path": "x.ften",
+        }
+        (d[block] if block else d)[key] = value
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(d))
+        r = run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert r.returncode == 2
+        name = f"{block}.{key}" if block else key
+        assert f"run config key {name!r} must be {what}" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_lead_beyond_steps_exits_2_before_any_cell(self, tmp_path):
+        d = json.loads((PKG_ROOT / "benchmarks" / "synthetic_benchmark.json").read_text())
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(d, n_steps=3)))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "lead 5d outside 1..3 rollout steps" in err.getvalue()
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("hyper", [{"n_epoch": 1}, {"sigma_min": 3.0, "sigma_max": 0.5},
                                        {"n_sample_steps": 8.5}])
     def test_bad_hyperparameters_exit_2_before_training(self, data_dir, tmp_path, hyper):

@@ -200,6 +200,55 @@ class TestConfig:
         assert cfg.flat_grid is True
         assert not hasattr(cfg, "jobs")  # the file's retired "jobs" key is ignored
 
+    @pytest.mark.parametrize("leads, bad", [((0, 5), 0), ((5, 11), 11), ((-1,), -1)])
+    def test_lead_outside_steps_rejected(self, small_grid, leads, bad):
+        with pytest.raises(ExperimentError, match=rf"lead {bad}d outside 1\.\.10"):
+            base_config(small_grid, leads_days=leads, n_steps=10)
+
+    @pytest.mark.parametrize("key, value", [
+        ("strategies", "random"),
+        ("strategies", ["random", 3]),
+        ("split.train_years", [2000]),
+        ("split.train_years", [2000, "2001"]),
+        ("split.test_years", 2002),
+        ("split.val_years", [2000, True]),
+        ("forecaster", "persistence"),
+        ("forecaster.kind", ["persistence"]),
+        ("forecaster.hyperparameters", [1]),
+        ("dataset_path", 3),
+        ("leads_days", [5.0]),
+        ("fraction", "0.2"),
+        ("n_members", True),
+        ("n_seeds", None),
+        ("base_seed", [1]),
+        ("n_steps", float("inf")),
+        ("eval_stride_hours", {}),
+    ])
+    def test_from_json_bad_type_names_key(self, tmp_path, key, value):
+        d = {
+            "strategies": ["random"],
+            "forecaster": {"kind": "persistence"},
+            "split": {"train_years": [2000, 2001], "test_years": [2002, 2002]},
+            "dataset_path": "data/x.ften",
+        }
+        *block, name = key.split(".")
+        (d[block[0]] if block else d)[name] = value
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(d))
+        with pytest.raises(ExperimentError, match=rf"run config key '{key}' must be"):
+            ExperimentConfig.from_json(p)
+
+    def test_from_json_null_optional_years_accepted(self, tmp_path):
+        d = {
+            "strategies": ["random"],
+            "forecaster": {"kind": "persistence"},
+            "split": {"train_years": [2000, 2001], "val_years": None, "test_years": [2002, 2002]},
+            "dataset_path": "data/x.ften",
+        }
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(d))
+        assert ExperimentConfig.from_json(p).split.val_years is None
+
     def test_from_json_round_trip(self, tmp_path):
         d = {
             "strategies": ["random"],

@@ -1,6 +1,9 @@
 import math
+import subprocess
+import sys
 import tracemalloc
 from datetime import datetime, timedelta
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,9 +13,11 @@ from hypothesis import strategies as st
 from stratacast import forecast as forecast_mod
 from stratacast.dataset import DatasetError, GriddedDataset, GridSpec, SplitSpec
 from stratacast.forecast import (
+    ClimatologyForecaster,
     ForecastError,
     ForecasterSpec,
     PersistenceForecaster,
+    StochasticLinearForecaster,
     climatology_forecaster,
     load_forecast,
     load_forecaster,
@@ -475,6 +480,19 @@ def trained_models(small_grid):
     return ds, models
 
 
+class CountingSteps:
+    """Delegates to a forecaster and counts its step calls."""
+
+    def __init__(self, model):
+        self.model = model
+        self.kind = model.kind
+        self.calls = 0
+
+    def step(self, states, rng, valid_times):
+        self.calls += 1
+        return self.model.step(states, rng, valid_times)
+
+
 class TestBatchedRollout:
     INITS = [370, 400, 371, 450, 500, 600]
 
@@ -505,10 +523,14 @@ class TestBatchedRollout:
     @pytest.mark.parametrize("kind", ["climatology", "stochastic_linear", "toy_diffusion"])
     def test_many_blocks_equal_one_block(self, trained_models, kind, monkeypatch):
         ds, models = trained_models
-        one = rollout(models[kind], ds, self.INITS, n_members=3, n_steps=3, seed=1)
-        # 7 rows per block -> 2 inits (6 rows) per block, 3 blocks
-        monkeypatch.setattr(forecast_mod, "ROLLOUT_BLOCK_ROWS", 7)
-        many = rollout(models[kind], ds, self.INITS, n_members=3, n_steps=3, seed=1)
+        counted = CountingSteps(models[kind])
+        one = rollout(counted, ds, self.INITS, n_members=3, n_steps=3, seed=1)
+        assert counted.calls == 3  # 18 rows of 64 values: one block
+        # 7 rows of 64 values per block -> 2 inits (6 rows) per block, 3 blocks
+        monkeypatch.setattr(forecast_mod, "_BLOCK_VALUES", 7 * ds.data[0].size)
+        counted = CountingSteps(models[kind])
+        many = rollout(counted, ds, self.INITS, n_members=3, n_steps=3, seed=1)
+        assert counted.calls == 3 * 3
         if kind == "toy_diffusion":
             np.testing.assert_allclose(many.trajectories, one.trajectories,
                                        rtol=1e-6, atol=1e-6)
@@ -553,6 +575,49 @@ class TestBatchedRollout:
         assert a.trajectories.tobytes() == b.trajectories.tobytes()
 
 
+class TestBlockPlan:
+    @pytest.mark.parametrize("values, n_members, rows", [
+        (32, 8, 512),          # reference state: the row cap
+        (1024, 8, 64),         # desk state: 2**16 values
+        (1024, 3, 63),         # whole inits only
+        (10**6, 8, 8),         # very large state: one init
+        (32, 600, 600),        # more members than the row cap: one init
+        (1, 1, 512),
+    ])
+    def test_rows_per_block(self, values, n_members, rows):
+        assert forecast_mod._inits_per_block(values, n_members) * n_members == rows
+
+    @staticmethod
+    def forecaster(kind, shape, rng):
+        if kind == "persistence":
+            return PersistenceForecaster()
+        if kind == "climatology":
+            return ClimatologyForecaster(rng.normal(size=(12,) + shape), np.ones(12, bool))
+        a, b, resid = rng.normal(size=(3,) + shape)
+        return StochasticLinearForecaster(a, b, np.abs(resid), ["synthetic_0"])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["persistence", "climatology", "stochastic_linear"]),
+        values=st.integers(1, 4096),
+        n_members=st.integers(1, 9),
+        inits=st.lists(st.integers(0, 29), min_size=1, max_size=24),
+        seed=st.integers(0, 2**32),
+    )
+    def test_property_planned_layout_equals_one_init_blocks(
+        self, kind, values, n_members, inits, seed
+    ):
+        rng = np.random.default_rng(seed)
+        ds = series_ds(rng.normal(size=(30, 1, 1, values)))
+        model = self.forecaster(kind, ds.data.shape[1:], rng)
+        planned = rollout(model, ds, inits, n_members=n_members, n_steps=3, seed=seed)
+        with mock.patch.object(forecast_mod, "_BLOCK_VALUES", 0):
+            counted = CountingSteps(model)
+            single = rollout(counted, ds, inits, n_members=n_members, n_steps=3, seed=seed)
+        assert counted.calls == 3 * len(inits)
+        assert planned.trajectories.tobytes() == single.trajectories.tobytes()
+
+
 class TestRowSeeds:
     """``_row_seed_states`` against numpy's own SeedSequence."""
 
@@ -586,6 +651,17 @@ class TestRowSeeds:
         gen = forecast_mod._row_generators(words)[5]
         ref = np.random.default_rng([100, 2, 9])
         assert gen.standard_normal(50).tobytes() == ref.standard_normal(50).tobytes()
+
+    def test_state_words_type_is_a_real_subclass(self):
+        # a class registered with the ABC misses its isinstance cache, and
+        # PCG64 makes that check once per row Generator
+        state_words = forecast_mod._state_words_type()
+        assert np.random.bit_generator.ISeedSequence in state_words.__mro__
+        assert forecast_mod._state_words_type() is state_words
+
+    def test_import_does_not_load_numpy_random(self):
+        code = "import sys, stratacast; sys.exit('numpy.random' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
     @pytest.mark.parametrize("seed, inits", [(-1, [0, 1]), (0, [3, -1]), (0, [2**32])])
     def test_negative_seed_or_out_of_range_init_raises(self, seed, inits):
