@@ -9,6 +9,7 @@ STRATACAST_LOG environment variable (error/warn/info/debug).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -29,7 +30,7 @@ from .forecast import (
     save_forecaster,
     train,
 )
-from .metrics import MetricRecord, area_weights, evaluate_forecast, records_to_csv
+from .metrics import MetricError, MetricRecord, area_weights, evaluate_forecast, records_to_csv
 from .selection import STRATEGIES, SelectionBudget, SubsetSelection, run_strategy
 
 log = logging.getLogger("stratacast")
@@ -57,14 +58,6 @@ def _setup_logging():
 def _years(text: str) -> tuple[int, int]:
     lo, _, hi = text.partition(":")
     return (int(lo), int(hi or lo))
-
-
-def _split_from_args(args) -> SplitSpec:
-    return SplitSpec(
-        train_years=_years(args.train_years),
-        val_years=_years(args.val_years) if args.val_years else None,
-        test_years=_years(args.test_years) if args.test_years else None,
-    )
 
 
 def _add_common(p: argparse.ArgumentParser, seed_help="base random seed"):
@@ -134,9 +127,7 @@ def _load_standardized(path, train_years):
 def cmd_generate_data(args) -> int:
     cfg = json.loads(Path(args.config).read_text())
     ds = synthetic.generate(synthetic.SyntheticConfig.from_dict({"seed": args.seed, **cfg}))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = dsmod.save_dataset(ds, out / "synthetic.ften")
+    path = dsmod.save_dataset(ds, Path(args.out) / "synthetic.ften")
     log.info("wrote %s (%d steps)", path, ds.n_times)
     return 0
 
@@ -158,9 +149,7 @@ def cmd_train(args) -> int:
     sel = SubsetSelection.load(args.selection)
     spec = ForecasterSpec(args.forecaster, json.loads(args.hyper))
     model = train(spec, ds, sel, seed=args.seed, split=split)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    save_forecaster(model, out / f"{args.forecaster}")
+    save_forecaster(model, Path(args.out) / args.forecaster)
     return 0
 
 
@@ -170,9 +159,7 @@ def cmd_rollout(args) -> int:
     model = load_forecaster(args.model)
     inits = eval_init_times(ds, split, args.steps, 24.0)
     fc = rollout(model, ds, inits, args.members, n_steps=args.steps, seed=args.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    save_forecast(fc, out / "forecast")
+    save_forecast(fc, Path(args.out) / "forecast")
     return 0
 
 
@@ -191,16 +178,34 @@ def cmd_evaluate(args) -> int:
 def cmd_run(args) -> int:
     cfg = ExperimentConfig.from_json(args.config)
     if args.seed is not None:
-        cfg.base_seed = args.seed
+        cfg = dataclasses.replace(cfg, base_seed=args.seed)
     records = run_experiment(cfg, args.out)
     emit_report(records, args.out)
     return 0
 
 
+# records.json row keys and the JSON types of their values
+_RECORD_KEYS = {"method": str, "variable": str, "lead_days": int, "crps": (int, float),
+                "rmse": (int, float), "ssr": (int, float), "seed": (int, type(None))}
+
+
+def _read_records(path) -> list[MetricRecord]:
+    """The rows of a ``records.json``; a key that is missing, unknown or of
+    the wrong type raises MetricError naming it."""
+    rows = json.loads(Path(path).read_text())
+    if not isinstance(rows, list) or not all(isinstance(r, dict) for r in rows):
+        raise MetricError(f"{path} must hold a list of objects")
+    for row in rows:
+        for key in {**_RECORD_KEYS, **row}:
+            if key not in row or key not in _RECORD_KEYS:
+                raise MetricError(f"record {'lacks' if key not in row else 'has unknown'} key {key!r}")
+            if isinstance(row[key], bool) or not isinstance(row[key], _RECORD_KEYS[key]):
+                raise MetricError(f"record key {key!r} has a value of the wrong type: {row[key]!r}")
+    return [MetricRecord(**row) for row in rows]
+
+
 def cmd_report(args) -> int:
-    rows = json.loads(Path(args.records).read_text())
-    records = [MetricRecord(**r) for r in rows]
-    emit_report(records, args.out)
+    emit_report(_read_records(args.records), args.out)
     return 0
 
 

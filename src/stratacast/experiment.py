@@ -4,8 +4,8 @@ A config describes a dataset (file path or synthetic generator), a list of
 selection strategies, a forecaster and seed/ensemble settings. Every
 (strategy, seed) cell selects first; then the cells train, roll out and
 evaluate one after another. The full-data baseline is always included.
-Unknown config keys (such as the retired ``jobs``) are ignored. Records and
-per-variable report tables are written under the output directory.
+Unknown config keys are refused; the retired ``jobs`` is accepted and ignored.
+Records and per-variable report tables are written under the output directory.
 """
 
 from __future__ import annotations
@@ -56,7 +56,8 @@ def _dict(v) -> bool:
 
 
 # Run config keys in the order they are checked: what each must be, and
-# whether it is required. Optional keys are checked only when present.
+# whether it is required. Optional keys are checked only when present; a key
+# not listed here is refused.
 _KEY_RULES = {
     "strategies": (_list_of(lambda s: isinstance(s, str)), "a list of strings", True),
     "split": (_dict, "an object", True),
@@ -67,10 +68,16 @@ _KEY_RULES = {
     "forecaster.kind": (lambda v: isinstance(v, str), "a string", True),
     "forecaster.hyperparameters": (_dict, "an object", False),
     "dataset_path": (lambda v: v is None or isinstance(v, str), "a string", False),
+    "synthetic": (_dict, "an object", False),
     "leads_days": (_list_of(_int), "a list of integers", False),
     **{key: (_number, "a finite number", False) for key in (
         "fraction", "n_members", "n_seeds", "base_seed", "n_steps", "eval_stride_hours")},
+    "flat_grid": (lambda v: isinstance(v, bool), "true or false", False),
+    "jobs": (lambda v: True, "anything", False),  # retired; ignored
 }
+# the optional keys that are ExperimentConfig fields of the same name
+_FIELD_KEYS = ("fraction", "n_members", "n_seeds", "base_seed", "leads_days", "n_steps",
+               "eval_stride_hours", "flat_grid")
 
 
 @dataclass
@@ -90,12 +97,24 @@ class ExperimentConfig:
     flat_grid: bool = False
 
     def __post_init__(self):
+        """Refuses a config that cannot run, before any data is read; integral
+        float counts (``8.0``) are stored as ints."""
         if not self.strategies:
             raise ExperimentError("strategies must be non-empty")
-        if self.n_seeds < 1:
-            raise ExperimentError("n_seeds must be >= 1")
         if (self.dataset_path is None) == (self.synthetic is None):
             raise ExperimentError("exactly one of dataset_path / synthetic required")
+        for name, least in (("n_members", 1), ("n_seeds", 1), ("n_steps", 1), ("base_seed", 0)):
+            v = getattr(self, name)
+            if not (_number(v) and v == int(v) and v >= least):
+                raise ExperimentError(f"{name} must be an integer >= {least}, not {v!r}")
+            setattr(self, name, int(v))
+        if not (_number(self.fraction) and 0 < self.fraction <= 1):
+            raise ExperimentError(f"fraction must lie in (0, 1], not {self.fraction!r}")
+        if not (_number(self.eval_stride_hours) and self.eval_stride_hours > 0):
+            raise ExperimentError(f"eval_stride_hours must be > 0, not {self.eval_stride_hours!r}")
+        if not self.leads_days:
+            raise ExperimentError("leads_days must be non-empty")
+        self.fraction, self.leads_days = float(self.fraction), tuple(self.leads_days)
         for lead in self.leads_days:
             if not 1 <= lead <= self.n_steps:
                 raise ExperimentError(f"lead {lead}d outside 1..{self.n_steps} rollout steps")
@@ -104,6 +123,8 @@ class ExperimentConfig:
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
         path = Path(path)
         d = json.loads(path.read_text())
+        if not isinstance(d, dict):
+            raise ExperimentError("a run config must be a JSON object")
         for key, (ok, what, required) in _KEY_RULES.items():
             *block, name = key.split(".")
             holder = d[block[0]] if block else d
@@ -112,6 +133,9 @@ class ExperimentConfig:
                     raise ExperimentError(f"missing run config key {key!r}")
             elif not ok(holder[name]):
                 raise ExperimentError(f"run config key {key!r} must be {what}")
+        for key in [*d, *(f"{b}.{k}" for b in ("split", "forecaster") for k in d[b])]:
+            if key not in _KEY_RULES:
+                raise ExperimentError(f"unknown run config key {key!r}")
         synth = None
         if "synthetic" in d:
             synth = synthetic.SyntheticConfig.from_dict(d["synthetic"])
@@ -131,14 +155,7 @@ class ExperimentConfig:
             ),
             dataset_path=ds_path,
             synthetic=synth,
-            fraction=float(d.get("fraction", 0.2)),
-            n_members=int(d.get("n_members", 8)),
-            n_seeds=int(d.get("n_seeds", 1)),
-            base_seed=int(d.get("base_seed", 0)),
-            leads_days=tuple(d.get("leads_days", (5, 10))),
-            n_steps=int(d.get("n_steps", 10)),
-            eval_stride_hours=float(d.get("eval_stride_hours", 24.0)),
-            flat_grid=bool(d.get("flat_grid", False)),
+            **{key: d[key] for key in _FIELD_KEYS if key in d},  # else the field's default
         )
 
 

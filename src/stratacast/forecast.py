@@ -13,7 +13,8 @@ All forecasters expose ``step(states, rng, valid_times) -> next states`` over
 a block of rollout rows: ``states`` is [B, var, lat, lon] float64, row b of
 every ``rng.standard_normal((B, ...))`` draw comes from row b's own random
 stream, and ``valid_times`` is a [B] datetime64 array. Forecasters are
-immutable once trained.
+immutable once trained and hold only the arrays ``step`` reads; a saved
+forecaster is its kind and those arrays. Rollouts step one day at a time.
 
 Reproducibility: each (seed, member, init) row draws from its own Generator
 in a fixed order, so a rollout is bitwise reproducible for a fixed init/member
@@ -23,9 +24,7 @@ how they are blocked); ``toy_diffusion`` rows agree across layouts within
 float32 rounding, because its matrix products see a different number of rows.
 Blocks are sized by state values (about 2**16, at most 512 rows, at least
 one init's members), so a state of 1,024 values steps 64 rows at a time, a
-smaller state more rows and a larger one fewer. Where that differs from a
-fixed 64-row layout, as on states under 1,024 values, ``toy_diffusion``
-trajectories move within float32 rounding.
+smaller state more rows and a larger one fewer.
 
 Row streams equal ``np.random.default_rng([seed, member, init])``. The
 SeedSequence hash of every row is computed in one vectorized pass per
@@ -36,9 +35,9 @@ changes the values drawn.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import operator
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -110,38 +109,42 @@ class ForecasterSpec:
 
 @dataclass
 class EnsembleForecast:
-    """M-member rollout trajectories at a fixed lead stride.
+    """M-member rollout trajectories, one step per day.
 
     ``trajectories`` has shape [init, member, step, variable, lat, lon];
     step k is lead (k+1) * lead_stride_hours. Its values are finite:
     ``rollout`` checks every step and ``load_forecast`` checks the file.
     """
 
+    lead_stride_hours = 24.0  # training pairs are one day apart (day_offset)
+
     init_indices: list[int]
-    init_times: np.ndarray  # datetime64[us]
-    n_members: int
-    lead_stride_hours: float
-    n_steps: int
     trajectories: np.ndarray
-    member_seeds: list
 
     def __post_init__(self):
-        if len(set(map(tuple, self.member_seeds))) != len(self.member_seeds):
-            raise ForecastError("member seeds must be distinct")
+        if self.trajectories.ndim != 6 or len(self.trajectories) != len(self.init_indices):
+            raise ForecastError(f"{len(self.init_indices)} init indices for trajectories of shape "
+                                f"{self.trajectories.shape}; need 6-D, one init per index")
+
+    @property
+    def n_members(self) -> int:
+        return self.trajectories.shape[1]
+
+    @property
+    def n_steps(self) -> int:
+        return self.trajectories.shape[2]
 
 
-def _pairs_from_subset(
-    ds: GriddedDataset, subset: SubsetSelection
-) -> tuple[np.ndarray, int, int]:
+def _pairs_from_subset(ds: GriddedDataset, subset: SubsetSelection) -> tuple[np.ndarray, int]:
+    """The subset's indices that have a successor ``off`` (one day) later in ``ds``, and off."""
     off = day_offset(ds)
     idx = np.asarray(subset.indices, dtype=np.int64)
-    ok = idx + off < ds.n_times
-    dropped = int((~ok).sum())
-    return idx[ok], off, dropped
+    return idx[idx + off < ds.n_times], off
 
 
 class PersistenceForecaster:
     kind = "persistence"
+    arrays = ()
 
     def step(self, states, rng, valid_times):
         return states
@@ -151,17 +154,13 @@ class ClimatologyForecaster:
     """Emits the monthly-mean training field for the valid time's month."""
 
     kind = "climatology"
+    arrays = ("monthly_means",)
 
-    def __init__(self, monthly_means: np.ndarray, present: np.ndarray):
+    def __init__(self, monthly_means: np.ndarray):
         self.monthly_means = monthly_means  # [12, var, lat, lon]
-        self.present = present
 
     def step(self, states, rng, valid_times):
-        m = valid_times.astype("datetime64[M]").astype(np.int64) % 12
-        missing = m[~self.present[m]]
-        if missing.size:
-            raise ForecastError(f"no training data for month {missing[0] + 1}")
-        return self.monthly_means[m]
+        return self.monthly_means[valid_times.astype("datetime64[M]").astype(np.int64) % 12]
 
 
 def climatology_forecaster(ds: GriddedDataset, split: SplitSpec) -> ClimatologyForecaster:
@@ -169,31 +168,24 @@ def climatology_forecaster(ds: GriddedDataset, split: SplitSpec) -> ClimatologyF
     if idx.size == 0:
         raise ForecastError("empty training split")
     months = ds.months()[idx]
-    shape = ds.data.shape[1:]
-    means = np.zeros((12,) + shape, dtype=np.float64)
-    present = np.zeros(12, dtype=bool)
-    for m in range(12):
-        sel = idx[months == m + 1]
-        if sel.size:
-            means[m] = ds.data[sel].astype(np.float64).mean(axis=0)
-            present[m] = True
-    if not present.all():
-        missing = [m + 1 for m in range(12) if not present[m]]
+    missing = np.setdiff1d(np.arange(1, 13), months).tolist()
+    if missing:
         raise ForecastError(f"training split has no data for months {missing}")
-    return ClimatologyForecaster(means, present)
+    return ClimatologyForecaster(np.stack([
+        ds.data[idx[months == m]].astype(np.float64).mean(axis=0) for m in range(1, 13)
+    ]))
 
 
 class StochasticLinearForecaster:
     """Per-variable, per-cell x_{t+24h} ~ a*x_t + b plus Gaussian residual noise."""
 
     kind = "stochastic_linear"
+    arrays = ("a", "b", "resid_std")
 
-    def __init__(self, a: np.ndarray, b: np.ndarray, resid_std: np.ndarray,
-                 variables: list[str]):
+    def __init__(self, a: np.ndarray, b: np.ndarray, resid_std: np.ndarray):
         self.a = a
         self.b = b
         self.resid_std = resid_std
-        self.variables = variables
 
     def step(self, states, rng, valid_times):
         # (a * x + b) + resid_std * z, as three operations on one new array;
@@ -240,9 +232,7 @@ def _fit_stochastic_linear(
         resid = y - (a[lo:hi] * x + b[lo:hi])
         resid_std[lo:hi] = resid.std(axis=0)
     shape = ds.data.shape[1:]
-    return StochasticLinearForecaster(
-        a.reshape(shape), b.reshape(shape), resid_std.reshape(shape), list(ds.variables)
-    )
+    return StochasticLinearForecaster(a.reshape(shape), b.reshape(shape), resid_std.reshape(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -262,11 +252,11 @@ class ToyDiffusionForecaster:
     """
 
     kind = "toy_diffusion"
+    arrays = ("w1", "b1", "w2", "b2", "sample_sigmas")
 
-    def __init__(self, w1, b1, w2, b2, hyper: dict, state_shape: tuple):
+    def __init__(self, w1, b1, w2, b2, sample_sigmas):
         self.w1, self.b1, self.w2, self.b2 = w1, b1, w2, b2
-        self.hyper = hyper
-        self.state_shape = state_shape
+        self.sample_sigmas = sample_sigmas  # noise levels of ``sample``, high to low
         self.training_losses: list[float] = []
 
     def sample(self, cond_flat: np.ndarray, rng) -> np.ndarray:
@@ -276,9 +266,7 @@ class ToyDiffusionForecaster:
         ``cond @ w1[:D] + b1`` is the same at every noise level, so it is
         computed once per call.
         """
-        sig = _log_linear_sigmas(
-            self.hyper["sigma_max"], self.hyper["sigma_min"], self.hyper["n_sample_steps"]
-        )
+        sig = self.sample_sigmas
         d = cond_flat.shape[1]
         w_noisy, w_sigma = self.w1[d : 2 * d], self.w1[2 * d]
         cond_h = cond_flat @ self.w1[:d] + self.b1
@@ -358,7 +346,10 @@ def _train_toy_diffusion(
     gh_buf = np.empty((rows_max, h))
     scratch = np.empty((2, min(_ADAM_CHUNK, theta.size)))
 
-    model = ToyDiffusionForecaster(w1, b1, w2, b2, hp, ds.data.shape[1:])
+    model = ToyDiffusionForecaster(
+        w1, b1, w2, b2,
+        _log_linear_sigmas(hp["sigma_max"], hp["sigma_min"], hp["n_sample_steps"]),
+    )
 
     for epoch in range(n_epochs):
         order = rng.permutation(pair_idx.size)
@@ -440,7 +431,7 @@ def train(
     """Train a forecaster of the requested kind on the subset's t -> t+24h pairs.
 
     ``ds`` must be the training view only; pairs whose successor falls outside
-    it are dropped (the count is recorded on the forecaster).
+    it are dropped.
     """
     if spec.kind == "persistence":
         return PersistenceForecaster()
@@ -450,18 +441,15 @@ def train(
         return climatology_forecaster(ds, split)
     if subset is None:
         raise ForecastError(f"{spec.kind} needs a training subset")
-    pair_idx, off, dropped = _pairs_from_subset(ds, subset)
+    pair_idx, off = _pairs_from_subset(ds, subset)
     if pair_idx.size < 2:
         raise ForecastError(
             f"only {pair_idx.size} usable training pairs for {spec.kind}"
         )
     if spec.kind == "stochastic_linear":
         lam = float(spec.hyperparameters.get("ridge_lambda", 1e-3))
-        model = _fit_stochastic_linear(ds, pair_idx, off, lam)
-    else:
-        model = _train_toy_diffusion(ds, pair_idx, off, spec.hyperparameters, seed)
-    model.dropped_pairs = dropped
-    return model
+        return _fit_stochastic_linear(ds, pair_idx, off, lam)
+    return _train_toy_diffusion(ds, pair_idx, off, spec.hyperparameters, seed)
 
 
 # A rollout block holds about this many float64 state values (init x member
@@ -620,9 +608,9 @@ def rollout(
     n_members: int,
     n_steps: int = 10,
     seed: int = 0,
-    lead_stride_hours: float = 24.0,
 ) -> EnsembleForecast:
-    """Autoregressive ensemble rollout from standardized initial states.
+    """Autoregressive ensemble rollout from standardized initial states, one
+    step per day, as the forecasters are trained.
 
     Member m of init i uses an rng derived from (seed, m, i), so members are
     independent and the whole forecast is bitwise reproducible. Inits are
@@ -637,7 +625,7 @@ def rollout(
     traj = np.empty(
         (len(init_indices), n_members, n_steps) + shape, dtype=np.float32
     )
-    step_dt = hours_delta(lead_stride_hours)
+    step_dt = hours_delta(EnsembleForecast.lead_stride_hours)
     words = _row_seed_states(seed, n_members, init_indices)
     per_block = _inits_per_block(math.prod(shape), n_members)
     for start in range(0, len(init_indices), per_block):
@@ -657,20 +645,20 @@ def rollout(
                     f"non-finite state at init {inits[ii]}, member {m}, step {k}"
                 )
             out[:, :, k] = states.reshape((len(inits), n_members) + shape)
-    return EnsembleForecast(
-        init_indices=init_indices,
-        init_times=ds.timestamps[init_indices],
-        n_members=n_members,
-        lead_stride_hours=lead_stride_hours,
-        n_steps=n_steps,
-        trajectories=traj,
-        member_seeds=[(seed, m) for m in range(n_members)],
-    )
+    return EnsembleForecast(init_indices, traj)
 
 
 # ---------------------------------------------------------------------------
-# Serialization: one ``<prefix>.npz`` per forecast or forecaster
+# Serialization: one ``<prefix>.npz`` of named arrays per forecast or forecaster
 # ---------------------------------------------------------------------------
+
+# kind -> forecaster class; each class lists, in ``arrays``, the constructor
+# arguments its file holds
+_FORECASTERS = {cls.kind: cls for cls in (
+    PersistenceForecaster, ClimatologyForecaster, StochasticLinearForecaster,
+    ToyDiffusionForecaster,
+)}
+
 
 def _write_npz(prefix: str | Path, **entries) -> None:
     path = Path(prefix).with_suffix(".npz")
@@ -678,72 +666,54 @@ def _write_npz(prefix: str | Path, **entries) -> None:
     np.savez(path, **entries)
 
 
-def save_forecast(fc: EnsembleForecast, prefix: str | Path) -> None:
-    """Write ``<prefix>.npz``: float32 trajectories and the forecast's metadata.
+class _Entries(dict):
+    """The arrays of one npz file by name; a missing one raises ForecastError."""
 
-    Member seeds are stored as JSON, since a seed may exceed 64 bits.
-    """
+    def __init__(self, path: Path, entries):
+        super().__init__(entries)
+        self.path = path
+
+    def __missing__(self, name):
+        raise ForecastError(f"{self.path} has no entry {name!r}")
+
+
+def _read_npz(prefix: str | Path) -> _Entries:
+    path = Path(prefix).with_suffix(".npz")
+    try:
+        with np.load(path, allow_pickle=False) as z:
+            return _Entries(path, z)
+    except (zipfile.BadZipFile, EOFError) as e:
+        raise ForecastError(f"{path} is not an npz file: {e}") from e
+
+
+def save_forecast(fc: EnsembleForecast, prefix: str | Path) -> None:
+    """Write ``<prefix>.npz``: float32 ``trajectories`` and ``init_indices``."""
     _write_npz(
         prefix,
         trajectories=np.asarray(fc.trajectories, dtype=np.float32),
         init_indices=np.asarray(fc.init_indices, dtype=np.int64),
-        init_times=np.asarray(fc.init_times, dtype="datetime64[us]"),
-        n_members=fc.n_members,
-        lead_stride_hours=fc.lead_stride_hours,
-        n_steps=fc.n_steps,
-        member_seeds=json.dumps([list(s) for s in fc.member_seeds]),
     )
 
 
 def load_forecast(prefix: str | Path) -> EnsembleForecast:
-    with np.load(Path(prefix).with_suffix(".npz"), allow_pickle=False) as z:
-        traj = z["trajectories"]
-        if not np.isfinite(traj).all():
-            raise ForecastError("non-finite trajectory values")
-        return EnsembleForecast(
-            init_indices=z["init_indices"].tolist(),
-            init_times=z["init_times"],
-            n_members=int(z["n_members"]),
-            lead_stride_hours=float(z["lead_stride_hours"]),
-            n_steps=int(z["n_steps"]),
-            trajectories=traj,
-            member_seeds=[tuple(s) for s in json.loads(str(z["member_seeds"]))],
-        )
+    z = _read_npz(prefix)
+    if not np.isfinite(z["trajectories"]).all():
+        raise ForecastError("non-finite trajectory values")
+    return EnsembleForecast(z["init_indices"].reshape(-1).tolist(), z["trajectories"])
 
 
 def save_forecaster(model, prefix: str | Path) -> None:
-    """Write ``<prefix>.npz``: the kind and the model's float64 arrays (lossless),
-    plus ``hyper`` as JSON and ``state_shape`` for ``toy_diffusion``."""
-    if model.kind == "persistence":
-        entries = {}
-    elif model.kind == "climatology":
-        entries = {"monthly_means": model.monthly_means}
-    elif model.kind == "stochastic_linear":
-        entries = {"a": model.a, "b": model.b, "resid_std": model.resid_std,
-                   "variables": model.variables}
-    elif model.kind == "toy_diffusion":
-        entries = {"w1": model.w1, "b1": model.b1, "w2": model.w2, "b2": model.b2,
-                   "hyper": json.dumps(model.hyper), "state_shape": model.state_shape}
-    else:
-        raise ForecastError(f"cannot serialize kind {model.kind!r}")
-    _write_npz(prefix, kind=model.kind, **entries)
+    """Write ``<prefix>.npz``: the ``kind`` and the float64 arrays its class
+    lists, losslessly."""
+    if type(model) is not _FORECASTERS.get(getattr(model, "kind", None)):
+        raise ForecastError(f"cannot serialize {type(model).__name__}")
+    _write_npz(prefix, kind=model.kind, **{name: getattr(model, name) for name in model.arrays})
 
 
 def load_forecaster(prefix: str | Path):
-    with np.load(Path(prefix).with_suffix(".npz"), allow_pickle=False) as z:
-        kind = str(z.get("kind"))  # a file without one is an unknown kind
-        if kind == "persistence":
-            return PersistenceForecaster()
-        if kind == "climatology":
-            return ClimatologyForecaster(z["monthly_means"], np.ones(12, dtype=bool))
-        if kind == "stochastic_linear":
-            return StochasticLinearForecaster(
-                z["a"], z["b"], z["resid_std"], z["variables"].tolist()
-            )
-        if kind == "toy_diffusion":
-            return ToyDiffusionForecaster(
-                z["w1"], z["b1"], z["w2"], z["b2"],
-                hyper=json.loads(str(z["hyper"])),
-                state_shape=tuple(z["state_shape"].tolist()),
-            )
-    raise ForecastError(f"unknown serialized kind {kind!r}")
+    z = _read_npz(prefix)
+    kind = str(z.get("kind"))  # a file without one is an unknown kind
+    if kind not in _FORECASTERS:
+        raise ForecastError(f"unknown serialized kind {kind!r}")
+    cls = _FORECASTERS[kind]
+    return cls(*(z[name] for name in cls.arrays))

@@ -100,8 +100,8 @@ class MetricRecord:
     seed: int | None = None
 
     def __post_init__(self):
-        if not 1 <= self.lead_days <= 10:
-            raise MetricError(f"lead_days {self.lead_days} outside 1..10")
+        if type(self.lead_days) is not int or self.lead_days < 1:
+            raise MetricError(f"lead_days {self.lead_days!r} is not an integer >= 1")
         for name in ("crps", "rmse", "ssr"):
             if not np.isfinite(getattr(self, name)):
                 raise MetricError(f"non-finite {name} for {self.method}/{self.variable}")
@@ -159,11 +159,10 @@ def evaluate_forecast(
         w = np.ones((truth.grid.n_lat, truth.grid.n_lon))
     records = []
     for lead in leads_days:
-        lead_hours = lead * 24
-        step = int(round(lead_hours / forecast.lead_stride_hours)) - 1
+        step = int(lead) - 1  # rollouts step one day at a time
         if not 0 <= step < forecast.n_steps:
             raise MetricError(f"lead {lead}d not covered by {forecast.n_steps} steps")
-        truth_idx = _target_indices(truth, forecast.init_indices, lead_hours)
+        truth_idx = _target_indices(truth, forecast.init_indices, lead * 24)
         for v, name in enumerate(truth.variables):
             # members: [M, case, lat, lon]; RMSE takes the float32 ensemble
             # mean, CRPS and SSR share one float64 cast

@@ -17,6 +17,8 @@ import numpy as np
 
 from .dataset import DatasetError, GriddedDataset, GridSpec, hours_delta
 
+N_REGIMES = 12  # one regime pattern per calendar month
+
 
 @dataclass(frozen=True)
 class SyntheticConfig:
@@ -28,11 +30,16 @@ class SyntheticConfig:
     ar1_coefficient: float
     noise_std: float
     seed: int
-    n_regimes: int = 12  # one pattern per calendar month
     n_variables: int = 1
     start_year: int = 2000
 
     def __post_init__(self):
+        for f in dataclasses.fields(self)[1:]:  # all but the grid: "int" or "float"
+            v = getattr(self, f.name)
+            ok = isinstance(v, int) or (f.type == "float" and isinstance(v, float) and math.isfinite(v))
+            if isinstance(v, bool) or not ok:
+                what = "an integer" if f.type == "int" else "a finite number"
+                raise DatasetError(f"synthetic config key {f.name!r} must be {what}, not {v!r}")
         if not self.stride_hours > 0:
             raise DatasetError("stride_hours must be > 0")
         if not 0.0 <= self.ar1_coefficient < 1.0:
@@ -41,10 +48,8 @@ class SyntheticConfig:
             raise DatasetError("noise_std must be >= 0")
         if self.n_years < 1:
             raise DatasetError("n_years must be >= 1")
-        if self.n_regimes != 12:
-            raise DatasetError("regimes are tied to calendar months; n_regimes must be 12")
-        if self.n_regimes > self.grid.n_cells:
-            raise DatasetError("grid too small to orthogonalize 12 regime patterns")
+        if self.grid.n_cells < N_REGIMES:
+            raise DatasetError(f"grid too small to orthogonalize {N_REGIMES} regime patterns")
 
     @classmethod
     def from_dict(cls, d: dict) -> "SyntheticConfig":
@@ -80,9 +85,9 @@ def cell_phases(cfg: SyntheticConfig, var: int) -> np.ndarray:
 def regime_patterns(cfg: SyntheticConfig, var: int) -> np.ndarray:
     """12 x n_cells monthly patterns, Gram-Schmidt orthogonal, unit RMS per cell."""
     rng = np.random.default_rng([cfg.seed, var, 1])
-    raw = rng.standard_normal((cfg.n_regimes, cfg.grid.n_cells))
+    raw = rng.standard_normal((N_REGIMES, cfg.grid.n_cells))
     out = np.empty_like(raw)
-    for i in range(cfg.n_regimes):
+    for i in range(N_REGIMES):
         p = raw[i]
         for j in range(i):
             p = p - (p @ out[j]) / (out[j] @ out[j]) * out[j]

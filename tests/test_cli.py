@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from stratacast import dataset as dsmod
@@ -19,6 +20,13 @@ def run_cli(*args, cwd=None):
         [sys.executable, "-m", "stratacast.cli", *args],
         capture_output=True, text=True, cwd=cwd or PKG_ROOT,
     )
+
+
+def _rewrite_npz(path, drop=None, **put):
+    """Rewrite the npz file at ``path`` without entry ``drop`` and with ``put``."""
+    with np.load(path) as z:
+        entries = {k: z[k] for k in z.files if k != drop}
+    np.savez(path, **entries, **put)
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +137,67 @@ class TestDataErrors:
         assert "Traceback" not in r.stderr
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("over, message", [
+        ({"n_seed": 2}, "unknown run config key 'n_seed'"),
+        ({"split": {"train_years": [2000, 2000], "tset_years": [2001, 2001]}},
+         "unknown run config key 'split.tset_years'"),
+        ({"forecaster": {"kind": "persistence", "hyper": {}}},
+         "unknown run config key 'forecaster.hyper'"),
+        ({"flat_grid": "false"}, "run config key 'flat_grid' must be true or false"),
+        ({"n_members": 2.5}, "n_members must be an integer >= 1, not 2.5"),
+        ({"n_members": 0}, "n_members must be an integer >= 1, not 0"),
+        ({"n_steps": 0, "leads_days": []}, "n_steps must be an integer >= 1, not 0"),
+        ({"leads_days": []}, "leads_days must be non-empty"),
+        ({"base_seed": -1}, "base_seed must be an integer >= 0, not -1"),
+        ({"fraction": 2.0}, "fraction must lie in (0, 1], not 2.0"),
+        ({"eval_stride_hours": 0}, "eval_stride_hours must be > 0, not 0"),
+    ], ids=["unknown", "unknown_split", "unknown_forecaster", "flat_grid", "fractional_count",
+            "no_members", "no_steps", "no_leads", "negative_seed", "fraction", "eval_stride"])
+    def test_run_config_that_cannot_run_exits_2_before_data(self, tmp_path, over, message):
+        # dataset_path names no file: each config is refused before it is read
+        d = dict({
+            "strategies": ["random"],
+            "forecaster": {"kind": "persistence"},
+            "split": {"train_years": [2000, 2000]},
+            "dataset_path": "x.ften",
+        }, **over)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(d))
+        r = run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert r.returncode == 2
+        assert message in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_run_negative_seed_flag_exits_2(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text((PKG_ROOT / "benchmarks" / "synthetic_benchmark.json").read_text())
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["run", "--config", str(cfg), "--seed", "-1",
+                         "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "base_seed must be an integer >= 0, not -1" in err.getvalue()
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda row: row.update(extra=1), "record has unknown key 'extra'"),
+        (lambda row: row.pop("crps"), "record lacks key 'crps'"),
+        (lambda row: row.update(lead_days="5"), "record key 'lead_days' has a value of the wrong"),
+        (lambda row: row.update(seed=1.5), "record key 'seed' has a value of the wrong"),
+    ], ids=["extra_key", "missing_key", "string_lead", "float_seed"])
+    def test_report_bad_records_exit_2_naming_key(self, tmp_path, change, message):
+        rows = [{"method": "random", "variable": "v", "lead_days": 5,
+                 "crps": 1.0, "rmse": 2.0, "ssr": 0.5, "seed": 0} for _ in range(2)]
+        change(rows[1])
+        (tmp_path / "records.json").write_text(json.dumps(rows))
+        r = run_cli("report", "--records", str(tmp_path / "records.json"),
+                    "--out", str(tmp_path / "out"))
+        assert r.returncode == 2
+        assert message in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not (tmp_path / "out").exists()
+
     def test_lead_beyond_steps_exits_2_before_any_cell(self, tmp_path):
         d = json.loads((PKG_ROOT / "benchmarks" / "synthetic_benchmark.json").read_text())
         cfg = tmp_path / "cfg.json"
@@ -166,7 +235,12 @@ class TestDataErrors:
         ({"n_yeers": 2}, "n_years", "n_yeers"),
         ({}, "noise_std", "noise_std"),
         ({"with_static": True}, None, "with_static"),
-    ], ids=["misspelt", "missing", "with_static"])
+        ({"n_regimes": 12}, None, "n_regimes"),
+        ({"n_years": "2"}, None, "n_years"),
+        ({"noise_std": "0.4"}, None, "noise_std"),
+        ({"n_years": 1.5}, None, "n_years"),
+    ], ids=["misspelt", "missing", "with_static", "n_regimes", "string_count", "string_number",
+            "fractional_count"])
     def test_bad_synthetic_key_exits_2_naming_it(self, synth_config, tmp_path,
                                                  command, add, drop, key):
         synth = dict(json.loads(synth_config.read_text()), seed=1, **add)
@@ -250,6 +324,72 @@ class TestPipeline:
             run_rows = [r.replace("random,1,", "random,", 1)
                         for r in by_seed if r.startswith("random,1,")]
             assert run_rows == lines[1:], kind
+
+    @pytest.mark.parametrize("kind, entry, message", [
+        ("persistence", "kind", "unknown serialized kind 'None'"),
+        ("climatology", "monthly_means", "has no entry 'monthly_means'"),
+        ("stochastic_linear", "resid_std", "has no entry 'resid_std'"),
+        ("toy_diffusion", "sample_sigmas", "has no entry 'sample_sigmas'"),
+    ])
+    def test_forecaster_file_missing_entry_exits_2(self, data_dir, tmp_path, kind, entry,
+                                                   message):
+        data = str(data_dir / "synthetic.ften")
+        assert main(["select", "--data", data, "--strategy", "random",
+                     "--train-years", "2000:2000", "--out", str(tmp_path)]) == 0
+        hyper = {"n_epochs": 1, "hidden_width": 4} if kind == "toy_diffusion" else {}
+        assert main(["train", "--data", data, "--selection", str(tmp_path / "random_seed0.json"),
+                     "--forecaster", kind, "--hyper", json.dumps(hyper),
+                     "--train-years", "2000:2000", "--out", str(tmp_path)]) == 0
+        _rewrite_npz(tmp_path / f"{kind}.npz", drop=entry)
+        r = run_cli("rollout", "--data", data, "--model", str(tmp_path / kind),
+                    "--train-years", "2000:2000", "--test-years", "2001:2001",
+                    "--out", str(tmp_path / "fc"))
+        assert r.returncode == 2
+        assert message in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not (tmp_path / "fc").exists()
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda p: _rewrite_npz(p, drop="init_indices"), "has no entry 'init_indices'"),
+        (lambda p: _rewrite_npz(p, drop="trajectories"), "has no entry 'trajectories'"),
+        (lambda p: p.write_bytes(p.read_bytes()[:200]), "not an npz file"),
+        (lambda p: _rewrite_npz(p, drop="init_indices", init_indices=np.arange(3)),
+         "3 init indices for trajectories of shape"),
+    ], ids=["no_inits", "no_trajectories", "truncated", "init_count"])
+    def test_bad_forecast_file_exits_2(self, data_dir, tmp_path, damage, message):
+        data = str(data_dir / "synthetic.ften")
+        assert main(["select", "--data", data, "--strategy", "random",
+                     "--train-years", "2000:2000", "--out", str(tmp_path)]) == 0
+        assert main(["train", "--data", data, "--selection", str(tmp_path / "random_seed0.json"),
+                     "--forecaster", "persistence",
+                     "--train-years", "2000:2000", "--out", str(tmp_path)]) == 0
+        assert main(["rollout", "--data", data, "--model", str(tmp_path / "persistence"),
+                     "--members", "2", "--train-years", "2000:2000",
+                     "--test-years", "2001:2001", "--out", str(tmp_path)]) == 0
+        damage(tmp_path / "forecast.npz")
+        r = run_cli("evaluate", "--data", data, "--forecast", str(tmp_path / "forecast"),
+                    "--train-years", "2000:2000", "--out", str(tmp_path / "scores"))
+        assert r.returncode == 2
+        assert message in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not (tmp_path / "scores").exists()
+
+    def test_run_scores_leads_past_ten_days(self, data_dir, tmp_path):
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({
+            "strategies": ["random"],
+            "forecaster": {"kind": "persistence"},
+            "split": {"train_years": [2000, 2000], "test_years": [2001, 2001]},
+            "dataset_path": str(data_dir / "synthetic.ften"),
+            "n_members": 2.0,
+            "n_steps": 12,
+            "leads_days": [12],
+            "eval_stride_hours": 240,
+        }))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 0
+        rows = (tmp_path / "out" / "metrics.csv").read_text().split("\n")[1:-1]
+        assert [r.split(",")[:3] for r in rows] == [
+            ["full", "synthetic_0", "12"], ["random", "synthetic_0", "12"]]
 
     def test_rollout_with_no_valid_inits_exits_2(self, data_dir, tmp_path):
         data = str(data_dir / "synthetic.ften")

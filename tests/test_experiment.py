@@ -205,6 +205,43 @@ class TestConfig:
         with pytest.raises(ExperimentError, match=rf"lead {bad}d outside 1\.\.10"):
             base_config(small_grid, leads_days=leads, n_steps=10)
 
+    @pytest.mark.parametrize("over, message", [
+        ({"n_members": 2.5}, "n_members must be an integer >= 1, not 2.5"),
+        ({"n_members": 0}, "n_members must be an integer >= 1, not 0"),
+        ({"n_seeds": 0}, "n_seeds must be an integer >= 1, not 0"),
+        ({"n_steps": 0, "leads_days": ()}, "n_steps must be an integer >= 1, not 0"),
+        ({"base_seed": -1}, "base_seed must be an integer >= 0, not -1"),
+        ({"fraction": 0.0}, "fraction must lie in (0, 1], not 0.0"),
+        ({"fraction": 2.0}, "fraction must lie in (0, 1], not 2.0"),
+        ({"eval_stride_hours": 0.0}, "eval_stride_hours must be > 0, not 0.0"),
+        ({"leads_days": ()}, "leads_days must be non-empty"),
+    ])
+    def test_config_that_cannot_run_rejected(self, small_grid, over, message):
+        with pytest.raises(ExperimentError) as e:
+            base_config(small_grid, **over)
+        assert str(e.value) == message
+
+    def test_integral_float_counts_stored_as_int(self, small_grid):
+        cfg = base_config(small_grid, n_members=8.0, n_seeds=2.0, n_steps=12.0, base_seed=3.0)
+        counts = (cfg.n_members, cfg.n_seeds, cfg.n_steps, cfg.base_seed)
+        assert counts == (8, 2, 12, 3) and all(type(v) is int for v in counts)
+
+    @pytest.mark.parametrize("key", ["n_seed", "split.tset_years", "forecaster.hyper"])
+    def test_from_json_unknown_key_named(self, tmp_path, key):
+        d = {
+            "strategies": ["random"],
+            "forecaster": {"kind": "persistence"},
+            "split": {"train_years": [2000, 2001], "test_years": [2002, 2002]},
+            "dataset_path": "data/x.ften",
+            "jobs": 4,  # retired, still accepted
+        }
+        *block, name = key.split(".")
+        (d[block[0]] if block else d)[name] = 1
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(d))
+        with pytest.raises(ExperimentError, match=f"unknown run config key {key!r}"):
+            ExperimentConfig.from_json(p)
+
     @pytest.mark.parametrize("key, value", [
         ("strategies", "random"),
         ("strategies", ["random", 3]),
@@ -223,6 +260,9 @@ class TestConfig:
         ("base_seed", [1]),
         ("n_steps", float("inf")),
         ("eval_stride_hours", {}),
+        ("flat_grid", "false"),
+        ("flat_grid", 1),
+        ("synthetic", [1]),
     ])
     def test_from_json_bad_type_names_key(self, tmp_path, key, value):
         d = {

@@ -14,6 +14,7 @@ from stratacast import forecast as forecast_mod
 from stratacast.dataset import DatasetError, GriddedDataset, GridSpec, SplitSpec
 from stratacast.forecast import (
     ClimatologyForecaster,
+    EnsembleForecast,
     ForecastError,
     ForecasterSpec,
     PersistenceForecaster,
@@ -135,7 +136,7 @@ class TestStochasticLinearOracle:
     def test_step_equals_three_operation_form(self, rows, shape, seed):
         rng = np.random.default_rng(seed)
         a, b, std = rng.standard_normal((3,) + shape)
-        model = forecast_mod.StochasticLinearForecaster(a, b, np.abs(std), ["v"])
+        model = forecast_mod.StochasticLinearForecaster(a, b, np.abs(std))
         states = rng.standard_normal((rows,) + shape) * 10.0
         got = model.step(states, np.random.default_rng(seed), None)
         noise = np.random.default_rng(seed).standard_normal(states.shape)
@@ -148,7 +149,7 @@ class TestStochasticLinearOracle:
         monkeypatch.setattr(forecast_mod, "_FIT_CHUNK_VALUES", chunk_values)
         sel = SubsetSelection("full", list(range(300)), 1.0, 0)
         model = train(ForecasterSpec("stochastic_linear"), two_var_grid, sel)
-        pair_idx, off, _ = forecast_mod._pairs_from_subset(two_var_grid, sel)
+        pair_idx, off = forecast_mod._pairs_from_subset(two_var_grid, sel)
         want = _reference_fit(two_var_grid, pair_idx, off, 1e-3)
         for got, ref in zip((model.a, model.b, model.resid_std), want):
             assert got.tobytes() == ref.tobytes()
@@ -196,6 +197,16 @@ class TestClimatology:
         ds = series_ds(np.random.default_rng(4).normal(size=40))  # ~6 weeks only
         with pytest.raises(ForecastError, match="months"):
             climatology_forecaster(ds, SplitSpec((2000, 2000)))
+
+    @pytest.mark.parametrize("start, n_days, missing", [
+        (datetime(2000, 3, 1), 400, [1, 2]),              # training year from March
+        (datetime(2000, 1, 1), 60, list(range(3, 13))),  # January and February only
+    ])
+    def test_missing_months_listed(self, start, n_days, missing):
+        ds = series_ds(np.random.default_rng(4).normal(size=n_days), start=start)
+        with pytest.raises(ForecastError) as e:
+            climatology_forecaster(ds, SplitSpec((2000, 2000)))
+        assert str(e.value) == f"training split has no data for months {missing}"
 
 
 class TestRollout:
@@ -255,14 +266,40 @@ class TestRollout:
         assert [p.name for p in tmp_path.iterdir()] == ["f.npz"]
         back = load_forecast(tmp_path / "f")
         assert back.trajectories.tobytes() == fc.trajectories.tobytes()
-        assert np.array_equal(back.init_times, fc.init_times)
         assert (back.init_indices, back.n_members, back.lead_stride_hours, back.n_steps) == (
             fc.init_indices, fc.n_members, fc.lead_stride_hours, fc.n_steps
         )
-        # member seeds are kept exactly, also past 64 bits
-        big = rollout(PersistenceForecaster(), ds, [3], n_members=2, n_steps=4, seed=2**64 + 5)
-        save_forecast(big, tmp_path / "g")
-        assert load_forecast(tmp_path / "g").member_seeds == big.member_seeds
+
+    @pytest.mark.parametrize("entry", ["init_indices", "trajectories"])
+    def test_load_names_missing_entry(self, tmp_path, entry):
+        ds = series_ds(np.random.default_rng(11).normal(size=300))
+        save_forecast(rollout(PersistenceForecaster(), ds, [3, 9], 2, 4, seed=5), tmp_path / "f")
+        _drop_entry(tmp_path / "f.npz", entry)
+        with pytest.raises(ForecastError, match=f"has no entry {entry!r}"):
+            load_forecast(tmp_path / "f")
+
+    @pytest.mark.parametrize("inits", [[3], [3, 9, 12]])
+    def test_load_rejects_init_count_mismatch(self, tmp_path, inits):
+        ds = series_ds(np.random.default_rng(11).normal(size=300))
+        fc = rollout(PersistenceForecaster(), ds, [3, 9], n_members=2, n_steps=4, seed=5)
+        np.savez(tmp_path / "f.npz", trajectories=fc.trajectories, init_indices=np.array(inits))
+        with pytest.raises(ForecastError, match=rf"^{len(inits)} init indices for trajectories"):
+            load_forecast(tmp_path / "f")
+        with pytest.raises(ForecastError, match="6-D"):
+            EnsembleForecast([3, 9], fc.trajectories[:, 0])
+
+    def test_shape_gives_members_and_steps(self):
+        fc = EnsembleForecast([4, 8], np.zeros((2, 3, 5, 1, 2, 2), dtype=np.float32))
+        assert (fc.n_members, fc.n_steps, fc.lead_stride_hours) == (3, 5, 24.0)
+
+    @pytest.mark.parametrize("size", [0, 100])
+    def test_load_rejects_truncated_file(self, tmp_path, size):
+        ds = series_ds(np.random.default_rng(11).normal(size=300))
+        save_forecast(rollout(PersistenceForecaster(), ds, [3, 9], 2, 4, seed=5), tmp_path / "f")
+        path = tmp_path / "f.npz"
+        path.write_bytes(path.read_bytes()[:size])
+        with pytest.raises(ForecastError, match="not an npz file"):
+            load_forecast(tmp_path / "f")
 
     def test_load_rejects_non_finite_trajectory(self, tmp_path):
         ds = series_ds(np.random.default_rng(11).normal(size=300))
@@ -401,7 +438,7 @@ class TestDiffusionTrainingOracle:
     def check(self, ds, sel, hyper, seed=0):
         spec = ForecasterSpec("toy_diffusion", hyper)
         model = train(spec, ds, sel, seed=seed)
-        pair_idx, off, _ = forecast_mod._pairs_from_subset(ds, sel)
+        pair_idx, off = forecast_mod._pairs_from_subset(ds, sel)
         *weights, losses = _reference_train(ds, pair_idx, off, spec.hyperparameters, seed)
         for got, want in zip((model.w1, model.b1, model.w2, model.b2), weights):
             assert np.array_equal(got, want)
@@ -478,6 +515,18 @@ def trained_models(small_grid):
         for kind in ("persistence", "climatology", "stochastic_linear", "toy_diffusion")
     }
     return ds, models
+
+
+def _drop_entry(path, entry):
+    """Rewrite the npz file at ``path`` without ``entry``."""
+    with np.load(path) as z:
+        entries = {k: z[k] for k in z.files if k != entry}
+    np.savez(path, **entries)
+
+
+# every entry of every forecaster file, the kind included
+FORECASTER_ENTRIES = [(kind, entry) for kind, cls in forecast_mod._FORECASTERS.items()
+                      for entry in ("kind", *cls.arrays)]
 
 
 class CountingSteps:
@@ -562,6 +611,14 @@ class TestBatchedRollout:
         with pytest.raises(ForecastError, match="unknown serialized kind"):
             load_forecaster(tmp_path / "f")
 
+    @pytest.mark.parametrize("kind, entry", FORECASTER_ENTRIES)
+    def test_load_forecaster_names_missing_entry(self, trained_models, kind, entry, tmp_path):
+        save_forecaster(trained_models[1][kind], tmp_path / kind)
+        _drop_entry(tmp_path / f"{kind}.npz", entry)
+        match = "unknown serialized kind 'None'" if entry == "kind" else f"has no entry {entry!r}"
+        with pytest.raises(ForecastError, match=match):
+            load_forecaster(tmp_path / kind)
+
     @pytest.mark.parametrize(
         "kind", ["persistence", "climatology", "stochastic_linear", "toy_diffusion"]
     )
@@ -592,9 +649,9 @@ class TestBlockPlan:
         if kind == "persistence":
             return PersistenceForecaster()
         if kind == "climatology":
-            return ClimatologyForecaster(rng.normal(size=(12,) + shape), np.ones(12, bool))
+            return ClimatologyForecaster(rng.normal(size=(12,) + shape))
         a, b, resid = rng.normal(size=(3,) + shape)
-        return StochasticLinearForecaster(a, b, np.abs(resid), ["synthetic_0"])
+        return StochasticLinearForecaster(a, b, np.abs(resid))
 
     @settings(max_examples=40, deadline=None)
     @given(

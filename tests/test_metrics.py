@@ -192,8 +192,11 @@ class TestMetricRecord:
         assert lines[1] == "random,z500,5,267.02,571.24,0.85"
 
     def test_lead_bounds(self):
-        with pytest.raises(MetricError):
-            MetricRecord("x", "z500", 11, 1.0, 1.0, 1.0)
+        # any integer lead >= 1: rollouts may run past 10 days
+        assert MetricRecord("x", "z500", 12, 1.0, 1.0, 1.0).lead_days == 12
+        for lead in (0, -1, "5", 5.0, True):
+            with pytest.raises(MetricError, match="lead_days"):
+                MetricRecord("x", "z500", lead, 1.0, 1.0, 1.0)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(MetricError):
@@ -255,11 +258,7 @@ def forecast_cases(draw):
     traj = rng.standard_normal((n_init, m, 2, n_var, n_lat, n_lon)).astype(np.float32)
     if draw(st.booleans()):
         traj[:, :, :, :, 0, 0] = 0.5  # ties among the members, zero spread
-    fc = EnsembleForecast(
-        init_indices=list(range(n_init)), init_times=truth.timestamps[:n_init],
-        n_members=m, lead_stride_hours=24.0, n_steps=2, trajectories=traj,
-        member_seeds=[(0, i) for i in range(m)],
-    )
+    fc = EnsembleForecast(init_indices=list(range(n_init)), trajectories=traj)
     w = area_weights(truth.grid, flat=draw(st.booleans()))
     return fc, truth, w
 
@@ -291,10 +290,7 @@ class TestOneStepTruth:
             data=np.array([[[[1.0], [2.0]]]]),
         )
         fc = EnsembleForecast(
-            init_indices=[0], init_times=truth.timestamps, n_members=2,
-            lead_stride_hours=24.0, n_steps=5,
-            trajectories=np.zeros((1, 2, 5, 1, 2, 1), dtype=np.float32),
-            member_seeds=[(0, 0), (0, 1)],
+            init_indices=[0], trajectories=np.zeros((1, 2, 5, 1, 2, 1), dtype=np.float32)
         )
         with pytest.raises(DatasetError, match="timestamp 2001-03-06 00:00:00 not in dataset"):
             evaluate_forecast(fc, truth, leads_days=(5,))

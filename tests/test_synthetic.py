@@ -107,6 +107,25 @@ def test_config_validation(small_grid):
         )
 
 
+@pytest.mark.parametrize("key, value, what", [
+    ("n_years", "2", "an integer"),
+    ("n_years", 1.5, "an integer"),
+    ("seed", True, "an integer"),
+    ("noise_std", "0.4", "a finite number"),
+    ("regime_amplitude", float("nan"), "a finite number"),
+])
+def test_field_types_checked(toy_config, key, value, what):
+    with pytest.raises(DatasetError, match=f"synthetic config key {key!r} must be {what}"):
+        dataclasses.replace(toy_config, **{key: value})
+
+
+def test_grid_needs_a_cell_per_regime():
+    grid = GridSpec(np.array([0.0]), np.linspace(0.0, 300.0, synthetic.N_REGIMES - 1))
+    with pytest.raises(DatasetError, match="grid too small"):
+        SyntheticConfig(grid=grid, n_years=1, stride_hours=24, seasonal_amplitude=1.0,
+                        regime_amplitude=1.0, ar1_coefficient=0.5, noise_std=1.0, seed=0)
+
+
 def _reference_fields(cfg):
     """The generator's fields built over the whole series at once: the loop
     of the unchunked ``generate``, kept verbatim as the oracle, with its
