@@ -19,7 +19,8 @@ from pathlib import Path
 from . import dataset as dsmod
 from . import synthetic
 from .dataset import SplitSpec
-from .experiment import ExperimentConfig, emit_report, eval_init_times, run_experiment
+from .experiment import (ExperimentConfig, emit_report, eval_init_times, load_standardized,
+                         run_experiment, training_candidates, whole_number)
 from .forecast import (
     VALID_KINDS,
     ForecasterSpec,
@@ -31,7 +32,7 @@ from .forecast import (
     train,
 )
 from .metrics import MetricError, MetricRecord, area_weights, evaluate_forecast, records_to_csv
-from .selection import STRATEGIES, SelectionBudget, SubsetSelection, run_strategy
+from .selection import STRATEGIES, SelectionBudget, SelectionError, SubsetSelection, run_strategy
 
 log = logging.getLogger("stratacast")
 
@@ -117,13 +118,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_standardized(path, train_years):
-    ds = dsmod.load_dataset(path)
-    split = SplitSpec(train_years=train_years)
-    stats = dsmod.fit_standardization(ds, split)
-    return dsmod.standardize(ds, stats), split
-
-
 def cmd_generate_data(args) -> int:
     cfg = json.loads(Path(args.config).read_text())
     ds = synthetic.generate(synthetic.SyntheticConfig.from_dict({"seed": args.seed, **cfg}))
@@ -133,8 +127,9 @@ def cmd_generate_data(args) -> int:
 
 
 def cmd_select(args) -> int:
-    ds, split = _load_standardized(args.data, _years(args.train_years))
-    candidates = dsmod.valid_init_times(ds, split, which="train", max_lead_hours=24.0)
+    split = SplitSpec(_years(args.train_years))
+    ds = load_standardized(args.data, split)
+    candidates = training_candidates(ds, split)
     sel = run_strategy(
         args.strategy, ds, candidates, SelectionBudget(args.fraction), args.seed
     )
@@ -145,8 +140,16 @@ def cmd_select(args) -> int:
 
 
 def cmd_train(args) -> int:
-    ds, split = _load_standardized(args.data, _years(args.train_years))
+    split = SplitSpec(_years(args.train_years))
+    ds = load_standardized(args.data, split)
     sel = SubsetSelection.load(args.selection)
+    candidates = set(training_candidates(ds, split))
+    outside = [i for i in sel.indices if i not in candidates]
+    if outside:
+        raise SelectionError(
+            f"{args.selection}: index {outside[0]} is not a training candidate of "
+            f"{args.data} for train years {args.train_years}"
+        )
     spec = ForecasterSpec(args.forecaster, json.loads(args.hyper))
     model = train(spec, ds, sel, seed=args.seed, split=split)
     save_forecaster(model, Path(args.out) / args.forecaster)
@@ -154,8 +157,10 @@ def cmd_train(args) -> int:
 
 
 def cmd_rollout(args) -> int:
-    ds, split = _load_standardized(args.data, _years(args.train_years))
-    split = SplitSpec(train_years=split.train_years, test_years=_years(args.test_years))
+    whole_number("n_members", args.members, 1)
+    whole_number("n_steps", args.steps, 1)
+    split = SplitSpec(_years(args.train_years), test_years=_years(args.test_years))
+    ds = load_standardized(args.data, split)
     model = load_forecaster(args.model)
     inits = eval_init_times(ds, split, args.steps, 24.0)
     fc = rollout(model, ds, inits, args.members, n_steps=args.steps, seed=args.seed)
@@ -164,7 +169,7 @@ def cmd_rollout(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    ds, _ = _load_standardized(args.data, _years(args.train_years))
+    ds = load_standardized(args.data, SplitSpec(_years(args.train_years)))
     fc = load_forecast(args.forecast)
     w = area_weights(ds.grid, flat=args.flat_grid)
     leads = [int(x) for x in args.leads.split(",")]

@@ -4,8 +4,7 @@ A dataset's time axis is one ``datetime64[us]`` array: calendar months,
 years, the stride and forecast init windows are array arithmetic on it. Its
 invariants (shape, variable names, constant stride, finite values) are
 checked once, when a ``GriddedDataset`` is built; ``load_dataset``,
-``synthetic.generate`` and ``standardize`` build one, and ``slice_time``
-views of it are not re-checked.
+``synthetic.generate`` and ``standardize`` build one.
 
 The on-disk container is a minimal binary tensor file ("FTEN"): magic bytes,
 a version word, four little-endian u32 dims (time, var, lat, lon) and a flat
@@ -18,7 +17,6 @@ format, is ignored on read.
 
 from __future__ import annotations
 
-import copy
 import json
 import re
 import struct
@@ -139,15 +137,6 @@ class GriddedDataset:
             raise DatasetError("stride undefined for a single-timestep dataset")
         stride = self.timestamps[1] - self.timestamps[0]
         return float(stride / np.timedelta64(1, "s") / 3600.0)
-
-    def slice_time(self, start: int, stop: int) -> "GriddedDataset":
-        """View of a contiguous time range [start, stop). Data is not copied,
-        and the view is not re-checked."""
-        view = copy.copy(self)
-        view.variables = list(self.variables)
-        view.timestamps = self.timestamps[start:stop]
-        view.data = self.data[start:stop]
-        return view
 
     def months(self) -> np.ndarray:
         """Calendar month (1..12) of every timestamp."""

@@ -23,7 +23,7 @@ from . import synthetic
 from .dataset import GriddedDataset, SplitSpec
 from .forecast import ForecasterSpec, rollout, train
 from .metrics import MetricRecord, area_weights, evaluate_forecast, records_to_csv
-from .selection import SelectionBudget, SubsetSelection, run_strategy
+from .selection import FULL, STRATEGIES, SelectionBudget, SubsetSelection, run_strategy
 
 log = logging.getLogger("stratacast")
 
@@ -38,6 +38,14 @@ def _int(v) -> bool:
 
 def _number(v) -> bool:
     return _int(v) or (isinstance(v, float) and math.isfinite(v))
+
+
+def whole_number(name: str, v, least: int) -> int:
+    """``v`` as an int; raises naming ``name`` unless it is a whole number
+    >= ``least`` (integral floats such as ``8.0`` pass)."""
+    if not (_number(v) and v == int(v) and v >= least):
+        raise ExperimentError(f"{name} must be an integer >= {least}, not {v!r}")
+    return int(v)
 
 
 def _list_of(ok, n=None):
@@ -101,13 +109,13 @@ class ExperimentConfig:
         float counts (``8.0``) are stored as ints."""
         if not self.strategies:
             raise ExperimentError("strategies must be non-empty")
+        for name in self.strategies:
+            if name not in STRATEGIES:
+                raise ExperimentError(f"unknown strategy {name!r}; known: {', '.join(STRATEGIES)}")
         if (self.dataset_path is None) == (self.synthetic is None):
             raise ExperimentError("exactly one of dataset_path / synthetic required")
         for name, least in (("n_members", 1), ("n_seeds", 1), ("n_steps", 1), ("base_seed", 0)):
-            v = getattr(self, name)
-            if not (_number(v) and v == int(v) and v >= least):
-                raise ExperimentError(f"{name} must be an integer >= {least}, not {v!r}")
-            setattr(self, name, int(v))
+            setattr(self, name, whole_number(name, getattr(self, name), least))
         if not (_number(self.fraction) and 0 < self.fraction <= 1):
             raise ExperimentError(f"fraction must lie in (0, 1], not {self.fraction!r}")
         if not (_number(self.eval_stride_hours) and self.eval_stride_hours > 0):
@@ -159,14 +167,27 @@ class ExperimentConfig:
         )
 
 
-def _load_standardized(cfg: ExperimentConfig) -> GriddedDataset:
-    """The config's dataset, standardized on its training split; the raw
-    archive is freed when this returns."""
-    if cfg.dataset_path is not None:
-        raw = dsmod.load_dataset(cfg.dataset_path)
+def load_standardized(
+    source: str | Path | synthetic.SyntheticConfig, split: SplitSpec
+) -> GriddedDataset:
+    """The dataset file at ``source`` (or generated from a synthetic config),
+    standardized on the split's training years; the raw archive is freed
+    when this returns."""
+    if isinstance(source, synthetic.SyntheticConfig):
+        raw = synthetic.generate(source)
     else:
-        raw = synthetic.generate(cfg.synthetic)
-    return dsmod.standardize(raw, dsmod.fit_standardization(raw, cfg.split))
+        raw = dsmod.load_dataset(source)
+    return dsmod.standardize(raw, dsmod.fit_standardization(raw, split))
+
+
+def training_candidates(ds: GriddedDataset, split: SplitSpec) -> list[int]:
+    """Indices of ``ds`` that may be selected for training: the training
+    split less its first and last 24 h, so every candidate has a day of
+    history and its 24 h successor in the split; raises when there are none."""
+    candidates = dsmod.valid_init_times(ds, split, "train", max_lead_hours=24.0)
+    if not candidates:
+        raise ExperimentError("training split yields no candidate times")
+    return candidates
 
 
 def eval_init_times(
@@ -186,23 +207,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> list[MetricRec
     out_dir = Path(out_dir)
     (out_dir / "selections").mkdir(parents=True, exist_ok=True)
 
-    ds = _load_standardized(cfg)
-
-    train_idx = dsmod.split_time_indices(ds, cfg.split.train_years)
-    if train_idx.size == 0:
-        raise ExperimentError("empty training split")
-    train_view = ds.slice_time(int(train_idx[0]), int(train_idx[-1]) + 1)
-    candidates = dsmod.valid_init_times(
-        train_view, cfg.split, which="train", max_lead_hours=24.0, history_hours=24.0
-    )
-    if not candidates:
-        raise ExperimentError("training split yields no candidate times")
+    source = cfg.synthetic if cfg.dataset_path is None else cfg.dataset_path
+    ds = load_standardized(source, cfg.split)
+    candidates = training_candidates(ds, cfg.split)
     eval_inits = eval_init_times(ds, cfg.split, cfg.n_steps, cfg.eval_stride_hours)
     w = area_weights(ds.grid, flat=cfg.flat_grid)
 
     strategies = list(cfg.strategies)
-    if "full" not in strategies:
-        strategies.insert(0, "full")
+    if FULL not in strategies:
+        strategies.insert(0, FULL)
     budget = SelectionBudget(cfg.fraction)
 
     # Every cell selects before any cell trains, so the PCA transient of
@@ -211,13 +224,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> list[MetricRec
     # per stage frees a cell's model and forecast before the next cell.
     def select(strategy: str, seed: int) -> SubsetSelection:
         log.info("cell select: strategy=%s seed=%d", strategy, seed)
-        sel = run_strategy(strategy, train_view, candidates, budget, seed)
+        sel = run_strategy(strategy, ds, candidates, budget, seed)
         sel.save(out_dir / "selections" / f"{strategy}_seed{seed}.json")
         return sel
 
     def score(strategy: str, seed: int, sel: SubsetSelection) -> list[MetricRecord]:
         log.info("cell start: strategy=%s seed=%d", strategy, seed)
-        model = train(cfg.forecaster, train_view, sel, seed=seed, split=cfg.split)
+        model = train(cfg.forecaster, ds, sel, seed=seed, split=cfg.split)
         fc = rollout(model, ds, eval_inits, cfg.n_members, n_steps=cfg.n_steps, seed=seed)
         return evaluate_forecast(
             fc, ds, leads_days=cfg.leads_days, w=w, method=strategy, seed=seed

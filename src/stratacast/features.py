@@ -109,16 +109,10 @@ def default_pca_dims(n: int, d: int) -> int:
     return min(64, n, d)
 
 
-def spatial_mean_matrix(
-    ds: GriddedDataset, times, weights: np.ndarray | None = None
-) -> np.ndarray:
-    """Per-variable (area-weighted) spatial mean, one row per time index."""
+def spatial_mean_matrix(ds: GriddedDataset, times) -> np.ndarray:
+    """Per-variable spatial mean (unweighted), one row per time index."""
     times = np.asarray(times, dtype=np.int64)
-    fields = ds.data[times].astype(np.float64)
-    if weights is None:
-        return fields.mean(axis=(2, 3))
-    w = np.asarray(weights, dtype=np.float64)
-    return (fields * w).sum(axis=(2, 3)) / w.sum()
+    return ds.data[times].astype(np.float64).mean(axis=(2, 3))
 
 
 def cosine_distance(a: np.ndarray, b: np.ndarray) -> float:

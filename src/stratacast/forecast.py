@@ -142,9 +142,13 @@ def _pairs_from_subset(ds: GriddedDataset, subset: SubsetSelection) -> tuple[np.
     return idx[idx + off < ds.n_times], off
 
 
+# The dimensions of a state: (variable, lat, lon).
+STATE_DIMS = ("var", "lat", "lon")
+
+
 class PersistenceForecaster:
     kind = "persistence"
-    arrays = ()
+    arrays = {}
 
     def step(self, states, rng, valid_times):
         return states
@@ -154,7 +158,7 @@ class ClimatologyForecaster:
     """Emits the monthly-mean training field for the valid time's month."""
 
     kind = "climatology"
-    arrays = ("monthly_means",)
+    arrays = {"monthly_means": (12, *STATE_DIMS)}
 
     def __init__(self, monthly_means: np.ndarray):
         self.monthly_means = monthly_means  # [12, var, lat, lon]
@@ -165,9 +169,7 @@ class ClimatologyForecaster:
 
 def climatology_forecaster(ds: GriddedDataset, split: SplitSpec) -> ClimatologyForecaster:
     idx = split_time_indices(ds, split.train_years)
-    if idx.size == 0:
-        raise ForecastError("empty training split")
-    months = ds.months()[idx]
+    months = ds.months()[idx]  # an empty split misses every month
     missing = np.setdiff1d(np.arange(1, 13), months).tolist()
     if missing:
         raise ForecastError(f"training split has no data for months {missing}")
@@ -180,7 +182,7 @@ class StochasticLinearForecaster:
     """Per-variable, per-cell x_{t+24h} ~ a*x_t + b plus Gaussian residual noise."""
 
     kind = "stochastic_linear"
-    arrays = ("a", "b", "resid_std")
+    arrays = {"a": STATE_DIMS, "b": STATE_DIMS, "resid_std": STATE_DIMS}
 
     def __init__(self, a: np.ndarray, b: np.ndarray, resid_std: np.ndarray):
         self.a = a
@@ -252,7 +254,9 @@ class ToyDiffusionForecaster:
     """
 
     kind = "toy_diffusion"
-    arrays = ("w1", "b1", "w2", "b2", "sample_sigmas")
+    # "values" is the flattened state size; w1 takes [state, noisy state, log sigma]
+    arrays = {"w1": (lambda sizes: 2 * sizes["values"] + 1, "hidden"), "b1": ("hidden",),
+              "w2": ("hidden", "values"), "b2": ("values",), "sample_sigmas": ("levels",)}
 
     def __init__(self, w1, b1, w2, b2, sample_sigmas):
         self.w1, self.b1, self.w2, self.b2 = w1, b1, w2, b2
@@ -430,8 +434,9 @@ def train(
 ):
     """Train a forecaster of the requested kind on the subset's t -> t+24h pairs.
 
-    ``ds`` must be the training view only; pairs whose successor falls outside
-    it are dropped.
+    The subset holds indices of ``ds``, the whole dataset. A pair whose
+    successor falls past the end of ``ds`` is dropped; training candidates
+    (``experiment.training_candidates``) all have theirs in the training split.
     """
     if spec.kind == "persistence":
         return PersistenceForecaster()
@@ -618,10 +623,13 @@ def rollout(
     per block and step. A block holds about 2**16 state values and at most
     512 rows, but always at least one init's members: 512 rows on a
     32-value state, 64 rows on a 1,024-value state, one init on a very
-    large state.
+    large state. A forecaster whose state dimensions are not the data's is
+    refused, naming the entry.
     """
     init_indices = [int(i) for i in init_indices]
     shape = ds.data.shape[1:]
+    _check_shapes(getattr(forecaster, "arrays", {}), vars(forecaster), "forecaster",
+                  dict(zip(STATE_DIMS, shape), values=math.prod(shape)))
     traj = np.empty(
         (len(init_indices), n_members, n_steps) + shape, dtype=np.float32
     )
@@ -653,7 +661,9 @@ def rollout(
 # ---------------------------------------------------------------------------
 
 # kind -> forecaster class; each class lists, in ``arrays``, the constructor
-# arguments its file holds
+# arguments its file holds and the dimensions of each: an int is a fixed
+# size, a name is a size that every entry having it shares, and a function
+# gives the size from the named ones
 _FORECASTERS = {cls.kind: cls for cls in (
     PersistenceForecaster, ClimatologyForecaster, StochasticLinearForecaster,
     ToyDiffusionForecaster,
@@ -716,4 +726,31 @@ def load_forecaster(prefix: str | Path):
     if kind not in _FORECASTERS:
         raise ForecastError(f"unknown serialized kind {kind!r}")
     cls = _FORECASTERS[kind]
+    _check_shapes(cls.arrays, z, str(z.path))
     return cls(*(z[name] for name in cls.arrays))
+
+
+def _check_shapes(dims: dict, arrays, where: str, sizes: dict | None = None) -> None:
+    """Raises ForecastError naming the first of a forecaster's ``arrays``
+    whose shape does not fit the ``dims`` its class lists, with the shapes of
+    all. A named dimension has its size in ``sizes`` or, failing that, in the
+    first entry that has it."""
+    shapes = {name: np.shape(arrays[name]) for name in dims}
+    sizes = dict(sizes or {})
+
+    def refuse(name, want):
+        listing = ", ".join(f"{n} {shape}" for n, shape in shapes.items())
+        raise ForecastError(f"{where} entry {name!r} has shape {shapes[name]}, not {want} "
+                            f"(entry shapes: {listing})")
+
+    for name, spec in dims.items():
+        if len(shapes[name]) != len(spec):
+            refuse(name, f"{len(spec)}-D")
+        for d, n in zip(spec, shapes[name]):
+            if isinstance(d, str):
+                sizes.setdefault(d, n)
+    for name, spec in dims.items():
+        want = tuple(sizes[d] if isinstance(d, str) else d(sizes) if callable(d) else d
+                     for d in spec)
+        if shapes[name] != want:
+            refuse(name, want)

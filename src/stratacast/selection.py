@@ -1,10 +1,13 @@
 """Data-subset selection strategies behind one common interface.
 
-Every strategy has the signature
-``select_<name>(ds, candidate_times, budget, seed, **kw) -> SubsetSelection``
-and returns exactly ``budget.target_count(len(candidates))`` unique candidate
-indices, reproducibly for a fixed seed. Ties break to the lowest candidate
-index everywhere.
+``run_strategy(name, ds, candidate_times, budget, seed)`` is the one way in:
+it checks the candidates and the budget, calls the strategy registered under
+``name`` in ``STRATEGIES`` and names the result after that key. A strategy
+is ``pick(ds, cand, k, seed) -> (indices, metadata)``: it chooses exactly k
+unique entries of the int64 candidate array ``cand``, reproducibly for a
+fixed seed, and may describe its choice in a metadata dict. Ties break to
+the lowest candidate index everywhere. Candidates and selections are indices
+of ``ds`` itself.
 
 The k-means-based strategies reproduce only under a fixed BLAS build and
 thread count: ``kmeans`` takes its distances from a matrix product whose
@@ -14,6 +17,7 @@ between identical centroids.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import weakref
@@ -76,24 +80,19 @@ class SubsetSelection:
 
     @classmethod
     def load(cls, path: str | Path) -> "SubsetSelection":
+        """Read a selection file; one that lacks a key or holds a value of the
+        wrong type raises SelectionError."""
         d = json.loads(Path(path).read_text())
-        return cls(
-            strategy=d["strategy"],
-            indices=[int(i) for i in d["indices"]],
-            fraction=float(d["fraction"]),
-            seed=int(d["seed"]),
-            metadata=d.get("metadata", {}),
-        )
-
-
-def _check_candidates(candidates, budget: SelectionBudget) -> tuple[np.ndarray, int]:
-    cand = np.asarray(candidates, dtype=np.int64)
-    if cand.size == 0:
-        raise SelectionError("no candidate times")
-    k = budget.target_count(cand.size)
-    if k > cand.size:
-        raise SelectionError(f"budget {k} exceeds {cand.size} candidates")
-    return cand, k
+        try:
+            return cls(
+                strategy=d["strategy"],
+                indices=[int(i) for i in d["indices"]],
+                fraction=float(d["fraction"]),
+                seed=int(d["seed"]),
+                metadata=d.get("metadata", {}),
+            )
+        except (KeyError, TypeError) as e:
+            raise SelectionError(f"{path} is not a selection file ({type(e).__name__}: {e})") from None
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +164,7 @@ def _random_pick(rng: np.random.Generator):
 # ---------------------------------------------------------------------------
 
 # One-entry memo of pca_features: (weakref to ds, candidate bytes, features).
-# run_experiment hands every cell the same dataset view and candidates, so the
+# run_experiment hands every cell the same dataset and candidates, so the
 # kmeans and herding cells of every seed share one SVD. The weakref keeps no
 # dataset alive; the entry holds one feature array until the next miss.
 _pca_memo: tuple | None = None
@@ -238,13 +237,14 @@ def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
     return centers
 
 
+# Lloyd iterations stop after this many rounds, or once no centroid moves
+# by more than the tolerance.
+_KMEANS_MAX_ITER = 100
+_KMEANS_TOL = 1e-6
+
+
 def kmeans(
-    x: np.ndarray,
-    k: int,
-    rng: np.random.Generator,
-    init: str = "kmeans++",
-    max_iter: int = 100,
-    tol: float = 1e-6,
+    x: np.ndarray, k: int, rng: np.random.Generator, init: str = "kmeans++"
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lloyd's algorithm; returns (centers, assignment).
 
@@ -272,13 +272,13 @@ def kmeans(
         return np.maximum(d, 0.0, out=d)
 
     assign = np.zeros(n, dtype=np.int64)
-    for _ in range(max_iter):
+    for _ in range(_KMEANS_MAX_ITER):
         d2 = _dist2(centers)
         assign = np.argmin(d2, axis=1)
         new_centers = _lloyd_means(x, assign, k, d2[np.arange(n), assign])
         shift = float(np.max(np.linalg.norm(new_centers - centers, axis=1)))
         centers = new_centers
-        if shift < tol:
+        if shift < _KMEANS_TOL:
             break
     assign = np.argmin(_dist2(centers), axis=1)
     return centers, assign
@@ -337,44 +337,34 @@ def nearest_to_centroids(
     return out
 
 
+
+
 # ---------------------------------------------------------------------------
-# Strategies
+# Strategies: pick(ds, cand, k, seed) -> (indices, metadata)
 # ---------------------------------------------------------------------------
 
-def select_full(ds, candidate_times, budget=None, seed: int = 0) -> SubsetSelection:
-    cand = np.asarray(candidate_times, dtype=np.int64)
-    if cand.size == 0:
-        raise SelectionError("no candidate times")
-    return SubsetSelection("full", [int(i) for i in cand], 1.0, seed)
+def _full(ds, cand, k, seed):
+    # run_strategy gives the full-data baseline the budget 1.0: k is cand.size
+    return cand, {}
 
 
-def select_random(ds, candidate_times, budget, seed: int) -> SubsetSelection:
-    cand, k = _check_candidates(candidate_times, budget)
+def _random(ds, cand, k, seed):
     if k == cand.size:
-        chosen = cand
-    else:
-        rng = np.random.default_rng(seed)
-        chosen = rng.choice(cand, size=k, replace=False)
-    return SubsetSelection("random", [int(i) for i in chosen], budget.fraction, seed)
+        return cand, {}
+    return np.random.default_rng(seed).choice(cand, size=k, replace=False), {}
 
 
-def select_stratified_time(ds, candidate_times, budget, seed: int) -> SubsetSelection:
-    cand, k = _check_candidates(candidate_times, budget)
+def _stratified_time(ds, cand, k, seed):
     rng = np.random.default_rng(seed)
-    chosen = _stratified(cand, k, ds.months()[cand] - 1, _random_pick(rng))
-    return SubsetSelection("stratified_time", chosen, budget.fraction, seed)
+    return _stratified(cand, k, ds.months()[cand] - 1, _random_pick(rng)), {}
 
 
-def select_kmeans_coreset(ds, candidate_times, budget, seed: int) -> SubsetSelection:
-    cand, k = _check_candidates(candidate_times, budget)
+def _kmeans_coreset(ds, cand, k, seed):
     if k == cand.size:  # as random and a whole stratified k-means bin do
-        return SubsetSelection("kmeans", [int(i) for i in cand], budget.fraction, seed)
+        return cand, {}
     feats = pca_features(ds, cand)
-    rng = np.random.default_rng(seed)
-    centers, assign = kmeans(feats, k, rng, init="kmeans++")
-    rows = nearest_to_centroids(feats, centers, assign)
-    chosen = [int(cand[r]) for r in rows]
-    return SubsetSelection("kmeans", chosen, budget.fraction, seed)
+    centers, assign = kmeans(feats, k, np.random.default_rng(seed), init="kmeans++")
+    return cand[nearest_to_centroids(feats, centers, assign)], {}
 
 
 def farthest_point_order(dist, k: int, first: int, d_first: np.ndarray) -> list[int]:
@@ -407,17 +397,12 @@ def greedy_max_min(
     )
 
 
-def select_greedy_diverse(
-    ds, candidate_times, budget, seed: int, weights: np.ndarray | None = None
-) -> SubsetSelection:
-    cand, k = _check_candidates(candidate_times, budget)
-    feats = spatial_mean_matrix(ds, cand, weights)
+def _greedy_diverse(ds, cand, k, seed):
+    feats = spatial_mean_matrix(ds, cand)
     center = feats.mean(axis=0)
-    d_center = np.linalg.norm(feats - center, axis=1)
-    first = int(np.argmax(d_center))
+    first = int(np.argmax(np.linalg.norm(feats - center, axis=1)))
     rows = greedy_max_min(feats, k, first, np.linalg.norm(feats - feats[first], axis=1))
-    chosen = [int(cand[r]) for r in rows]
-    return SubsetSelection("greedy_diverse", chosen, budget.fraction, seed)
+    return cand[rows], {}
 
 
 def herding_order(feats: np.ndarray, k: int) -> list[int]:
@@ -436,12 +421,8 @@ def herding_order(feats: np.ndarray, k: int) -> list[int]:
     return selected
 
 
-def select_herding(ds, candidate_times, budget, seed: int) -> SubsetSelection:
-    cand, k = _check_candidates(candidate_times, budget)
-    feats = pca_features(ds, cand)
-    rows = herding_order(feats, k)
-    chosen = [int(cand[r]) for r in rows]
-    return SubsetSelection("herding", chosen, budget.fraction, seed)
+def _herding(ds, cand, k, seed):
+    return cand[herding_order(pca_features(ds, cand), k)], {}
 
 
 def quantile_bins(scores: np.ndarray, n_bins: int = 12) -> np.ndarray:
@@ -450,45 +431,23 @@ def quantile_bins(scores: np.ndarray, n_bins: int = 12) -> np.ndarray:
     return np.searchsorted(edges, scores, side="right")
 
 
-def select_spatial_stratified(
-    ds, candidate_times, budget, seed: int, weights: np.ndarray | None = None
-) -> SubsetSelection:
-    cand, k = _check_candidates(candidate_times, budget)
-    feats = spatial_mean_matrix(ds, cand, weights)
+def _spatial_stratified(ds, cand, k, seed):
+    feats = spatial_mean_matrix(ds, cand)
     model, _ = _svd_pca(feats, 1)
     scores = np.zeros(cand.size) if model is None else pca_transform(model, feats)[:, 0]
     rng = np.random.default_rng(seed)
-    chosen = _stratified(cand, k, quantile_bins(scores, 12), _random_pick(rng))
-    return SubsetSelection("spatial", chosen, budget.fraction, seed)
+    return _stratified(cand, k, quantile_bins(scores, 12), _random_pick(rng)), {}
 
 
-def _stratified_kmeans(
-    ds, candidate_times, budget, seed: int, init: str, name: str,
-    weights: np.ndarray | None = None,
-) -> SubsetSelection:
-    cand, k = _check_candidates(candidate_times, budget)
-
+def _stratified_kmeans(ds, cand, k, seed, init: str):
     def pick(m, members, quota):
         if quota == members.size:
             return members
-        feats = spatial_mean_matrix(ds, members, weights)
+        feats = spatial_mean_matrix(ds, members)
         centers, assign = kmeans(feats, quota, np.random.default_rng([seed, m]), init=init)
         return members[nearest_to_centroids(feats, centers, assign)]
 
-    chosen = _stratified(cand, k, ds.months()[cand] - 1, pick)
-    return SubsetSelection(name, chosen, budget.fraction, seed)
-
-
-def select_stratified_kmeans(ds, candidate_times, budget, seed, weights=None):
-    return _stratified_kmeans(
-        ds, candidate_times, budget, seed, "random", "stratified_kmeans", weights
-    )
-
-
-def select_stratified_kmeanspp(ds, candidate_times, budget, seed, weights=None):
-    return _stratified_kmeans(
-        ds, candidate_times, budget, seed, "kmeans++", "stratified_kmeanspp", weights
-    )
+    return _stratified(cand, k, ds.months()[cand] - 1, pick), {}
 
 
 def persistence_difficulty_scores(ds: GriddedDataset, cand: np.ndarray) -> np.ndarray:
@@ -503,16 +462,13 @@ def persistence_difficulty_scores(ds: GriddedDataset, cand: np.ndarray) -> np.nd
     return scores
 
 
-def select_stratified_entropy(ds, candidate_times, budget, seed: int) -> SubsetSelection:
-    cand, k = _check_candidates(candidate_times, budget)
-
+def _stratified_entropy(ds, cand, k, seed):
     def pick(m, members, quota):
         # hardest first, ties to the lowest index; a full month is ordered too
         scores = persistence_difficulty_scores(ds, members)
         return members[np.lexsort((members, -scores))[:quota]]
 
-    chosen = _stratified(cand, k, ds.months()[cand] - 1, pick)
-    return SubsetSelection("stratified_entropy", chosen, budget.fraction, seed)
+    return _stratified(cand, k, ds.months()[cand] - 1, pick), {}
 
 
 def greedy_cosine_order(feats: np.ndarray, k: int) -> list[int]:
@@ -526,14 +482,11 @@ def greedy_cosine_order(feats: np.ndarray, k: int) -> list[int]:
     return farthest_point_order(cos_d, k, 0, cos_d(0))
 
 
-def select_stratified_spatial_diversity(
-    ds, candidate_times, budget, seed: int, weights: np.ndarray | None = None
-) -> SubsetSelection:
-    cand, k = _check_candidates(candidate_times, budget)
+def _stratified_spatial_diversity(ds, cand, k, seed):
     excluded_zero: list[int] = []
 
     def pick(m, members, quota):
-        feats = spatial_mean_matrix(ds, members, weights)
+        feats = spatial_mean_matrix(ds, members)
         zero = np.linalg.norm(feats, axis=1) == 0.0
         excluded_zero.extend(int(i) for i in members[zero])
         usable = members[~zero]
@@ -543,32 +496,39 @@ def select_stratified_spatial_diversity(
         return np.concatenate([usable, np.sort(members[zero])[: quota - usable.size]])
 
     chosen = _stratified(cand, k, ds.months()[cand] - 1, pick)
-    meta = {}
-    if excluded_zero:
-        meta["zero_vector_candidates"] = sorted(excluded_zero)
-    return SubsetSelection(
-        "stratified_spatial_diversity", chosen, budget.fraction, seed, metadata=meta
-    )
+    return chosen, ({"zero_vector_candidates": sorted(excluded_zero)} if excluded_zero else {})
 
+
+# The name of the full-data baseline: every candidate, whatever the budget.
+FULL = "full"
 
 STRATEGIES = {
-    "full": select_full,
-    "random": select_random,
-    "stratified_time": select_stratified_time,
-    "kmeans": select_kmeans_coreset,
-    "greedy_diverse": select_greedy_diverse,
-    "herding": select_herding,
-    "spatial": select_spatial_stratified,
-    "stratified_kmeans": select_stratified_kmeans,
-    "stratified_kmeanspp": select_stratified_kmeanspp,
-    "stratified_entropy": select_stratified_entropy,
-    "stratified_spatial_diversity": select_stratified_spatial_diversity,
+    FULL: _full,
+    "random": _random,
+    "stratified_time": _stratified_time,
+    "kmeans": _kmeans_coreset,
+    "greedy_diverse": _greedy_diverse,
+    "herding": _herding,
+    "spatial": _spatial_stratified,
+    "stratified_kmeans": functools.partial(_stratified_kmeans, init="random"),
+    "stratified_kmeanspp": functools.partial(_stratified_kmeans, init="kmeans++"),
+    "stratified_entropy": _stratified_entropy,
+    "stratified_spatial_diversity": _stratified_spatial_diversity,
 }
 
 
 def run_strategy(
     name: str, ds, candidate_times, budget: SelectionBudget, seed: int
 ) -> SubsetSelection:
+    """Select from ``candidate_times`` with the strategy ``name``; the
+    result is named ``name`` and records the budget fraction (1.0 for the
+    full-data baseline)."""
     if name not in STRATEGIES:
         raise SelectionError(f"unknown strategy {name!r}")
-    return STRATEGIES[name](ds, candidate_times, budget, seed)
+    cand = np.asarray(candidate_times, dtype=np.int64)
+    if cand.size == 0:
+        raise SelectionError("no candidate times")
+    if name == FULL:
+        budget = SelectionBudget(1.0)
+    chosen, metadata = STRATEGIES[name](ds, cand, budget.target_count(cand.size), seed)
+    return SubsetSelection(name, [int(i) for i in chosen], budget.fraction, seed, metadata)

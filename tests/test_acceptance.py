@@ -41,7 +41,6 @@ from stratacast.selection import (
     kmeans,
     nearest_to_centroids,
     run_strategy,
-    select_full,
 )
 from stratacast.synthetic import SyntheticConfig, generate
 
@@ -268,10 +267,8 @@ def test_criterion_5_rollout_protocol():
             for k in range(10):
                 assert np.array_equal(fc.trajectories[ii, m, k], ds.data[t0])
     # bitwise determinism with a stochastic forecaster
-    model = train(
-        ForecasterSpec("stochastic_linear"), ds, select_full(ds, list(range(400))),
-        seed=0,
-    )
+    full = run_strategy("full", ds, range(400), SelectionBudget(1.0), 0)
+    model = train(ForecasterSpec("stochastic_linear"), ds, full, seed=0)
     a = rollout(model, ds, [7, 30], n_members=4, n_steps=10, seed=2)
     b = rollout(model, ds, [7, 30], n_members=4, n_steps=10, seed=2)
     assert a.trajectories.tobytes() == b.trajectories.tobytes()
@@ -284,7 +281,7 @@ def test_criterion_6_diffusion_gate():
     rng = np.random.default_rng(2024)
     ds = daily_dataset(rng.standard_normal(1200))
     spec = ForecasterSpec("toy_diffusion", {"n_epochs": 150, "hidden_width": 64})
-    model = train(spec, ds, select_full(ds, list(range(1200))), seed=0)
+    model = train(spec, ds, run_strategy("full", ds, range(1200), SelectionBudget(1.0), 0), seed=0)
     assert model.training_losses[-1] < model.training_losses[0]
     samples = model.sample(np.zeros((500, 1)), np.random.default_rng(7)).ravel()
     truth = np.random.default_rng(8).standard_normal(500)

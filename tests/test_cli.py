@@ -151,8 +151,10 @@ class TestDataErrors:
         ({"base_seed": -1}, "base_seed must be an integer >= 0, not -1"),
         ({"fraction": 2.0}, "fraction must lie in (0, 1], not 2.0"),
         ({"eval_stride_hours": 0}, "eval_stride_hours must be > 0, not 0"),
+        ({"strategies": ["randm"]}, "unknown strategy 'randm'"),
     ], ids=["unknown", "unknown_split", "unknown_forecaster", "flat_grid", "fractional_count",
-            "no_members", "no_steps", "no_leads", "negative_seed", "fraction", "eval_stride"])
+            "no_members", "no_steps", "no_leads", "negative_seed", "fraction", "eval_stride",
+            "unknown_strategy"])
     def test_run_config_that_cannot_run_exits_2_before_data(self, tmp_path, over, message):
         # dataset_path names no file: each config is refused before it is read
         d = dict({
@@ -168,6 +170,17 @@ class TestDataErrors:
         assert message in r.stderr
         assert "Traceback" not in r.stderr
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag, name", [("--members", "n_members"), ("--steps", "n_steps")])
+    def test_rollout_count_below_one_exits_2_before_data(self, tmp_path, flag, name):
+        # neither the dataset nor the model exists: the count is refused first
+        r = run_cli("rollout", "--data", str(tmp_path / "x.ften"), "--model", str(tmp_path / "m"),
+                    flag, "0", "--train-years", "2000:2000", "--test-years", "2001:2001",
+                    "--out", str(tmp_path / "fc"))
+        assert r.returncode == 2
+        assert f"{name} must be an integer >= 1, not 0" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not (tmp_path / "fc").exists()
 
     def test_run_negative_seed_flag_exits_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -325,6 +338,132 @@ class TestPipeline:
                         for r in by_seed if r.startswith("random,1,")]
             assert run_rows == lines[1:], kind
 
+    def test_chain_equals_run_when_training_years_do_not_come_first(self, synth_config,
+                                                                     tmp_path):
+        """On a 2000-2002 archive trained on 2001, ``run`` writes the selection
+        file ``select`` writes, of 2001 dates, and the chain scores what ``run``
+        scores."""
+        synth = tmp_path / "synth.json"
+        synth.write_text(json.dumps(dict(json.loads(synth_config.read_text()), n_years=3)))
+        assert main(["generate-data", "--config", str(synth), "--seed", "5",
+                     "--out", str(tmp_path)]) == 0
+        data = str(tmp_path / "synthetic.ften")
+        common = ["--data", data, "--train-years", "2001:2001", "--seed", "1"]
+        assert main(["select", *common, "--strategy", "stratified_time",
+                     "--out", str(tmp_path / "sel")]) == 0
+        sel = tmp_path / "sel" / "stratified_time_seed1.json"
+        assert main(["train", *common, "--selection", str(sel),
+                     "--forecaster", "stochastic_linear", "--out", str(tmp_path)]) == 0
+        assert main(["rollout", *common, "--model", str(tmp_path / "stochastic_linear"),
+                     "--members", "3", "--test-years", "2002:2002", "--out", str(tmp_path)]) == 0
+        assert main(["evaluate", *common, "--forecast", str(tmp_path / "forecast"),
+                     "--flat-grid", "--method", "stratified_time", "--out", str(tmp_path)]) == 0
+
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({
+            "strategies": ["stratified_time"],
+            "forecaster": {"kind": "stochastic_linear"},
+            "split": {"train_years": [2001, 2001], "test_years": [2002, 2002]},
+            "dataset_path": data,
+            "n_members": 3,
+            "base_seed": 1,
+            "flat_grid": True,
+        }))
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+        run_sel = tmp_path / "run" / "selections" / "stratified_time_seed1.json"
+        assert run_sel.read_bytes() == sel.read_bytes()
+        years = dsmod.load_dataset(data).timestamps.astype("datetime64[Y]").astype(int) + 1970
+        assert set(years[json.loads(sel.read_text())["indices"]]) == {2001}
+
+        lines = (tmp_path / "metrics.csv").read_text().strip().split("\n")
+        by_seed = (tmp_path / "run" / "metrics_by_seed.csv").read_text().split("\n")
+        run_rows = [r.replace("stratified_time,1,", "stratified_time,", 1)
+                    for r in by_seed if r.startswith("stratified_time,1,")]
+        assert len(lines) == 3 and run_rows == lines[1:]
+
+    def test_train_refuses_selection_index_outside_candidates(self, data_dir, tmp_path):
+        data = str(data_dir / "synthetic.ften")
+        assert main(["select", "--data", data, "--strategy", "random",
+                     "--train-years", "2000:2000", "--out", str(tmp_path)]) == 0
+        sel = tmp_path / "random_seed0.json"
+        indices = json.loads(sel.read_text())["indices"]
+
+        def train(selection, years):
+            return run_cli("train", "--data", data, "--selection", str(selection),
+                           "--forecaster", "persistence", "--train-years", years,
+                           "--out", str(tmp_path / "model"))
+
+        # a selection of 2000 dates is no selection of 2001 candidates
+        r = train(sel, "2001:2001")
+        assert r.returncode == 2
+        assert f"index {indices[0]} is not a training candidate" in r.stderr
+        # index 0 has no 24 h history, so it is never a candidate
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dict(json.loads(sel.read_text()), indices=[*indices[:2], 0])))
+        r = train(bad, "2000:2000")
+        assert r.returncode == 2
+        assert "index 0 is not a training candidate" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not (tmp_path / "model").exists()
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda d: d.pop("indices"), "(KeyError: 'indices')"),
+        (lambda d: d.update(seed=None), "(TypeError: "),
+    ], ids=["no_indices", "null_seed"])
+    def test_train_refuses_a_damaged_selection_file(self, data_dir, tmp_path, change, message):
+        data = str(data_dir / "synthetic.ften")
+        assert main(["select", "--data", data, "--strategy", "random",
+                     "--train-years", "2000:2000", "--out", str(tmp_path)]) == 0
+        sel = tmp_path / "random_seed0.json"
+        d = json.loads(sel.read_text())
+        change(d)
+        sel.write_text(json.dumps(d))
+        r = run_cli("train", "--data", data, "--selection", str(sel), "--forecaster", "persistence",
+                    "--train-years", "2000:2000", "--out", str(tmp_path / "model"))
+        assert r.returncode == 2
+        assert f"{sel} is not a selection file {message}" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not (tmp_path / "model").exists()
+
+    def test_rollout_refuses_a_forecaster_file_of_the_wrong_shape(self, data_dir, tmp_path):
+        data = str(data_dir / "synthetic.ften")
+        assert main(["select", "--data", data, "--strategy", "random",
+                     "--train-years", "2000:2000", "--out", str(tmp_path)]) == 0
+        assert main(["train", "--data", data, "--selection", str(tmp_path / "random_seed0.json"),
+                     "--forecaster", "climatology",
+                     "--train-years", "2000:2000", "--out", str(tmp_path)]) == 0
+        path = tmp_path / "climatology.npz"
+        with np.load(path) as z:
+            eleven = z["monthly_means"][:11]
+        _rewrite_npz(path, drop="monthly_means", monthly_means=eleven)
+        r = run_cli("rollout", "--data", data, "--model", str(tmp_path / "climatology"),
+                    "--train-years", "2000:2000", "--test-years", "2001:2001",
+                    "--out", str(tmp_path / "fc"))
+        assert r.returncode == 2
+        assert "entry 'monthly_means' has shape (11, 1, 3, 4), not (12, 1, 3, 4)" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not (tmp_path / "fc").exists()
+
+    def test_rollout_refuses_data_of_another_grid(self, data_dir, tmp_path):
+        data = str(data_dir / "synthetic.ften")
+        assert main(["select", "--data", data, "--strategy", "random",
+                     "--train-years", "2000:2000", "--out", str(tmp_path)]) == 0
+        assert main(["train", "--data", data, "--selection", str(tmp_path / "random_seed0.json"),
+                     "--forecaster", "stochastic_linear",
+                     "--train-years", "2000:2000", "--out", str(tmp_path)]) == 0
+        ds = dsmod.load_dataset(data)
+        narrow = dsmod.GriddedDataset(dsmod.GridSpec(ds.grid.lats[:2], ds.grid.lons),
+                                      ds.variables, ds.timestamps, ds.data[:, :, :2])
+        dsmod.save_dataset(narrow, tmp_path / "narrow.ften")
+        r = run_cli("rollout", "--data", str(tmp_path / "narrow.ften"),
+                    "--model", str(tmp_path / "stochastic_linear"),
+                    "--train-years", "2000:2000", "--test-years", "2001:2001",
+                    "--out", str(tmp_path / "fc"))
+        assert r.returncode == 2
+        assert "forecaster entry 'a' has shape (1, 3, 4), not (1, 2, 4)" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not (tmp_path / "fc").exists()
+
     @pytest.mark.parametrize("kind, entry, message", [
         ("persistence", "kind", "unknown serialized kind 'None'"),
         ("climatology", "monthly_means", "has no entry 'monthly_means'"),
@@ -417,7 +556,8 @@ class TestPipeline:
         assert main(["rollout", "--data", data, "--model", str(tmp_path / "persistence"),
                      "--members", "2", "--train-years", "2000:2000",
                      "--test-years", "2001:2001", "--out", str(tmp_path)]) == 0
-        one_step = dsmod.load_dataset(data).slice_time(0, 1)
+        ds = dsmod.load_dataset(data)
+        one_step = dsmod.GriddedDataset(ds.grid, ds.variables, ds.timestamps[:1], ds.data[:1])
         dsmod.save_dataset(one_step, tmp_path / "one.ften")
         err = io.StringIO()
         with contextlib.redirect_stderr(err):

@@ -279,10 +279,6 @@ class TestTimeAxisOracles:
         else:
             with pytest.raises(DatasetError, match="stride undefined"):
                 ds.stride_hours
-        a, b = len(ts) // 3, 2 * len(ts) // 3 + 1
-        view = ds.slice_time(a, b)
-        assert view.timestamps.tolist() == ts[a:b]
-        assert view.months().tolist() == [t.month for t in ts[a:b]]
 
     @settings(max_examples=150, deadline=None)
     @given(ts=time_axes(max_steps=40), data=st.data())

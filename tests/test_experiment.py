@@ -16,6 +16,7 @@ from stratacast.experiment import (
 )
 from stratacast.forecast import ForecasterSpec
 from stratacast.metrics import MetricRecord
+from stratacast.selection import STRATEGIES
 from stratacast.synthetic import SyntheticConfig
 
 
@@ -215,6 +216,8 @@ class TestConfig:
         ({"fraction": 2.0}, "fraction must lie in (0, 1], not 2.0"),
         ({"eval_stride_hours": 0.0}, "eval_stride_hours must be > 0, not 0.0"),
         ({"leads_days": ()}, "leads_days must be non-empty"),
+        ({"strategies": ["random", "randm"]},
+         "unknown strategy 'randm'; known: " + ", ".join(STRATEGIES)),
     ])
     def test_config_that_cannot_run_rejected(self, small_grid, over, message):
         with pytest.raises(ExperimentError) as e:

@@ -246,17 +246,6 @@ class TestSpatialMean:
         v = spatial_mean_matrix(toy_dataset, [7])[0]
         np.testing.assert_allclose(v, toy_dataset.data[7].mean(axis=(1, 2)), atol=1e-7)
 
-    def test_weighted_matches_brute_force(self, toy_dataset):
-        rng = np.random.default_rng(11)
-        w = rng.uniform(0.5, 2.0, size=(4, 8))
-        v = spatial_mean_matrix(toy_dataset, [9], weights=w)[0]
-        for var in range(2):
-            acc = 0.0
-            for i in range(4):
-                for j in range(8):
-                    acc += w[i, j] * float(toy_dataset.data[9, var, i, j])
-            assert v[var] == pytest.approx(acc / w.sum(), rel=1e-9)
-
     def test_matrix_matches_vector(self, toy_dataset):
         times = [0, 3, 9]
         mat = spatial_mean_matrix(toy_dataset, times)

@@ -28,7 +28,7 @@ from stratacast.forecast import (
     train,
 )
 from stratacast.metrics import evaluate_forecast
-from stratacast.selection import SubsetSelection, select_full
+from stratacast.selection import SelectionBudget, SubsetSelection, run_strategy
 from stratacast.synthetic import SyntheticConfig, generate
 
 
@@ -48,7 +48,7 @@ def series_ds(values, stride_hours=24, start=datetime(2000, 1, 1), nvar=1):
 
 
 def full_selection(ds):
-    return select_full(ds, list(range(ds.n_times)))
+    return run_strategy("full", ds, range(ds.n_times), SelectionBudget(1.0), 0)
 
 
 class TestStochasticLinear:
@@ -630,6 +630,63 @@ class TestBatchedRollout:
         a = rollout(models[kind], ds, self.INITS[:3], n_members=2, n_steps=3, seed=6)
         b = rollout(back, ds, self.INITS[:3], n_members=2, n_steps=3, seed=6)
         assert a.trajectories.tobytes() == b.trajectories.tobytes()
+
+
+def _reshape_entry(path, entry, change):
+    """Rewrite the npz file at ``path`` with ``change`` applied to ``entry``."""
+    with np.load(path) as z:
+        entries = {k: z[k] for k in z.files}
+    entries[entry] = change(entries[entry])
+    np.savez(path, **entries)
+
+
+# (kind, entry, change): each leaves one entry of a trained forecaster's file
+# the wrong shape for the others (states are 2 x 4 x 8)
+SHAPE_DAMAGE = [
+    ("climatology", "monthly_means", lambda a: a[:11]),
+    ("climatology", "monthly_means", lambda a: a[0]),
+    ("stochastic_linear", "b", lambda a: a[:, :3]),
+    ("stochastic_linear", "resid_std", lambda a: a[None]),
+    ("toy_diffusion", "w1", lambda a: a[:-1]),
+    ("toy_diffusion", "b1", lambda a: a[:-1]),
+    ("toy_diffusion", "w2", lambda a: a[:, :-1]),
+    ("toy_diffusion", "b2", lambda a: a[:-1]),
+    ("toy_diffusion", "sample_sigmas", lambda a: a[None]),
+]
+
+
+class TestForecasterShapes:
+    @pytest.mark.parametrize("kind, entry, change", SHAPE_DAMAGE,
+                             ids=[f"{k}-{e}-{i}" for i, (k, e, _) in enumerate(SHAPE_DAMAGE)])
+    def test_load_refuses_an_entry_of_the_wrong_shape(self, trained_models, tmp_path,
+                                                      kind, entry, change):
+        model = trained_models[1][kind]
+        save_forecaster(model, tmp_path / kind)
+        _reshape_entry(tmp_path / f"{kind}.npz", entry, change)
+        with pytest.raises(ForecastError, match="has shape") as err:
+            load_forecaster(tmp_path / kind)
+        # the message lists the damaged entry with its shape
+        assert f"{entry} {change(getattr(model, entry)).shape}" in str(err.value)
+
+    @pytest.mark.parametrize("kind", ["climatology", "stochastic_linear", "toy_diffusion"])
+    def test_load_accepts_every_trained_file(self, trained_models, tmp_path, kind):
+        save_forecaster(trained_models[1][kind], tmp_path / kind)
+        assert type(load_forecaster(tmp_path / kind)) is type(trained_models[1][kind])
+
+    @pytest.mark.parametrize("kind, entry", [
+        ("climatology", "monthly_means"), ("stochastic_linear", "a"), ("toy_diffusion", "w1"),
+    ])
+    def test_rollout_refuses_states_of_another_shape(self, trained_models, kind, entry):
+        ds, models = trained_models
+        one_var = GriddedDataset(ds.grid, ds.variables[:1], ds.timestamps, ds.data[:, :1])
+        with pytest.raises(ForecastError, match=f"forecaster entry {entry!r} has shape"):
+            rollout(models[kind], one_var, [10], n_members=2, n_steps=2, seed=0)
+
+    def test_persistence_rolls_out_any_state(self, trained_models):
+        ds, models = trained_models
+        one_var = GriddedDataset(ds.grid, ds.variables[:1], ds.timestamps, ds.data[:, :1])
+        fc = rollout(models["persistence"], one_var, [10], n_members=2, n_steps=2, seed=0)
+        assert fc.trajectories.shape == (1, 2, 2, 1, 4, 8)
 
 
 class TestBlockPlan:

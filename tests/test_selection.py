@@ -24,17 +24,6 @@ from stratacast.selection import (
     nearest_to_centroids,
     pca_features,
     run_strategy,
-    select_full,
-    select_greedy_diverse,
-    select_herding,
-    select_kmeans_coreset,
-    select_random,
-    select_spatial_stratified,
-    select_stratified_entropy,
-    select_stratified_kmeans,
-    select_stratified_kmeanspp,
-    select_stratified_spatial_diversity,
-    select_stratified_time,
 )
 
 
@@ -139,7 +128,7 @@ def test_different_seed_allowed_to_differ(std_toy, name):
 
 
 def test_selection_json_round_trip(std_toy, tmp_path):
-    sel = select_random(std_toy, list(range(100)), SelectionBudget(0.2), seed=3)
+    sel = run_strategy("random", std_toy, list(range(100)), SelectionBudget(0.2), seed=3)
     sel.save(tmp_path / "sel.json")
     back = SubsetSelection.load(tmp_path / "sel.json")
     assert back == sel
@@ -152,14 +141,15 @@ def test_selection_json_round_trip(std_toy, tmp_path):
 class TestRandom:
     def test_full_fraction_identity(self, std_toy):
         cand = list(range(50))
-        sel = select_random(std_toy, cand, SelectionBudget(1.0), seed=1)
+        sel = run_strategy("random", std_toy, cand, SelectionBudget(1.0), seed=1)
         assert sel.indices == cand
 
     def test_count_and_repeatability(self, std_toy):
         cand = list(range(100))
-        sel = select_random(std_toy, cand, SelectionBudget(0.2), seed=5)
+        sel = run_strategy("random", std_toy, cand, SelectionBudget(0.2), seed=5)
         assert len(sel.indices) == 20
-        assert sel.indices == select_random(std_toy, cand, SelectionBudget(0.2), seed=5).indices
+        again = run_strategy("random", std_toy, cand, SelectionBudget(0.2), seed=5)
+        assert sel.indices == again.indices
 
     def test_inclusion_frequency_chi_square(self, std_toy):
         cand = list(range(100))
@@ -167,7 +157,7 @@ class TestRandom:
         counts = np.zeros(100)
         n_seeds = 10_000
         for seed in range(n_seeds):
-            for i in select_random(std_toy, cand, budget, seed=seed).indices:
+            for i in run_strategy("random", std_toy, cand, budget, seed=seed).indices:
                 counts[i] += 1
         expected = n_seeds * 0.2
         chi2 = float(((counts - expected) ** 2 / expected).sum())
@@ -194,25 +184,25 @@ def daily_year(n_per_month=None):
 class TestStratifiedTime:
     def test_exact_division(self):
         ds, cand = daily_year(10)
-        sel = select_stratified_time(ds, cand, SelectionBudget(0.2), seed=0)
+        sel = run_strategy("stratified_time", ds, cand, SelectionBudget(0.2), seed=0)
         months = ds.months()[sel.indices]
         assert all((months == m).sum() == 2 for m in range(1, 13))
 
     def test_full_fraction_identity(self):
         ds, cand = daily_year(10)
-        sel = select_stratified_time(ds, cand, SelectionBudget(1.0), seed=0)
+        sel = run_strategy("stratified_time", ds, cand, SelectionBudget(1.0), seed=0)
         assert sorted(sel.indices) == cand
 
     def test_largest_remainder_rule(self):
         ds, cand = daily_year(10)
-        sel = select_stratified_time(ds, cand, SelectionBudget(0.25), seed=0)
+        sel = run_strategy("stratified_time", ds, cand, SelectionBudget(0.25), seed=0)
         months = ds.months()[sel.indices]
         counts = [(months == m).sum() for m in range(1, 13)]
         assert counts == [3] * 6 + [2] * 6
 
     def test_month_balance_within_one(self):
         ds, cand = daily_year()
-        sel = select_stratified_time(ds, cand, SelectionBudget(0.2), seed=4)
+        sel = run_strategy("stratified_time", ds, cand, SelectionBudget(0.2), seed=4)
         months = ds.months()[sel.indices]
         counts = [(months == m).sum() for m in range(1, 13)]
         assert max(counts) - min(counts) <= 1
@@ -313,9 +303,9 @@ class TestPcaFeatures:
         seed = 4
         centers, assign = kmeans(ref, k, np.random.default_rng(seed))
         want_kmeans = [int(cand[r]) for r in nearest_to_centroids(ref, centers, assign)]
-        assert select_kmeans_coreset(ds, cand, budget, seed).indices == want_kmeans
+        assert run_strategy("kmeans", ds, cand, budget, seed).indices == want_kmeans
         want_herding = [int(cand[r]) for r in herding_order(ref, k)]
-        assert select_herding(ds, cand, budget, seed).indices == want_herding
+        assert run_strategy("herding", ds, cand, budget, seed).indices == want_herding
 
 
 # ---------------------------------------------------------------------------
@@ -325,17 +315,17 @@ class TestPcaFeatures:
 class TestKmeansCoreset:
     def test_planted_two_clusters(self):
         ds = scalar_series([0.0, 0.1, 10.0, 10.1])
-        sel = select_kmeans_coreset(ds, [0, 1, 2, 3], SelectionBudget(0.5), seed=0)
+        sel = run_strategy("kmeans", ds, [0, 1, 2, 3], SelectionBudget(0.5), seed=0)
         assert sorted(sel.indices) == [0, 2]
 
     def test_k_equals_n_identity(self):
         ds = scalar_series(np.random.default_rng(1).normal(size=8))
-        sel = select_kmeans_coreset(ds, list(range(8)), SelectionBudget(1.0), seed=0)
+        sel = run_strategy("kmeans", ds, list(range(8)), SelectionBudget(1.0), seed=0)
         assert sorted(sel.indices) == list(range(8))
 
     def test_selected_are_members(self, std_toy):
         cand = list(range(30, 120))
-        sel = select_kmeans_coreset(std_toy, cand, SelectionBudget(0.2), seed=2)
+        sel = run_strategy("kmeans", std_toy, cand, SelectionBudget(0.2), seed=2)
         assert set(sel.indices) <= set(cand)
 
     def test_nearest_to_centroid_brute_force(self):
@@ -475,12 +465,12 @@ class TestKmeansOracle:
 class TestGreedyDiverse:
     def test_hand_trace(self):
         ds = scalar_series([0.0, 1.0, 2.0, 10.0])
-        sel = select_greedy_diverse(ds, [0, 1, 2, 3], SelectionBudget(0.5), seed=0)
+        sel = run_strategy("greedy_diverse", ds, [0, 1, 2, 3], SelectionBudget(0.5), seed=0)
         assert sel.indices == [3, 0]
 
     def test_budget_one(self):
         ds = scalar_series([0.0, 1.0, 2.0, 10.0])
-        sel = select_greedy_diverse(ds, [0, 1, 2, 3], SelectionBudget(0.25), seed=0)
+        sel = run_strategy("greedy_diverse", ds, [0, 1, 2, 3], SelectionBudget(0.25), seed=0)
         assert sel.indices == [3]
 
     def test_per_step_brute_force(self):
@@ -490,7 +480,7 @@ class TestGreedyDiverse:
             values = rng.normal(size=n)
             ds = scalar_series(values)
             k = int(rng.integers(2, max(3, n // 2)))
-            sel = select_greedy_diverse(ds, list(range(n)), SelectionBudget(k / n), seed=0)
+            sel = run_strategy("greedy_diverse", ds, range(n), SelectionBudget(k / n), seed=0)
             feats = ds.data.reshape(n, 1).astype(np.float64)
             # oracle trace
             mean = feats.mean(axis=0)
@@ -512,7 +502,7 @@ class TestGreedyDiverse:
     def test_min_pairwise_beats_random(self, std_toy):
         cand = list(range(60, 200))
         budget = SelectionBudget(0.1)
-        sel = select_greedy_diverse(std_toy, cand, budget, seed=0)
+        sel = run_strategy("greedy_diverse", std_toy, cand, budget, seed=0)
         from stratacast.features import spatial_mean_matrix
 
         def min_pairwise(idx):
@@ -578,17 +568,17 @@ class TestHerding:
 class TestSpatialStratified:
     def test_full_fraction_identity(self):
         ds = scalar_series(np.random.default_rng(2).uniform(size=60))
-        sel = select_spatial_stratified(ds, list(range(60)), SelectionBudget(1.0), seed=0)
+        sel = run_strategy("spatial", ds, list(range(60)), SelectionBudget(1.0), seed=0)
         assert sorted(sel.indices) == list(range(60))
 
     def test_degenerate_identical_features(self):
         ds = scalar_series(np.full(24, 1.5))
-        sel = select_spatial_stratified(ds, list(range(24)), SelectionBudget(0.5), seed=0)
+        sel = run_strategy("spatial", ds, list(range(24)), SelectionBudget(0.5), seed=0)
         assert len(sel.indices) == 12
 
     def test_bin_occupancy_matches_quota(self):
         ds = scalar_series(np.random.default_rng(3).normal(size=120))
-        sel = select_spatial_stratified(ds, list(range(120)), SelectionBudget(0.2), seed=1)
+        sel = run_strategy("spatial", ds, list(range(120)), SelectionBudget(0.2), seed=1)
         from stratacast.selection import quantile_bins
 
         scores = ds.data.reshape(120).astype(np.float64)
@@ -618,21 +608,23 @@ def two_cluster_months():
 
 
 class TestStratifiedKmeans:
-    @pytest.mark.parametrize("fn", [select_stratified_kmeans, select_stratified_kmeanspp])
-    def test_quota_per_month(self, fn):
+    @pytest.mark.parametrize("name", ["stratified_kmeans", "stratified_kmeanspp"],
+                             ids=["select_stratified_kmeans", "select_stratified_kmeanspp"])
+    def test_quota_per_month(self, name):
         ds, _ = two_cluster_months()
-        sel = fn(ds, list(range(365)), SelectionBudget(0.2), seed=0)
+        sel = run_strategy(name, ds, list(range(365)), SelectionBudget(0.2), seed=0)
         months = ds.months()[sel.indices]
         counts = [(months == m).sum() for m in range(1, 13)]
-        ref = select_stratified_time(ds, list(range(365)), SelectionBudget(0.2), seed=0)
+        ref = run_strategy("stratified_time", ds, range(365), SelectionBudget(0.2), seed=0)
         ref_counts = [(ds.months()[ref.indices] == m).sum() for m in range(1, 13)]
         assert counts == ref_counts
 
-    @pytest.mark.parametrize("fn", [select_stratified_kmeans, select_stratified_kmeanspp])
-    def test_one_per_cluster(self, fn):
+    @pytest.mark.parametrize("name", ["stratified_kmeans", "stratified_kmeanspp"],
+                             ids=["select_stratified_kmeans", "select_stratified_kmeanspp"])
+    def test_one_per_cluster(self, name):
         ds, values = two_cluster_months()
         # quota 2 per month: 24 of 365 ~ fraction 24/365
-        sel = fn(ds, list(range(365)), SelectionBudget(24 / 365), seed=3)
+        sel = run_strategy(name, ds, list(range(365)), SelectionBudget(24 / 365), seed=3)
         months = ds.months()[sel.indices]
         for m in range(1, 13):
             vals = values[np.asarray(sel.indices)[months == m]]
@@ -644,7 +636,7 @@ class TestStratifiedKmeans:
         months = ds0.months()
         cand = [int(np.nonzero(months == m)[0][0]) for m in range(1, 13)]
         ds = scalar_series(np.random.default_rng(9).normal(size=365))
-        sel = select_stratified_kmeans(ds, cand, SelectionBudget(1.0), seed=0)
+        sel = run_strategy("stratified_kmeans", ds, cand, SelectionBudget(1.0), seed=0)
         assert sorted(sel.indices) == sorted(cand)
 
 
@@ -652,9 +644,9 @@ class TestStratifiedEntropy:
     def test_static_dataset_lowest_index_ties(self):
         ds = scalar_series(np.full(365, 2.0))
         cand = list(range(365))
-        sel = select_stratified_entropy(ds, cand, SelectionBudget(0.2), seed=0)
+        sel = run_strategy("stratified_entropy", ds, cand, SelectionBudget(0.2), seed=0)
         months = ds.months()
-        quota_sel = select_stratified_time(ds, cand, SelectionBudget(0.2), seed=0)
+        quota_sel = run_strategy("stratified_time", ds, cand, SelectionBudget(0.2), seed=0)
         for m in range(1, 13):
             got = sorted(i for i in sel.indices if months[i] == m)
             n_m = len([i for i in quota_sel.indices if months[i] == m])
@@ -675,7 +667,7 @@ class TestStratifiedEntropy:
             jump_idx.append(i)
         # rebuild with jumps; note each jump perturbs two scores (i and i+1)
         ds = scalar_series(values)
-        sel = select_stratified_entropy(ds, list(range(364)), SelectionBudget(12 / 364), seed=0)
+        sel = run_strategy("stratified_entropy", ds, range(364), SelectionBudget(12 / 364), seed=0)
         assert set(jump_idx) <= set(sel.indices) | {i + 1 for i in jump_idx}
 
     def test_scores_match_brute_force(self, std_toy):
@@ -705,7 +697,8 @@ class TestStratifiedSpatialDiversity:
 
     def test_quota_equals_bin_identity(self):
         ds = scalar_series(np.random.default_rng(5).uniform(1, 2, size=60))
-        sel = select_stratified_spatial_diversity(ds, list(range(60)), SelectionBudget(1.0), seed=0)
+        sel = run_strategy("stratified_spatial_diversity", ds, range(60), SelectionBudget(1.0),
+                           seed=0)
         assert sorted(sel.indices) == list(range(60))
 
     def test_per_step_brute_force(self):
@@ -731,7 +724,7 @@ class TestStratifiedSpatialDiversity:
         values = np.random.default_rng(6).uniform(1, 2, size=365)
         values[5] = 0.0  # zero spatial mean on a 1-cell grid
         ds = scalar_series(values)
-        sel = select_stratified_spatial_diversity(
+        sel = run_strategy("stratified_spatial_diversity", 
             ds, list(range(365)), SelectionBudget(0.3), seed=0
         )
         assert 5 in sel.metadata.get("zero_vector_candidates", [])
@@ -740,14 +733,14 @@ class TestStratifiedSpatialDiversity:
 class TestFull:
     def test_identity_in_order(self, std_toy):
         cand = [5, 9, 11, 40]
-        sel = select_full(std_toy, cand)
+        sel = run_strategy("full", std_toy, cand, SelectionBudget(1.0), 0)
         assert sel.indices == cand
         assert sel.fraction == 1.0
 
     def test_idempotent(self, std_toy):
         cand = list(range(10))
-        a = select_full(std_toy, cand)
-        b = select_full(std_toy, a.indices)
+        a = run_strategy("full", std_toy, cand, SelectionBudget(1.0), 0)
+        b = run_strategy("full", std_toy, a.indices, SelectionBudget(1.0), 0)
         assert a.indices == b.indices
 
 
