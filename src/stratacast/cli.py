@@ -31,7 +31,8 @@ from .forecast import (
     save_forecaster,
     train,
 )
-from .metrics import MetricError, MetricRecord, area_weights, evaluate_forecast, records_to_csv
+from .metrics import (METRICS, MetricError, MetricRecord, area_weights, evaluate_forecast,
+                      records_to_csv)
 from .selection import STRATEGIES, SelectionBudget, SelectionError, SubsetSelection, run_strategy
 
 log = logging.getLogger("stratacast")
@@ -71,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("generate-data", help="generate a synthetic toy-climate dataset")
-    _add_common(p)
+    _add_common(p, seed_help="generator seed (default: the config's seed, else 0)")
     p.add_argument("--config", required=True, help="synthetic config JSON")
 
     p = sub.add_parser("select", help="run one selection strategy")
@@ -119,8 +120,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_generate_data(args) -> int:
-    cfg = json.loads(Path(args.config).read_text())
-    ds = synthetic.generate(synthetic.SyntheticConfig.from_dict({"seed": args.seed, **cfg}))
+    cfg = {"seed": 0, **json.loads(Path(args.config).read_text())}
+    if args.seed is not None:
+        cfg["seed"] = args.seed
+    ds = synthetic.generate(synthetic.SyntheticConfig.from_dict(cfg))
     path = dsmod.save_dataset(ds, Path(args.out) / "synthetic.ften")
     log.info("wrote %s (%d steps)", path, ds.n_times)
     return 0
@@ -190,8 +193,8 @@ def cmd_run(args) -> int:
 
 
 # records.json row keys and the JSON types of their values
-_RECORD_KEYS = {"method": str, "variable": str, "lead_days": int, "crps": (int, float),
-                "rmse": (int, float), "ssr": (int, float), "seed": (int, type(None))}
+_RECORD_KEYS = {"method": str, "variable": str, "lead_days": int,
+                **dict.fromkeys(METRICS, (int, float)), "seed": (int, type(None))}
 
 
 def _read_records(path) -> list[MetricRecord]:
@@ -232,7 +235,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
-    if args.seed is None and args.command != "run":
+    if args.seed is None and args.command not in ("run", "generate-data"):
         args.seed = 0
     try:
         return COMMANDS[args.command](args)

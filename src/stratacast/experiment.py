@@ -15,6 +15,7 @@ import logging
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from . import dataset as dsmod
 from . import synthetic
 from .dataset import GriddedDataset, SplitSpec
 from .forecast import ForecasterSpec, rollout, train
-from .metrics import MetricRecord, area_weights, evaluate_forecast, records_to_csv
+from .metrics import METRICS, MetricRecord, area_weights, evaluate_forecast, records_to_csv
 from .selection import FULL, STRATEGIES, SelectionBudget, SubsetSelection, run_strategy
 
 log = logging.getLogger("stratacast")
@@ -109,9 +110,11 @@ class ExperimentConfig:
         float counts (``8.0``) are stored as ints."""
         if not self.strategies:
             raise ExperimentError("strategies must be non-empty")
-        for name in self.strategies:
+        for i, name in enumerate(self.strategies):
             if name not in STRATEGIES:
                 raise ExperimentError(f"unknown strategy {name!r}; known: {', '.join(STRATEGIES)}")
+            if name in self.strategies[:i]:
+                raise ExperimentError(f"strategy {name!r} is listed more than once")
         if (self.dataset_path is None) == (self.synthetic is None):
             raise ExperimentError("exactly one of dataset_path / synthetic required")
         for name, least in (("n_members", 1), ("n_seeds", 1), ("n_steps", 1), ("base_seed", 0)):
@@ -245,55 +248,41 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> list[MetricRec
     cells = [(strategy, seed) for strategy in strategies
              for seed in range(cfg.base_seed, cfg.base_seed + cfg.n_seeds)]
     selections = [in_cell(select, *cell) for cell in cells]
-    records: list[MetricRecord] = []
+    per_seed: list[MetricRecord] = []
     for cell, sel in zip(cells, selections):
-        records.extend(in_cell(score, *cell, sel))
+        per_seed.extend(in_cell(score, *cell, sel))
+    per_seed.sort(key=lambda r: (r.method, r.variable, r.lead_days, r.seed))
+    means = aggregate_means(per_seed)
 
-    records.sort(key=lambda r: (r.method, r.variable, r.lead_days, r.seed))
-    records.extend(aggregate_means(records))
-
+    records = per_seed + means
     (out_dir / "records.json").write_text(
         json.dumps([asdict(r) for r in records], indent=2)
     )
-    mean_rows = [r for r in records if r.seed is None]
-    (out_dir / "metrics.csv").write_text(records_to_csv(mean_rows))
-    (out_dir / "metrics_by_seed.csv").write_text(
-        _seeded_csv([r for r in records if r.seed is not None])
-    )
+    (out_dir / "metrics.csv").write_text(records_to_csv(means))
+    (out_dir / "metrics_by_seed.csv").write_text(records_to_csv(per_seed))
     return records
 
 
-def _seeded_csv(records: list[MetricRecord]) -> str:
-    lines = ["method,seed,variable,lead_days,crps,rmse,ssr"]
+def _seed_groups(records: Iterable[MetricRecord]) -> dict[tuple, list[MetricRecord]]:
+    """``records`` grouped by (method, variable, lead_days): keys in the order
+    they first occur, each group's records in record order."""
+    groups: dict[tuple, list[MetricRecord]] = {}
     for r in records:
-        lines.append(
-            f"{r.method},{r.seed},{r.variable},{r.lead_days},"
-            f"{r.crps:.6g},{r.rmse:.6g},{r.ssr:.6g}"
-        )
-    return "\n".join(lines) + "\n"
+        groups.setdefault((r.method, r.variable, r.lead_days), []).append(r)
+    return groups
+
+
+def _seed_mean(group: list[MetricRecord]) -> MetricRecord:
+    """The seed-mean row (seed=None) of one group: each metric's mean."""
+    r = group[0]
+    return MetricRecord(r.method, r.variable, r.lead_days,
+                        **{m: float(np.mean([getattr(g, m) for g in group])) for m in METRICS})
 
 
 def aggregate_means(records: list[MetricRecord]) -> list[MetricRecord]:
-    """Seed-mean rows (seed=None), one per (method, variable, lead)."""
-    groups: dict[tuple, list[MetricRecord]] = {}
-    for r in records:
-        if r.seed is None:
-            continue
-        groups.setdefault((r.method, r.variable, r.lead_days), []).append(r)
-    out = []
-    for (method, variable, lead), rs in sorted(groups.items()):
-        out.append(
-            MetricRecord(
-                method=method,
-                variable=variable,
-                lead_days=lead,
-                crps=float(np.mean([r.crps for r in rs])),
-                rmse=float(np.mean([r.rmse for r in rs])),
-                ssr=float(np.mean([r.ssr for r in rs])),
-                seed=None,
-            )
-        )
-    return out
+    """Seed-mean rows (seed=None), one per (method, variable, lead), sorted."""
+    groups = _seed_groups(r for r in records if r.seed is not None)
+    return [_seed_mean(groups[key]) for key in sorted(groups)]
 
 
 # ---------------------------------------------------------------------------
@@ -327,47 +316,36 @@ def emit_report(records: list[MetricRecord], out_dir: str | Path) -> dict:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     per_seed = [r for r in records if r.seed is not None] or list(records)
+    groups = _seed_groups(per_seed)
 
     summary: dict = {}
-    variables = sorted({r.variable for r in per_seed})
-    for variable in variables:
-        rows = {}
-        order = []
-        for r in per_seed:
-            if r.variable != variable:
-                continue
-            if r.method not in rows:
-                rows[r.method] = {}
-                order.append(r.method)
-            rows[r.method].setdefault(r.lead_days, {"crps": [], "rmse": [], "ssr": []})
-            cell = rows[r.method][r.lead_days]
-            cell["crps"].append(r.crps)
-            cell["rmse"].append(r.rmse)
-            cell["ssr"].append(r.ssr)
+    for variable in sorted({v for _, v, _ in groups}):
+        cells = {(m, lead): rs for (m, v, lead), rs in groups.items() if v == variable}
+        means = {key: _seed_mean(rs) for key, rs in cells.items()}
+        methods = list(dict.fromkeys(m for m, _ in cells))
 
         lines = [REPORT_HEADER]
         json_rows = []
-        for method in order:
-            cells = []
+        for method in methods:
+            row = [method]
             jrow = {"strategy": method}
-            for metric in ("crps", "rmse", "ssr"):
+            for metric in METRICS:
                 for lead in (5, 10):
-                    vals = rows[method].get(lead, {}).get(metric, [])
-                    cells.append(_cell(vals) if vals else "")
-                    jrow[f"{metric}_{lead}d"] = float(np.mean(vals)) if vals else None
-            lines.append(",".join([method] + cells))
+                    rs = cells.get((method, lead))
+                    row.append(_cell([getattr(r, metric) for r in rs]) if rs else "")
+                    jrow[f"{metric}_{lead}d"] = getattr(means[method, lead], metric) if rs else None
+            lines.append(",".join(row))
             json_rows.append(jrow)
         (out_dir / f"report_{variable}.csv").write_text("\n".join(lines) + "\n")
 
         # plot-ready SSR-vs-lead data
         curve_lines = ["strategy,lead_days,ssr"]
         curves: dict[str, list] = {}
-        for method in order:
-            for lead in sorted(rows[method]):
-                vals = rows[method][lead]["ssr"]
-                mean = float(np.mean(vals))
-                curve_lines.append(f"{method},{lead},{mean:.6g}")
-                curves.setdefault(method, []).append({"lead_days": lead, "ssr": mean})
+        for method in methods:
+            for lead in sorted(lead for m, lead in cells if m == method):
+                value = means[method, lead].ssr
+                curve_lines.append(f"{method},{lead},{value:.6g}")
+                curves.setdefault(method, []).append({"lead_days": lead, "ssr": value})
         (out_dir / f"ssr_curve_{variable}.csv").write_text("\n".join(curve_lines) + "\n")
 
         summary[variable] = {"table": json_rows, "ssr_curves": curves}

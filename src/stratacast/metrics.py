@@ -87,6 +87,10 @@ def ensemble_spread(members: np.ndarray, w: np.ndarray) -> float:
     return float(np.sqrt(np.mean(members.var(axis=0, ddof=1) * w)))
 
 
+# the scores of a MetricRecord, in the column order of every output
+METRICS = ("crps", "rmse", "ssr")
+
+
 @dataclass
 class MetricRecord:
     """One row of the report: (method, variable, lead) -> scores."""
@@ -102,20 +106,21 @@ class MetricRecord:
     def __post_init__(self):
         if type(self.lead_days) is not int or self.lead_days < 1:
             raise MetricError(f"lead_days {self.lead_days!r} is not an integer >= 1")
-        for name in ("crps", "rmse", "ssr"):
+        for name in METRICS:
             if not np.isfinite(getattr(self, name)):
                 raise MetricError(f"non-finite {name} for {self.method}/{self.variable}")
 
 
-CSV_HEADER = "method,variable,lead_days,crps,rmse,ssr"
-
-
 def records_to_csv(records: Iterable[MetricRecord]) -> str:
-    lines = [CSV_HEADER]
+    """CSV with one line per record; a ``seed`` column follows ``method``
+    when the records carry seeds (per-seed rows, not seed means)."""
+    records = list(records)
+    keys = ["method", *(["seed"] if any(r.seed is not None for r in records) else []),
+            "variable", "lead_days"]
+    lines = [",".join(keys + list(METRICS))]
     for r in records:
-        lines.append(
-            f"{r.method},{r.variable},{r.lead_days},{r.crps:.6g},{r.rmse:.6g},{r.ssr:.6g}"
-        )
+        lines.append(",".join([*(str(getattr(r, k)) for k in keys),
+                               *(f"{getattr(r, m):.6g}" for m in METRICS)]))
     return "\n".join(lines) + "\n"
 
 
@@ -155,6 +160,10 @@ def evaluate_forecast(
     cells. Degenerate cases (deterministic ensemble or zero error) record
     ssr = 0.0 instead of raising.
     """
+    state, truth_state = forecast.trajectories.shape[3:], truth.data.shape[1:]
+    if state != truth_state:
+        raise MetricError(f"forecast state shape (variable, lat, lon) {state} does not match "
+                          f"the truth dataset's {truth_state}")
     if w is None:
         w = np.ones((truth.grid.n_lat, truth.grid.n_lon))
     records = []
@@ -176,14 +185,6 @@ def evaluate_forecast(
             except MetricError:
                 ssr_val = 0.0
             records.append(
-                MetricRecord(
-                    method=method,
-                    variable=name,
-                    lead_days=int(lead),
-                    crps=crps_val,
-                    rmse=rmse_val,
-                    ssr=ssr_val,
-                    seed=seed,
-                )
+                MetricRecord(method, name, int(lead), crps_val, rmse_val, ssr_val, seed)
             )
     return records

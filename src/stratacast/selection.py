@@ -81,14 +81,23 @@ class SubsetSelection:
     @classmethod
     def load(cls, path: str | Path) -> "SubsetSelection":
         """Read a selection file; one that lacks a key or holds a value of the
-        wrong type raises SelectionError."""
+        wrong type (an index or seed that is not an integer, a fraction that is
+        not a number, a strategy that is not a string) raises SelectionError."""
         d = json.loads(Path(path).read_text())
         try:
+            typed = [("strategy", d["strategy"], str, "a string"),
+                     ("indices", d["indices"], list, "a list"),
+                     *(("index", i, int, "an integer") for i in d["indices"]),
+                     ("fraction", d["fraction"], (int, float), "a number"),
+                     ("seed", d["seed"], int, "an integer")]
+            for name, v, types, what in typed:
+                if isinstance(v, bool) or not isinstance(v, types):
+                    raise TypeError(f"{name} {v!r} is not {what}")
             return cls(
                 strategy=d["strategy"],
-                indices=[int(i) for i in d["indices"]],
+                indices=list(d["indices"]),
                 fraction=float(d["fraction"]),
-                seed=int(d["seed"]),
+                seed=d["seed"],
                 metadata=d.get("metadata", {}),
             )
         except (KeyError, TypeError) as e:

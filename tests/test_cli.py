@@ -152,9 +152,10 @@ class TestDataErrors:
         ({"fraction": 2.0}, "fraction must lie in (0, 1], not 2.0"),
         ({"eval_stride_hours": 0}, "eval_stride_hours must be > 0, not 0"),
         ({"strategies": ["randm"]}, "unknown strategy 'randm'"),
+        ({"strategies": ["random", "random"]}, "strategy 'random' is listed more than once"),
     ], ids=["unknown", "unknown_split", "unknown_forecaster", "flat_grid", "fractional_count",
             "no_members", "no_steps", "no_leads", "negative_seed", "fraction", "eval_stride",
-            "unknown_strategy"])
+            "unknown_strategy", "repeated_strategy"])
     def test_run_config_that_cannot_run_exits_2_before_data(self, tmp_path, over, message):
         # dataset_path names no file: each config is refused before it is read
         d = dict({
@@ -277,6 +278,23 @@ class TestPipeline:
     def test_generate_writes_dataset(self, data_dir):
         assert (data_dir / "synthetic.ften").is_file()
         assert (data_dir / "synthetic.ften.meta.json").is_file()
+
+    def test_generate_seed_flag_wins_over_the_config_seed(self, synth_config, tmp_path):
+        """``--seed`` replaces the config's seed; without it the config's seed
+        is used, or 0 when the config has none."""
+        seeded = tmp_path / "seeded.json"
+        seeded.write_text(json.dumps(dict(json.loads(synth_config.read_text()), seed=1)))
+
+        def archive(cfg, *flag):
+            out = tmp_path / "_".join([cfg.stem, *flag])
+            assert main(["generate-data", "--config", str(cfg), *flag, "--out", str(out)]) == 0
+            return (out / "synthetic.ften").read_bytes()
+
+        five = archive(seeded, "--seed", "5")
+        assert five != archive(seeded, "--seed", "9")
+        assert five == archive(synth_config, "--seed", "5")
+        assert archive(seeded) == archive(synth_config, "--seed", "1")
+        assert archive(synth_config) == archive(synth_config, "--seed", "0")
 
     def test_select_deterministic_across_processes(self, data_dir, tmp_path):
         out_a = tmp_path / "a"
@@ -409,7 +427,14 @@ class TestPipeline:
     @pytest.mark.parametrize("change, message", [
         (lambda d: d.pop("indices"), "(KeyError: 'indices')"),
         (lambda d: d.update(seed=None), "(TypeError: "),
-    ], ids=["no_indices", "null_seed"])
+        (lambda d: d.update(indices=[i + 0.9 for i in d["indices"]]), "(TypeError: index "),
+        (lambda d: d.update(indices=[str(i) for i in d["indices"]]), "(TypeError: index "),
+        (lambda d: d.update(indices=[True, *d["indices"][1:]]), "(TypeError: index True"),
+        (lambda d: d.update(seed=0.0), "(TypeError: seed 0.0 is not an integer)"),
+        (lambda d: d.update(fraction="0.2"), "(TypeError: fraction '0.2' is not a number)"),
+        (lambda d: d.update(strategy=7), "(TypeError: strategy 7 is not a string)"),
+    ], ids=["no_indices", "null_seed", "float_indices", "string_indices", "bool_index",
+            "float_seed", "string_fraction", "number_strategy"])
     def test_train_refuses_a_damaged_selection_file(self, data_dir, tmp_path, change, message):
         data = str(data_dir / "synthetic.ften")
         assert main(["select", "--data", data, "--strategy", "random",
@@ -463,6 +488,29 @@ class TestPipeline:
         assert "forecaster entry 'a' has shape (1, 3, 4), not (1, 2, 4)" in r.stderr
         assert "Traceback" not in r.stderr
         assert not (tmp_path / "fc").exists()
+
+    def test_evaluate_refuses_truth_of_another_grid(self, data_dir, tmp_path):
+        data = str(data_dir / "synthetic.ften")
+        assert main(["select", "--data", data, "--strategy", "random",
+                     "--train-years", "2000:2000", "--out", str(tmp_path)]) == 0
+        assert main(["train", "--data", data, "--selection", str(tmp_path / "random_seed0.json"),
+                     "--forecaster", "persistence",
+                     "--train-years", "2000:2000", "--out", str(tmp_path)]) == 0
+        assert main(["rollout", "--data", data, "--model", str(tmp_path / "persistence"),
+                     "--members", "2", "--train-years", "2000:2000",
+                     "--test-years", "2001:2001", "--out", str(tmp_path)]) == 0
+        ds = dsmod.load_dataset(data)
+        narrow = dsmod.GriddedDataset(dsmod.GridSpec(ds.grid.lats[:2], ds.grid.lons),
+                                      ds.variables, ds.timestamps, ds.data[:, :, :2])
+        dsmod.save_dataset(narrow, tmp_path / "narrow.ften")
+        r = run_cli("evaluate", "--data", str(tmp_path / "narrow.ften"),
+                    "--forecast", str(tmp_path / "forecast"),
+                    "--train-years", "2000:2000", "--out", str(tmp_path / "scores"))
+        assert r.returncode == 2
+        assert ("forecast state shape (variable, lat, lon) (1, 3, 4) does not match "
+                "the truth dataset's (1, 2, 4)") in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not (tmp_path / "scores").exists()
 
     @pytest.mark.parametrize("kind, entry, message", [
         ("persistence", "kind", "unknown serialized kind 'None'"),

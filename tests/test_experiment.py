@@ -218,6 +218,9 @@ class TestConfig:
         ({"leads_days": ()}, "leads_days must be non-empty"),
         ({"strategies": ["random", "randm"]},
          "unknown strategy 'randm'; known: " + ", ".join(STRATEGIES)),
+        ({"strategies": ["random", "stratified_time", "random"]},
+         "strategy 'random' is listed more than once"),
+        ({"strategies": ["full", "full"]}, "strategy 'full' is listed more than once"),
     ])
     def test_config_that_cannot_run_rejected(self, small_grid, over, message):
         with pytest.raises(ExperimentError) as e:

@@ -190,6 +190,9 @@ class TestMetricRecord:
         lines = csv.strip().split("\n")
         assert lines[0] == "method,variable,lead_days,crps,rmse,ssr"
         assert lines[1] == "random,z500,5,267.02,571.24,0.85"
+        rec.seed = 3  # per-seed rows carry a seed column
+        assert records_to_csv([rec]).split("\n")[:2] == [
+            "method,seed,variable,lead_days,crps,rmse,ssr", "random,3,z500,5,267.02,571.24,0.85"]
 
     def test_lead_bounds(self):
         # any integer lead >= 1: rollouts may run past 10 days
