@@ -18,11 +18,12 @@ from pathlib import Path
 
 from . import dataset as dsmod
 from . import synthetic
-from .dataset import SplitSpec
+from .dataset import INTEGER, NUMBER, STRING, DatasetError, SplitSpec, check_object, or_null
 from .experiment import (ExperimentConfig, emit_report, eval_init_times, load_standardized,
                          run_experiment, training_candidates, whole_number)
 from .forecast import (
     VALID_KINDS,
+    ForecastError,
     ForecasterSpec,
     load_forecast,
     load_forecaster,
@@ -120,9 +121,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_generate_data(args) -> int:
-    cfg = {"seed": 0, **json.loads(Path(args.config).read_text())}
-    if args.seed is not None:
-        cfg["seed"] = args.seed
+    cfg = dsmod.read_json(args.config, DatasetError)
+    if isinstance(cfg, dict):  # from_dict refuses anything else
+        cfg = {"seed": 0, **cfg} if args.seed is None else {**cfg, "seed": args.seed}
     ds = synthetic.generate(synthetic.SyntheticConfig.from_dict(cfg))
     path = dsmod.save_dataset(ds, Path(args.out) / "synthetic.ften")
     log.info("wrote %s (%d steps)", path, ds.n_times)
@@ -153,7 +154,11 @@ def cmd_train(args) -> int:
             f"{args.selection}: index {outside[0]} is not a training candidate of "
             f"{args.data} for train years {args.train_years}"
         )
-    spec = ForecasterSpec(args.forecaster, json.loads(args.hyper))
+    try:
+        hyper = json.loads(args.hyper)
+    except ValueError as e:
+        raise ForecastError(f"--hyper is not JSON: {e}") from None
+    spec = ForecasterSpec(args.forecaster, hyper)
     model = train(spec, ds, sel, seed=args.seed, split=split)
     save_forecaster(model, Path(args.out) / args.forecaster)
     return 0
@@ -192,23 +197,19 @@ def cmd_run(args) -> int:
     return 0
 
 
-# records.json row keys and the JSON types of their values
-_RECORD_KEYS = {"method": str, "variable": str, "lead_days": int,
-                **dict.fromkeys(METRICS, (int, float)), "seed": (int, type(None))}
+# records.json row keys and what their values must be
+_RECORD_KEYS = {"method": (STRING, True), "variable": (STRING, True), "lead_days": (INTEGER, True),
+                **dict.fromkeys(METRICS, (NUMBER, True)), "seed": (or_null(INTEGER), True)}
 
 
 def _read_records(path) -> list[MetricRecord]:
     """The rows of a ``records.json``; a key that is missing, unknown or of
     the wrong type raises MetricError naming it."""
-    rows = json.loads(Path(path).read_text())
-    if not isinstance(rows, list) or not all(isinstance(r, dict) for r in rows):
-        raise MetricError(f"{path} must hold a list of objects")
+    rows = dsmod.read_json(path, MetricError)
+    if not isinstance(rows, list):
+        raise MetricError(f"{path} must hold a list of records")
     for row in rows:
-        for key in {**_RECORD_KEYS, **row}:
-            if key not in row or key not in _RECORD_KEYS:
-                raise MetricError(f"record {'lacks' if key not in row else 'has unknown'} key {key!r}")
-            if isinstance(row[key], bool) or not isinstance(row[key], _RECORD_KEYS[key]):
-                raise MetricError(f"record key {key!r} has a value of the wrong type: {row[key]!r}")
+        check_object(row, _RECORD_KEYS, "record", MetricError)
     return [MetricRecord(**row) for row in rows]
 
 

@@ -13,15 +13,22 @@ little-endian f32 payload in [time][var][lat][lon] order. A JSON sidecar
 (``2000-01-01T06:00:00``), the variable names and the grid coordinates
 (``lats``, ``lons``). A ``static`` key, written by older versions of the
 format, is ignored on read.
+
+Every JSON document the package reads is parsed by ``read_json`` and its
+keys and value types are checked by ``check_object``, so each refusal names
+the file or the key in one form.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
+import reprlib
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -34,6 +41,77 @@ _SYNTH_RE = re.compile(r"^synthetic_\d+$")
 
 class DatasetError(ValueError):
     """Raised for malformed files, invalid dimensions or invariant violations."""
+
+
+# ---------------------------------------------------------------------------
+# JSON input
+# ---------------------------------------------------------------------------
+
+def read_json(path: str | Path, error: type[Exception]):
+    """The JSON document in the file at ``path``; raises ``error`` naming the
+    file when it does not parse."""
+    try:
+        return json.loads(Path(path).read_text())
+    except ValueError as e:  # JSONDecodeError, or bytes that are not UTF-8
+        raise error(f"{path} is not a JSON file: {e}") from None
+
+
+class Rule(NamedTuple):
+    """What a JSON value must be: ``ok(value)`` and, for messages, ``desc``."""
+
+    ok: Callable[[object], bool]
+    desc: str
+
+
+ANY = Rule(lambda v: True, "anything")
+BOOLEAN = Rule(lambda v: isinstance(v, bool), "true or false")
+STRING = Rule(lambda v: isinstance(v, str), "a string")
+OBJECT = Rule(lambda v: isinstance(v, dict), "an object")
+INTEGER = Rule(lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer")
+NUMBER = Rule(lambda v: INTEGER.ok(v) or (isinstance(v, float) and math.isfinite(v)),
+              "a finite number")
+
+
+def list_of(item: Rule, desc: str, n: int | None = None) -> Rule:
+    """A list of ``n`` (or any number of) values that pass ``item``."""
+    return Rule(lambda v: isinstance(v, list) and n in (None, len(v)) and all(map(item.ok, v)),
+                desc)
+
+
+def or_null(rule: Rule) -> Rule:
+    return Rule(lambda v: v is None or rule.ok(v), f"null or {rule.desc}")
+
+
+STRINGS = list_of(STRING, "a list of strings")
+NUMBERS = list_of(NUMBER, "a list of numbers")
+
+
+def check_object(obj, keys: dict, what: str, error: type[Exception], _prefix: str = "") -> None:
+    """Raise ``error`` unless ``obj`` is a JSON object whose keys are keys of
+    ``keys`` and whose values pass their rules.
+
+    ``keys`` maps each key to ``(rule, required)``; a rule that is a dict is
+    such a table for a nested object, whose keys are named ``outer.inner``.
+    Unknown keys are found first, then each key in table order is checked.
+    The message names the key: ``missing <what> key 'k'``, ``unknown <what>
+    key 'k'`` or ``<what> key 'k' must be <desc>, not <value>``.
+    """
+    if not isinstance(obj, dict):
+        raise error(f"{what} must be an object")
+    for key in obj:
+        if key not in keys:
+            raise error(f"unknown {what} key {_prefix + str(key)!r}")
+    for key, (rule, required) in keys.items():
+        name = _prefix + key
+        if key not in obj:
+            if required:
+                raise error(f"missing {what} key {name!r}")
+            continue
+        check = OBJECT if isinstance(rule, dict) else rule
+        if not check.ok(obj[key]):
+            raise error(f"{what} key {name!r} must be {check.desc}, not {reprlib.repr(obj[key])}")
+        if isinstance(rule, dict):
+            check_object(obj[key], rule, what, error, name + ".")
 
 
 def hours_delta(hours: float) -> np.timedelta64:
@@ -237,20 +315,26 @@ def _read_raw_tensor(path: Path) -> np.ndarray:
     return np.frombuffer(payload, dtype="<f4").reshape(nt, nv, nlat, nlon).copy()
 
 
+_SIDECAR_KEYS = {"timestamps": (STRINGS, True), "variables": (STRINGS, True),
+                 "lats": (NUMBERS, True), "lons": (NUMBERS, True),
+                 "static": (ANY, False)}  # written by older versions; ignored
+
+
 def load_dataset(path: str | Path) -> GriddedDataset:
     """Load a field-tensor file and its sidecar into a validated dataset.
 
-    Errors name the sidecar or the data file. A ``static`` sidecar key is
-    ignored.
+    Errors name the sidecar or the data file. The sidecar's keys and their
+    types are checked before anything else is read.
     """
     path = Path(path)
     sidecar = path.with_name(path.name + ".meta.json")
     if not sidecar.exists():
         raise DatasetError(f"missing sidecar {sidecar}")
-    meta = json.loads(sidecar.read_text())
+    meta = read_json(sidecar, DatasetError)
+    check_object(meta, _SIDECAR_KEYS, f"sidecar {sidecar}", DatasetError)
     try:
         timestamps = np.array(meta["timestamps"], dtype="datetime64[us]")
-    except (TypeError, ValueError) as e:
+    except ValueError as e:
         raise DatasetError(f"{sidecar}: bad timestamp: {e}") from None
     data = _read_raw_tensor(path)
     try:

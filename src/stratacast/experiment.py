@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable
@@ -21,7 +20,8 @@ import numpy as np
 
 from . import dataset as dsmod
 from . import synthetic
-from .dataset import GriddedDataset, SplitSpec
+from .dataset import (ANY, BOOLEAN, INTEGER, NUMBER, OBJECT, STRING, STRINGS, GriddedDataset,
+                      SplitSpec, check_object, list_of, or_null)
 from .forecast import ForecasterSpec, rollout, train
 from .metrics import METRICS, MetricRecord, area_weights, evaluate_forecast, records_to_csv
 from .selection import FULL, STRATEGIES, SelectionBudget, SubsetSelection, run_strategy
@@ -33,56 +33,29 @@ class ExperimentError(ValueError):
     pass
 
 
-def _int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _number(v) -> bool:
-    return _int(v) or (isinstance(v, float) and math.isfinite(v))
-
-
 def whole_number(name: str, v, least: int) -> int:
     """``v`` as an int; raises naming ``name`` unless it is a whole number
     >= ``least`` (integral floats such as ``8.0`` pass)."""
-    if not (_number(v) and v == int(v) and v >= least):
+    if not (NUMBER.ok(v) and v == int(v) and v >= least):
         raise ExperimentError(f"{name} must be an integer >= {least}, not {v!r}")
     return int(v)
 
 
-def _list_of(ok, n=None):
-    return lambda v: isinstance(v, list) and n in (None, len(v)) and all(map(ok, v))
-
-
-_years = _list_of(_int, 2)
-
-
-def _years_or_null(v) -> bool:
-    return v is None or _years(v)
-
-
-def _dict(v) -> bool:
-    return isinstance(v, dict)
-
-
-# Run config keys in the order they are checked: what each must be, and
-# whether it is required. Optional keys are checked only when present; a key
-# not listed here is refused.
-_KEY_RULES = {
-    "strategies": (_list_of(lambda s: isinstance(s, str)), "a list of strings", True),
-    "split": (_dict, "an object", True),
-    "split.train_years": (_years, "a list of two integers", True),
-    "split.val_years": (_years_or_null, "null or a list of two integers", False),
-    "split.test_years": (_years_or_null, "null or a list of two integers", False),
-    "forecaster": (_dict, "an object", True),
-    "forecaster.kind": (lambda v: isinstance(v, str), "a string", True),
-    "forecaster.hyperparameters": (_dict, "an object", False),
-    "dataset_path": (lambda v: v is None or isinstance(v, str), "a string", False),
-    "synthetic": (_dict, "an object", False),
-    "leads_days": (_list_of(_int), "a list of integers", False),
-    **{key: (_number, "a finite number", False) for key in (
-        "fraction", "n_members", "n_seeds", "base_seed", "n_steps", "eval_stride_hours")},
-    "flat_grid": (lambda v: isinstance(v, bool), "true or false", False),
-    "jobs": (lambda v: True, "anything", False),  # retired; ignored
+_YEARS = list_of(INTEGER, "a list of two integers", 2)
+# Run config keys: what each must be and whether it is required. Value
+# ranges are checked by ExperimentConfig itself.
+_CONFIG_KEYS = {
+    "strategies": (STRINGS, True),
+    "split": ({"train_years": (_YEARS, True), "val_years": (or_null(_YEARS), False),
+               "test_years": (or_null(_YEARS), False)}, True),
+    "forecaster": ({"kind": (STRING, True), "hyperparameters": (OBJECT, False)}, True),
+    "dataset_path": (or_null(STRING), False),
+    "synthetic": (OBJECT, False),
+    "leads_days": (list_of(INTEGER, "a list of integers"), False),
+    **dict.fromkeys(("fraction", "n_members", "n_seeds", "base_seed", "n_steps",
+                     "eval_stride_hours"), (NUMBER, False)),
+    "flat_grid": (BOOLEAN, False),
+    "jobs": (ANY, False),  # retired; ignored
 }
 # the optional keys that are ExperimentConfig fields of the same name
 _FIELD_KEYS = ("fraction", "n_members", "n_seeds", "base_seed", "leads_days", "n_steps",
@@ -119,9 +92,9 @@ class ExperimentConfig:
             raise ExperimentError("exactly one of dataset_path / synthetic required")
         for name, least in (("n_members", 1), ("n_seeds", 1), ("n_steps", 1), ("base_seed", 0)):
             setattr(self, name, whole_number(name, getattr(self, name), least))
-        if not (_number(self.fraction) and 0 < self.fraction <= 1):
+        if not (NUMBER.ok(self.fraction) and 0 < self.fraction <= 1):
             raise ExperimentError(f"fraction must lie in (0, 1], not {self.fraction!r}")
-        if not (_number(self.eval_stride_hours) and self.eval_stride_hours > 0):
+        if not (NUMBER.ok(self.eval_stride_hours) and self.eval_stride_hours > 0):
             raise ExperimentError(f"eval_stride_hours must be > 0, not {self.eval_stride_hours!r}")
         if not self.leads_days:
             raise ExperimentError("leads_days must be non-empty")
@@ -133,20 +106,8 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
         path = Path(path)
-        d = json.loads(path.read_text())
-        if not isinstance(d, dict):
-            raise ExperimentError("a run config must be a JSON object")
-        for key, (ok, what, required) in _KEY_RULES.items():
-            *block, name = key.split(".")
-            holder = d[block[0]] if block else d
-            if name not in holder:
-                if required:
-                    raise ExperimentError(f"missing run config key {key!r}")
-            elif not ok(holder[name]):
-                raise ExperimentError(f"run config key {key!r} must be {what}")
-        for key in [*d, *(f"{b}.{k}" for b in ("split", "forecaster") for k in d[b])]:
-            if key not in _KEY_RULES:
-                raise ExperimentError(f"unknown run config key {key!r}")
+        d = dsmod.read_json(path, ExperimentError)
+        check_object(d, _CONFIG_KEYS, "run config", ExperimentError)
         synth = None
         if "synthetic" in d:
             synth = synthetic.SyntheticConfig.from_dict(d["synthetic"])
@@ -197,12 +158,16 @@ def eval_init_times(
     ds: GriddedDataset, split: SplitSpec, n_steps: int, eval_stride_hours: float
 ) -> list[int]:
     """Test-split init indices with room for ``n_steps`` daily steps, one per
-    ``eval_stride_hours``; raises when there are none."""
+    ``eval_stride_hours``; raises when there are none or when
+    ``eval_stride_hours`` is not a whole number of dataset strides."""
     inits = dsmod.valid_init_times(ds, split, which="test", max_lead_hours=n_steps * 24.0)
     if not inits:
         raise ExperimentError("test split yields no valid init times")
-    every = max(int(round(eval_stride_hours / ds.stride_hours)), 1)
-    return inits[::every]
+    every = eval_stride_hours / ds.stride_hours
+    if every < 1 or abs(every - round(every)) > 1e-9:
+        raise ExperimentError(f"eval_stride_hours {eval_stride_hours:g} is not a whole number "
+                              f"of the dataset's {ds.stride_hours:g} h strides")
+    return inits[::round(every)]
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> list[MetricRecord]:

@@ -43,15 +43,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import GriddedDataset, SplitSpec, day_offset, hours_delta, split_time_indices
+from .dataset import (NUMBER, GriddedDataset, Rule, SplitSpec, check_object, day_offset,
+                      hours_delta, split_time_indices)
 from .selection import SubsetSelection
 
 
 class ForecastError(ValueError):
     pass
 
-
-VALID_KINDS = ("persistence", "climatology", "stochastic_linear", "toy_diffusion")
 
 DIFFUSION_DEFAULTS = {
     "n_noise_levels": 20,
@@ -64,22 +63,27 @@ DIFFUSION_DEFAULTS = {
     "sigma_max": 3.0,
 }
 
-_HYPER_KEYS = {
-    "persistence": (),
-    "climatology": (),
-    "stochastic_linear": ("ridge_lambda",),
-    "toy_diffusion": tuple(DIFFUSION_DEFAULTS),
+# Each kind's hyperparameters and their defaults. A key whose default is an
+# int is a count (an integer >= 1); every other key is a positive number.
+HYPERPARAMETERS = {
+    "persistence": {},
+    "climatology": {},
+    "stochastic_linear": {"ridge_lambda": 1e-3},
+    "toy_diffusion": DIFFUSION_DEFAULTS,
 }
-_COUNT_KEYS = ("n_noise_levels", "n_sample_steps", "hidden_width", "n_epochs", "batch_size")
+VALID_KINDS = tuple(HYPERPARAMETERS)
+
+_COUNT = Rule(lambda v: NUMBER.ok(v) and v == int(v) and v >= 1, "an integer >= 1")
+_POSITIVE = Rule(lambda v: NUMBER.ok(v) and v > 0, "a positive finite number")
 
 
 @dataclass(frozen=True)
 class ForecasterSpec:
     """A forecaster kind and its hyperparameters, validated on construction.
 
-    Each kind accepts only its own keys, every value must be a positive
-    finite number, the counts must be integral (``24.0`` is stored as 24)
-    and ``sigma_min`` must be below ``sigma_max``.
+    Each kind accepts only the keys of its ``HYPERPARAMETERS`` entry. A count
+    must be an integer >= 1 (``24.0`` is stored as 24), every other value a
+    positive finite number, and ``sigma_min`` must be below ``sigma_max``.
     """
 
     kind: str
@@ -88,20 +92,14 @@ class ForecasterSpec:
     def __post_init__(self):
         if self.kind not in VALID_KINDS:
             raise ForecastError(f"unknown forecaster kind {self.kind!r}")
-        hyper = dict(self.hyperparameters)
-        for k, v in hyper.items():
-            if k not in _HYPER_KEYS[self.kind]:
-                raise ForecastError(f"unknown hyperparameter {k!r} for {self.kind}")
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or not (
-                math.isfinite(v) and v > 0
-            ):
-                raise ForecastError(f"hyperparameter {k!r} must be a positive finite number")
-            if k in _COUNT_KEYS:
-                if v != int(v):
-                    raise ForecastError(f"hyperparameter {k!r} must be an integer")
-                hyper[k] = int(v)
+        defaults = HYPERPARAMETERS[self.kind]
+        counts = {k for k, v in defaults.items() if isinstance(v, int)}
+        check_object(self.hyperparameters,
+                     {k: (_COUNT if k in counts else _POSITIVE, False) for k in defaults},
+                     "hyperparameter", ForecastError)
+        hyper = {k: int(v) if k in counts else v for k, v in self.hyperparameters.items()}
         if self.kind == "toy_diffusion":
-            hp = {**DIFFUSION_DEFAULTS, **hyper}
+            hp = {**defaults, **hyper}
             if not hp["sigma_min"] < hp["sigma_max"]:
                 raise ForecastError("sigma_min must be below sigma_max")
         object.__setattr__(self, "hyperparameters", hyper)
@@ -301,9 +299,10 @@ _ADAM_CHUNK = 16384
 
 
 def _train_toy_diffusion(
-    ds: GriddedDataset, pair_idx: np.ndarray, off: int, hyper: dict, seed: int
+    ds: GriddedDataset, pair_idx: np.ndarray, off: int, hp: dict, seed: int
 ) -> ToyDiffusionForecaster:
-    """Adam on the noise-prediction loss over the (t, t + off) pairs.
+    """Adam on the noise-prediction loss over the (t, t + off) pairs, with
+    every hyperparameter in ``hp``.
 
     Memory is O(batch · D), not O(pairs · D): each batch's conditioning and
     target rows are read from the float32 archive into reused float64
@@ -313,8 +312,6 @@ def _train_toy_diffusion(
     draws and every floating-point operation keep their order, e.g.
     ``((1 - beta2) * g) * g`` and ``(lr * mhat) / (sqrt(vhat) + eps)``.
     """
-    hp = dict(DIFFUSION_DEFAULTS)
-    hp.update(hyper)
     rng = np.random.default_rng([seed, 7])
     frames = ds.data.reshape(ds.n_times, -1)
     target_idx = pair_idx + off
@@ -451,10 +448,10 @@ def train(
         raise ForecastError(
             f"only {pair_idx.size} usable training pairs for {spec.kind}"
         )
+    hp = {**HYPERPARAMETERS[spec.kind], **spec.hyperparameters}
     if spec.kind == "stochastic_linear":
-        lam = float(spec.hyperparameters.get("ridge_lambda", 1e-3))
-        return _fit_stochastic_linear(ds, pair_idx, off, lam)
-    return _train_toy_diffusion(ds, pair_idx, off, spec.hyperparameters, seed)
+        return _fit_stochastic_linear(ds, pair_idx, off, float(hp["ridge_lambda"]))
+    return _train_toy_diffusion(ds, pair_idx, off, hp, seed)
 
 
 # A rollout block holds about this many float64 state values (init x member

@@ -26,7 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import GriddedDataset, day_offset
+from .dataset import (INTEGER, NUMBER, OBJECT, STRING, GriddedDataset, check_object, day_offset,
+                      list_of, read_json)
 from .features import (
     _svd_pca,
     default_pca_dims,
@@ -80,28 +81,19 @@ class SubsetSelection:
 
     @classmethod
     def load(cls, path: str | Path) -> "SubsetSelection":
-        """Read a selection file; one that lacks a key or holds a value of the
-        wrong type (an index or seed that is not an integer, a fraction that is
-        not a number, a strategy that is not a string) raises SelectionError."""
-        d = json.loads(Path(path).read_text())
-        try:
-            typed = [("strategy", d["strategy"], str, "a string"),
-                     ("indices", d["indices"], list, "a list"),
-                     *(("index", i, int, "an integer") for i in d["indices"]),
-                     ("fraction", d["fraction"], (int, float), "a number"),
-                     ("seed", d["seed"], int, "an integer")]
-            for name, v, types, what in typed:
-                if isinstance(v, bool) or not isinstance(v, types):
-                    raise TypeError(f"{name} {v!r} is not {what}")
-            return cls(
-                strategy=d["strategy"],
-                indices=list(d["indices"]),
-                fraction=float(d["fraction"]),
-                seed=d["seed"],
-                metadata=d.get("metadata", {}),
-            )
-        except (KeyError, TypeError) as e:
-            raise SelectionError(f"{path} is not a selection file ({type(e).__name__}: {e})") from None
+        """Read a selection file; one that does not parse, or that lacks a
+        key, has an unknown one or holds a value of the wrong type (an index
+        or seed that is not an integer, a fraction that is not a number, a
+        strategy that is not a string), raises SelectionError."""
+        d = read_json(path, SelectionError)
+        check_object(d, _FILE_KEYS, f"selection file {path}", SelectionError)
+        return cls(strategy=d["strategy"], indices=d["indices"], fraction=float(d["fraction"]),
+                   seed=d["seed"], metadata=d.get("metadata", {}))
+
+
+_FILE_KEYS = {"strategy": (STRING, True), "seed": (INTEGER, True), "fraction": (NUMBER, True),
+              "indices": (list_of(INTEGER, "a list of integers"), True),
+              "metadata": (OBJECT, False)}
 
 
 # ---------------------------------------------------------------------------

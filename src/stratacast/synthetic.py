@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import DatasetError, GriddedDataset, GridSpec, hours_delta
+from .dataset import (INTEGER, NUMBER, NUMBERS, DatasetError, GriddedDataset, GridSpec,
+                      check_object, hours_delta)
 
 N_REGIMES = 12  # one regime pattern per calendar month
 
@@ -34,12 +35,8 @@ class SyntheticConfig:
     start_year: int = 2000
 
     def __post_init__(self):
-        for f in dataclasses.fields(self)[1:]:  # all but the grid: "int" or "float"
-            v = getattr(self, f.name)
-            ok = isinstance(v, int) or (f.type == "float" and isinstance(v, float) and math.isfinite(v))
-            if isinstance(v, bool) or not ok:
-                what = "an integer" if f.type == "int" else "a finite number"
-                raise DatasetError(f"synthetic config key {f.name!r} must be {what}, not {v!r}")
+        fields = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)[1:]}
+        check_object(fields, _FIELD_KEYS, "synthetic config", DatasetError)
         if not self.stride_hours > 0:
             raise DatasetError("stride_hours must be > 0")
         if not 0.0 <= self.ar1_coefficient < 1.0:
@@ -54,20 +51,18 @@ class SyntheticConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "SyntheticConfig":
         """A config from JSON keys: ``lats`` and ``lons`` give the grid, and
-        every other key is a field. A missing or unknown key raises
-        DatasetError naming it."""
-        fields = [f for f in dataclasses.fields(cls) if f.name != "grid"]
-        known = {"lats", "lons"} | {f.name for f in fields}
-        required = ["lats", "lons"] + [f.name for f in fields if f.default is dataclasses.MISSING]
-        for key in d:
-            if key not in known:
-                raise DatasetError(f"unknown synthetic config key {key!r}")
-        for key in required:
-            if key not in d:
-                raise DatasetError(f"missing synthetic config key {key!r}")
+        every other key is a field. A missing or unknown key, or one of the
+        wrong type, raises DatasetError naming it."""
+        check_object(d, _KEYS, "synthetic config", DatasetError)
         s = dict(d)
         grid = GridSpec(np.asarray(s.pop("lats")), np.asarray(s.pop("lons")))
         return cls(grid=grid, **s)
+
+
+# every field but the grid, from its annotation: "int" or "float"
+_FIELD_KEYS = {f.name: (INTEGER if f.type == "int" else NUMBER, f.default is dataclasses.MISSING)
+               for f in dataclasses.fields(SyntheticConfig)[1:]}
+_KEYS = {"lats": (NUMBERS, True), "lons": (NUMBERS, True), **_FIELD_KEYS}
 
 
 def _timestamps(cfg: SyntheticConfig) -> np.ndarray:

@@ -1,16 +1,23 @@
 import contextlib
+import dataclasses
 import io
 import json
+import shutil
 import subprocess
 import sys
+from datetime import timedelta
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stratacast import dataset as dsmod
-from stratacast.cli import main
+from stratacast.cli import _read_records, main
+from stratacast.experiment import eval_init_times, load_standardized
 from stratacast.forecast import VALID_KINDS
+from stratacast.metrics import MetricRecord
 
 PKG_ROOT = Path(__file__).resolve().parents[1]
 
@@ -195,10 +202,11 @@ class TestDataErrors:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("change, message", [
-        (lambda row: row.update(extra=1), "record has unknown key 'extra'"),
-        (lambda row: row.pop("crps"), "record lacks key 'crps'"),
-        (lambda row: row.update(lead_days="5"), "record key 'lead_days' has a value of the wrong"),
-        (lambda row: row.update(seed=1.5), "record key 'seed' has a value of the wrong"),
+        (lambda row: row.update(extra=1), "unknown record key 'extra'"),
+        (lambda row: row.pop("crps"), "missing record key 'crps'"),
+        (lambda row: row.update(lead_days="5"),
+         "record key 'lead_days' must be an integer, not '5'"),
+        (lambda row: row.update(seed=1.5), "record key 'seed' must be null or an integer, not 1.5"),
     ], ids=["extra_key", "missing_key", "string_lead", "float_seed"])
     def test_report_bad_records_exit_2_naming_key(self, tmp_path, change, message):
         rows = [{"method": "random", "variable": "v", "lead_days": 5,
@@ -425,14 +433,21 @@ class TestPipeline:
         assert not (tmp_path / "model").exists()
 
     @pytest.mark.parametrize("change, message", [
-        (lambda d: d.pop("indices"), "(KeyError: 'indices')"),
-        (lambda d: d.update(seed=None), "(TypeError: "),
-        (lambda d: d.update(indices=[i + 0.9 for i in d["indices"]]), "(TypeError: index "),
-        (lambda d: d.update(indices=[str(i) for i in d["indices"]]), "(TypeError: index "),
-        (lambda d: d.update(indices=[True, *d["indices"][1:]]), "(TypeError: index True"),
-        (lambda d: d.update(seed=0.0), "(TypeError: seed 0.0 is not an integer)"),
-        (lambda d: d.update(fraction="0.2"), "(TypeError: fraction '0.2' is not a number)"),
-        (lambda d: d.update(strategy=7), "(TypeError: strategy 7 is not a string)"),
+        (lambda d: d.pop("indices"), "missing selection file {sel} key 'indices'"),
+        (lambda d: d.update(seed=None),
+         "selection file {sel} key 'seed' must be an integer, not None"),
+        (lambda d: d.update(indices=[i + 0.9 for i in d["indices"]]),
+         "selection file {sel} key 'indices' must be a list of integers, not ["),
+        (lambda d: d.update(indices=[str(i) for i in d["indices"]]),
+         "selection file {sel} key 'indices' must be a list of integers, not ['"),
+        (lambda d: d.update(indices=[True, *d["indices"][1:]]),
+         "selection file {sel} key 'indices' must be a list of integers, not [True, "),
+        (lambda d: d.update(seed=0.0),
+         "selection file {sel} key 'seed' must be an integer, not 0.0"),
+        (lambda d: d.update(fraction="0.2"),
+         "selection file {sel} key 'fraction' must be a finite number, not '0.2'"),
+        (lambda d: d.update(strategy=7),
+         "selection file {sel} key 'strategy' must be a string, not 7"),
     ], ids=["no_indices", "null_seed", "float_indices", "string_indices", "bool_index",
             "float_seed", "string_fraction", "number_strategy"])
     def test_train_refuses_a_damaged_selection_file(self, data_dir, tmp_path, change, message):
@@ -446,7 +461,7 @@ class TestPipeline:
         r = run_cli("train", "--data", data, "--selection", str(sel), "--forecaster", "persistence",
                     "--train-years", "2000:2000", "--out", str(tmp_path / "model"))
         assert r.returncode == 2
-        assert f"{sel} is not a selection file {message}" in r.stderr
+        assert message.format(sel=sel) in r.stderr
         assert "Traceback" not in r.stderr
         assert not (tmp_path / "model").exists()
 
@@ -667,3 +682,123 @@ class TestPipeline:
                      "--out", str(out)]) == 0
         assert sorted(p.name for p in data_dir.iterdir()) == before
         assert list(out.iterdir())
+
+    def test_eval_stride_must_be_whole_dataset_strides(self, data_dir, tmp_path):
+        """On daily data, an ``eval_stride_hours`` of 36 is refused naming both
+        strides; 48 spaces the eval inits 48 h apart."""
+        data = str(data_dir / "synthetic.ften")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "strategies": ["random"],
+            "forecaster": {"kind": "persistence"},
+            "split": {"train_years": [2000, 2000], "test_years": [2001, 2001]},
+            "dataset_path": data,
+            "eval_stride_hours": 36,
+        }))
+        r = run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert r.returncode == 2
+        assert ("eval_stride_hours 36 is not a whole number of the dataset's 24 h strides"
+                in r.stderr)
+        assert "Traceback" not in r.stderr
+        split = dsmod.SplitSpec((2000, 2000), test_years=(2001, 2001))
+        ds = load_standardized(data, split)
+        inits = eval_init_times(ds, split, 10, 48.0)
+        assert len(inits) > 1
+        assert set(np.diff(ds.timestamps[inits]).tolist()) == {timedelta(hours=48)}
+
+
+# One valid instance of each JSON document the CLI reads, as (a key it
+# requires, a key and a value of the wrong type). Hyperparameters have no
+# required key.
+_DOCUMENTS = {
+    "run_config": ("strategies", "fraction", "0.2"),
+    "synthetic_config": ("noise_std", "n_years", "2"),
+    "hyperparameters": (None, "ridge_lambda", [1e-3]),
+    "selection": ("indices", "seed", "0"),
+    "records": ("crps", "lead_days", "5"),
+    "sidecar": ("lats", "variables", [5]),
+}
+_CASES = [(doc, case) for doc in _DOCUMENTS
+          for case in ("unparseable", "not_an_object", "missing_key", "unknown_key", "wrong_type")
+          if case != "missing_key" or _DOCUMENTS[doc][0]]
+
+
+class TestOutsideInput:
+    @pytest.fixture(scope="class")
+    def selection(self, data_dir, tmp_path_factory):
+        out = tmp_path_factory.mktemp("sel")
+        assert main(["select", "--data", str(data_dir / "synthetic.ften"), "--strategy", "random",
+                     "--train-years", "2000:2000", "--out", str(out)]) == 0
+        return out / "random_seed0.json"
+
+    def _valid(self, doc, data_dir, synth_config, selection):
+        return {
+            "run_config": {"strategies": ["random"], "forecaster": {"kind": "persistence"},
+                           "split": {"train_years": [2000, 2000]}, "dataset_path": "x.ften"},
+            "synthetic_config": json.loads(synth_config.read_text()),
+            "hyperparameters": {"ridge_lambda": 1e-3},
+            "selection": json.loads(selection.read_text()),
+            "records": [{"method": "random", "variable": "v", "lead_days": 5, "crps": 1.0,
+                         "rmse": 2.0, "ssr": 0.5, "seed": 0}],
+            "sidecar": json.loads((data_dir / "synthetic.ften.meta.json").read_text()),
+        }[doc]
+
+    @pytest.mark.parametrize("doc, case", _CASES)
+    def test_refused_with_exit_2_naming_the_file_or_key(self, data_dir, synth_config, selection,
+                                                       tmp_path, doc, case):
+        required, typed, bad = _DOCUMENTS[doc]
+        valid = self._valid(doc, data_dir, synth_config, selection)
+        obj = valid[0] if doc == "records" else valid  # a records file is a list of them
+        named = {"missing_key": required, "unknown_key": "extra", "wrong_type": typed}.get(case)
+        if case == "missing_key":
+            del obj[required]
+        elif case == "unknown_key":
+            obj["extra"] = 1
+        elif case == "wrong_type":
+            obj[typed] = bad
+        text = {"unparseable": "{", "not_an_object": "[1, 2]"}.get(case, json.dumps(valid))
+
+        data, out = str(data_dir / "synthetic.ften"), str(tmp_path / "out")
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        train = ["train", "--data", data, "--train-years", "2000:2000", "--out", out]
+        argv = {
+            "run_config": ["run", "--config", str(path), "--out", out],
+            "synthetic_config": ["generate-data", "--config", str(path), "--out", out],
+            "hyperparameters": [*train, "--selection", str(selection),
+                                "--forecaster", "stochastic_linear", "--hyper", text],
+            "selection": [*train, "--selection", str(path), "--forecaster", "persistence"],
+            "records": ["report", "--records", str(path), "--out", out],
+            "sidecar": ["select", "--data", str(tmp_path / "x.ften"), "--strategy", "random",
+                        "--train-years", "2000:2000", "--out", out],
+        }[doc]
+        if doc == "sidecar":
+            shutil.copy(data, tmp_path / "x.ften")
+            path = path.rename(tmp_path / "x.ften.meta.json")
+
+        # in process: an exception that escapes main fails the test, as it
+        # would end the command in a traceback
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(argv) == 2
+        assert "Traceback" not in err.getvalue()
+        if case == "unparseable":
+            assert ("--hyper" if doc == "hyperparameters" else str(path)) in err.getvalue()
+        elif case == "not_an_object":
+            assert "must be an object" in err.getvalue()
+        else:
+            assert repr(named) in err.getvalue()
+        assert not (tmp_path / "out").exists()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.builds(
+        MetricRecord, method=st.text(), variable=st.text(), lead_days=st.integers(1, 10**6),
+        crps=st.floats(allow_nan=False, allow_infinity=False),
+        rmse=st.floats(allow_nan=False, allow_infinity=False),
+        ssr=st.floats(allow_nan=False, allow_infinity=False),
+        seed=st.none() | st.integers())))
+    def test_records_round_trip(self, tmp_path_factory, records):
+        """Every ``records.json`` a run writes, ``report`` reads back equal."""
+        path = tmp_path_factory.mktemp("records") / "records.json"
+        path.write_text(json.dumps([dataclasses.asdict(r) for r in records], indent=2))
+        assert _read_records(path) == records

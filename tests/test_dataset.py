@@ -106,6 +106,39 @@ class TestFileFormat:
         assert back.timestamps.tolist() == [datetime(2000, 1, 1, h) for h in (0, 6, 12)]
         assert back.variables == ["synthetic_0", "synthetic_1"]
 
+    @settings(max_examples=60, deadline=None)
+    @given(n_times=st.integers(1, 4),
+           start_us=st.integers(0, 40 * 366 * 86_400 * 10**6),
+           stride_us=st.one_of(st.integers(1, 10**6), st.integers(1, 10**11)),
+           variables=st.lists(st.sampled_from(["z500", "t2m", "u10", "synthetic_0",
+                                               "synthetic_12"]), min_size=1, max_size=3,
+                              unique=True),
+           lats=st.lists(st.floats(-90, 90), min_size=1, max_size=3, unique=True),
+           lons=st.lists(st.floats(-180, 359.9), min_size=1, max_size=3, unique=True),
+           descending=st.booleans(), static=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_save_load_round_trip(self, tmp_path_factory, n_times, start_us, stride_us,
+                                  variables, lats, lons, descending, static, seed):
+        """What ``save_dataset`` writes, ``load_dataset`` accepts and reads back
+        equal: microsecond timestamps, negative longitudes, several variables,
+        and a sidecar with an old-style ``static`` key."""
+        start = np.datetime64("1990-01-01", "us") + np.timedelta64(start_us, "us")
+        ts = start + np.timedelta64(stride_us, "us") * np.arange(n_times)
+        grid = GridSpec(sorted(lats, reverse=descending), sorted(lons))
+        data = np.random.default_rng(seed).standard_normal(
+            (n_times, len(variables), grid.n_lat, grid.n_lon)).astype(np.float32)
+        ds = GriddedDataset(grid, variables, ts, data)
+        path = save_dataset(ds, tmp_path_factory.mktemp("rt") / "d.ften")
+        if static:
+            sidecar = path.with_name(path.name + ".meta.json")
+            sidecar.write_text(json.dumps(dict(json.loads(sidecar.read_text()),
+                                               static={"orography": "d.static.ften"})))
+        back = load_dataset(path)
+        assert back.data.tobytes() == ds.data.tobytes()
+        assert np.array_equal(back.timestamps, ds.timestamps)
+        assert back.variables == ds.variables
+        assert np.array_equal(back.grid.lats, grid.lats)
+        assert np.array_equal(back.grid.lons, grid.lons)
+
     def test_unparseable_timestamp_names_sidecar(self, tmp_path):
         ds = make_ds(np.zeros((2, 1, 2, 2), dtype=np.float32))
         path = save_dataset(ds, tmp_path / "d.ften")

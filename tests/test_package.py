@@ -1,3 +1,4 @@
+import ast
 import re
 from pathlib import Path
 
@@ -18,3 +19,23 @@ def test_readme_names_the_registered_strategies():
     the name ``--strategy`` and run configs take, and no other."""
     sentence = re.search(r"\*\*Selection strategies\*\*(.*?)\.\s", README.read_text(), re.S)
     assert sorted(re.findall(r"`([a-z_]+)`", sentence.group(1))) == sorted(STRATEGIES)
+
+
+def test_no_unused_imports():
+    """Every name a module under ``src/stratacast/`` imports is used in it
+    (``__init__.py`` imports to re-export)."""
+    unused = []
+    for path in sorted(Path(stratacast.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                    isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in used]
+    assert unused == []

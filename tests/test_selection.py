@@ -134,6 +134,25 @@ def test_selection_json_round_trip(std_toy, tmp_path):
     assert back == sel
 
 
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8)
+
+
+@settings(max_examples=80, deadline=None)
+@given(strategy=st.text(), indices=st.lists(st.integers(0, 2**40)), seed=st.integers(),
+       fraction=st.floats(0.0, 1.0, exclude_min=True),
+       metadata=st.dictionaries(st.text(), _JSON_VALUES, max_size=4))
+def test_selection_file_round_trip_property(tmp_path_factory, strategy, indices, seed, fraction,
+                                            metadata):
+    """Every file ``save`` writes, ``load`` accepts and reads back equal."""
+    sel = SubsetSelection(strategy, indices, fraction, seed, metadata)
+    path = tmp_path_factory.mktemp("sel") / "sel.json"
+    sel.save(path)
+    assert SubsetSelection.load(path) == sel
+
+
 # ---------------------------------------------------------------------------
 # Random
 # ---------------------------------------------------------------------------
