@@ -147,13 +147,14 @@ def cmd_train(args) -> int:
     split = SplitSpec(_years(args.train_years))
     ds = load_standardized(args.data, split)
     sel = SubsetSelection.load(args.selection)
-    candidates = set(training_candidates(ds, split))
-    outside = [i for i in sel.indices if i not in candidates]
-    if outside:
-        raise SelectionError(
-            f"{args.selection}: index {outside[0]} is not a training candidate of "
-            f"{args.data} for train years {args.train_years}"
-        )
+    candidates, seen = set(training_candidates(ds, split)), set()
+    for i in sel.indices:
+        if i not in candidates:
+            raise SelectionError(f"{args.selection}: index {i} is not a training candidate of "
+                                 f"{args.data} for train years {args.train_years}")
+        if i in seen:
+            raise SelectionError(f"{args.selection}: index {i} is listed more than once")
+        seen.add(i)
     try:
         hyper = json.loads(args.hyper)
     except ValueError as e:

@@ -99,9 +99,11 @@ class ExperimentConfig:
         if not self.leads_days:
             raise ExperimentError("leads_days must be non-empty")
         self.fraction, self.leads_days = float(self.fraction), tuple(self.leads_days)
-        for lead in self.leads_days:
+        for i, lead in enumerate(self.leads_days):
             if not 1 <= lead <= self.n_steps:
                 raise ExperimentError(f"lead {lead}d outside 1..{self.n_steps} rollout steps")
+            if lead in self.leads_days[:i]:
+                raise ExperimentError(f"lead {lead}d is listed more than once")
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":

@@ -154,7 +154,8 @@ def evaluate_forecast(
     method: str = "",
     seed: int | None = None,
 ) -> list[MetricRecord]:
-    """One MetricRecord per (variable, lead).
+    """One MetricRecord per (variable, lead); a lead listed twice, or past
+    the forecast's steps, raises MetricError.
 
     CRPS is the weighted mean of pointwise fair CRPS over all cases and grid
     cells. Degenerate cases (deterministic ensemble or zero error) record
@@ -167,10 +168,12 @@ def evaluate_forecast(
     if w is None:
         w = np.ones((truth.grid.n_lat, truth.grid.n_lon))
     records = []
-    for lead in leads_days:
+    for i, lead in enumerate(leads_days):
         step = int(lead) - 1  # rollouts step one day at a time
         if not 0 <= step < forecast.n_steps:
             raise MetricError(f"lead {lead}d not covered by {forecast.n_steps} steps")
+        if lead in leads_days[:i]:
+            raise MetricError(f"lead {lead}d is listed more than once")
         truth_idx = _target_indices(truth, forecast.init_indices, lead * 24)
         for v, name in enumerate(truth.variables):
             # members: [M, case, lat, lon]; RMSE takes the float32 ensemble

@@ -160,9 +160,10 @@ class TestDataErrors:
         ({"eval_stride_hours": 0}, "eval_stride_hours must be > 0, not 0"),
         ({"strategies": ["randm"]}, "unknown strategy 'randm'"),
         ({"strategies": ["random", "random"]}, "strategy 'random' is listed more than once"),
+        ({"leads_days": [5, 5]}, "lead 5d is listed more than once"),
     ], ids=["unknown", "unknown_split", "unknown_forecaster", "flat_grid", "fractional_count",
             "no_members", "no_steps", "no_leads", "negative_seed", "fraction", "eval_stride",
-            "unknown_strategy", "repeated_strategy"])
+            "unknown_strategy", "repeated_strategy", "repeated_lead"])
     def test_run_config_that_cannot_run_exits_2_before_data(self, tmp_path, over, message):
         # dataset_path names no file: each config is refused before it is read
         d = dict({
@@ -448,8 +449,9 @@ class TestPipeline:
          "selection file {sel} key 'fraction' must be a finite number, not '0.2'"),
         (lambda d: d.update(strategy=7),
          "selection file {sel} key 'strategy' must be a string, not 7"),
+        (lambda d: d.update(indices=[40] * 73), "{sel}: index 40 is listed more than once"),
     ], ids=["no_indices", "null_seed", "float_indices", "string_indices", "bool_index",
-            "float_seed", "string_fraction", "number_strategy"])
+            "float_seed", "string_fraction", "number_strategy", "repeated_index"])
     def test_train_refuses_a_damaged_selection_file(self, data_dir, tmp_path, change, message):
         data = str(data_dir / "synthetic.ften")
         assert main(["select", "--data", data, "--strategy", "random",
@@ -524,6 +526,24 @@ class TestPipeline:
         assert r.returncode == 2
         assert ("forecast state shape (variable, lat, lon) (1, 3, 4) does not match "
                 "the truth dataset's (1, 2, 4)") in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not (tmp_path / "scores").exists()
+
+    def test_evaluate_refuses_a_repeated_lead(self, data_dir, tmp_path):
+        data = str(data_dir / "synthetic.ften")
+        assert main(["select", "--data", data, "--strategy", "random",
+                     "--train-years", "2000:2000", "--out", str(tmp_path)]) == 0
+        assert main(["train", "--data", data, "--selection", str(tmp_path / "random_seed0.json"),
+                     "--forecaster", "persistence",
+                     "--train-years", "2000:2000", "--out", str(tmp_path)]) == 0
+        assert main(["rollout", "--data", data, "--model", str(tmp_path / "persistence"),
+                     "--members", "2", "--train-years", "2000:2000",
+                     "--test-years", "2001:2001", "--out", str(tmp_path)]) == 0
+        r = run_cli("evaluate", "--data", data, "--forecast", str(tmp_path / "forecast"),
+                    "--train-years", "2000:2000", "--leads", "5,5",
+                    "--out", str(tmp_path / "scores"))
+        assert r.returncode == 2
+        assert "lead 5d is listed more than once" in r.stderr
         assert "Traceback" not in r.stderr
         assert not (tmp_path / "scores").exists()
 

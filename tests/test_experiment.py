@@ -221,6 +221,7 @@ class TestConfig:
         ({"strategies": ["random", "stratified_time", "random"]},
          "strategy 'random' is listed more than once"),
         ({"strategies": ["full", "full"]}, "strategy 'full' is listed more than once"),
+        ({"leads_days": (5, 10, 5)}, "lead 5d is listed more than once"),
     ])
     def test_config_that_cannot_run_rejected(self, small_grid, over, message):
         with pytest.raises(ExperimentError) as e:

@@ -19,7 +19,6 @@ from stratacast.forecast import (
     ForecasterSpec,
     PersistenceForecaster,
     StochasticLinearForecaster,
-    climatology_forecaster,
     load_forecast,
     load_forecaster,
     rollout,
@@ -176,7 +175,7 @@ def noisefree(small_grid):
 class TestClimatology:
     def test_matches_training_monthly_means(self, noisefree):
         split = SplitSpec((2000, 2000))
-        model = climatology_forecaster(noisefree, split)
+        model = ClimatologyForecaster.fit(noisefree, None, split, {}, 0)
         months = noisefree.months()
         train_years = np.array([t.year for t in noisefree.timestamps.tolist()]) == 2000
         times = np.array([datetime(2001, m, 15) for m in (1, 6, 12)], dtype="datetime64[us]")
@@ -188,7 +187,7 @@ class TestClimatology:
 
     def test_deterministic_zero_spread(self, noisefree):
         split = SplitSpec((2000, 2000))
-        model = climatology_forecaster(noisefree, split)
+        model = ClimatologyForecaster.fit(noisefree, None, split, {}, 0)
         fc = rollout(model, noisefree, [400], n_members=4, n_steps=3, seed=0)
         for m in range(1, 4):
             np.testing.assert_array_equal(fc.trajectories[0, m], fc.trajectories[0, 0])
@@ -196,7 +195,7 @@ class TestClimatology:
     def test_missing_month_rejected(self):
         ds = series_ds(np.random.default_rng(4).normal(size=40))  # ~6 weeks only
         with pytest.raises(ForecastError, match="months"):
-            climatology_forecaster(ds, SplitSpec((2000, 2000)))
+            ClimatologyForecaster.fit(ds, None, SplitSpec((2000, 2000)), {}, 0)
 
     @pytest.mark.parametrize("start, n_days, missing", [
         (datetime(2000, 3, 1), 400, [1, 2]),              # training year from March
@@ -205,7 +204,7 @@ class TestClimatology:
     def test_missing_months_listed(self, start, n_days, missing):
         ds = series_ds(np.random.default_rng(4).normal(size=n_days), start=start)
         with pytest.raises(ForecastError) as e:
-            climatology_forecaster(ds, SplitSpec((2000, 2000)))
+            ClimatologyForecaster.fit(ds, None, SplitSpec((2000, 2000)), {}, 0)
         assert str(e.value) == f"training split has no data for months {missing}"
 
 
@@ -354,7 +353,8 @@ def _reference_train(ds, pair_idx, off, hyper, seed):
     """The toy_diffusion training loop with whole-set float64 pair copies and
     fresh per-batch arrays, kept verbatim as the oracle. Returns
     ``(w1, b1, w2, b2, training_losses)``."""
-    hp = dict(forecast_mod.DIFFUSION_DEFAULTS)
+    table = forecast_mod.ToyDiffusionForecaster.hyperparameters
+    hp = {k: default for k, (_, default) in table.items()}
     hp.update(hyper)
     rng = np.random.default_rng([seed, 7])
     cond = ds.data[pair_idx].astype(np.float64).reshape(pair_idx.size, -1)
@@ -525,7 +525,7 @@ def _drop_entry(path, entry):
 
 
 # every entry of every forecaster file, the kind included
-FORECASTER_ENTRIES = [(kind, entry) for kind, cls in forecast_mod._FORECASTERS.items()
+FORECASTER_ENTRIES = [(kind, entry) for kind, cls in forecast_mod.FORECASTERS.items()
                       for entry in ("kind", *cls.arrays)]
 
 
@@ -873,6 +873,12 @@ class TestEvaluateForecast:
 
 
 class TestForecasterSpec:
+    @pytest.mark.parametrize("kind", forecast_mod.FORECASTERS)
+    def test_table_defaults_pass_their_rules_and_fill_the_spec(self, kind):
+        table = forecast_mod.FORECASTERS[kind].hyperparameters
+        assert [k for k, (rule, default) in table.items() if not rule.ok(default)] == []
+        assert ForecasterSpec(kind).hyperparameters == {k: d for k, (_, d) in table.items()}
+
     def test_unknown_kind(self):
         with pytest.raises(ForecastError):
             ForecasterSpec("transformer")
@@ -893,7 +899,8 @@ class TestForecasterSpec:
             ForecasterSpec(kind, hyper)
 
     @pytest.mark.parametrize("key", [
-        k for k, v in forecast_mod.HYPERPARAMETERS["toy_diffusion"].items() if isinstance(v, int)])
+        k for k, (rule, _) in forecast_mod.ToyDiffusionForecaster.hyperparameters.items()
+        if rule is forecast_mod._COUNT])
     def test_fractional_count_rejected(self, key):
         with pytest.raises(ForecastError, match=f"{key!r} must be an integer"):
             ForecasterSpec("toy_diffusion", {key: 8.5})
@@ -916,8 +923,9 @@ class TestForecasterSpec:
         spec = ForecasterSpec(
             "toy_diffusion", {"n_sample_steps": 4.0, "n_epochs": 2.0, "hidden_width": 8}
         )
-        assert spec.hyperparameters == {"n_sample_steps": 4, "n_epochs": 2, "hidden_width": 8}
-        assert all(type(v) is int for v in spec.hyperparameters.values())
+        hyper = {k: spec.hyperparameters[k] for k in ("n_sample_steps", "n_epochs", "hidden_width")}
+        assert hyper == {"n_sample_steps": 4, "n_epochs": 2, "hidden_width": 8}
+        assert all(type(v) is int for v in hyper.values())
         ds = series_ds(np.random.default_rng(3).standard_normal(60))
         model = train(spec, ds, full_selection(ds), seed=0)
         fc = rollout(model, ds, [5], n_members=2, n_steps=2, seed=0)

@@ -39,3 +39,29 @@ def test_no_unused_imports():
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                    if name not in used]
     assert unused == []
+
+
+def test_no_orphaned_private_names():
+    """Every module-level ``_``-prefixed function, class or assignment under
+    ``src/stratacast/`` is named somewhere else in ``src/``: loaded, read as
+    an attribute or imported."""
+    defined, named = [], set()
+    for path in sorted(Path(stratacast.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((f"{path.name}:{node.lineno}", node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(f"{path.name}:{node.lineno}", n.id) for t in targets
+                            for n in ast.walk(t) if isinstance(n, ast.Name)]
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                named.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                named.add(n.attr)
+            elif isinstance(n, ast.ImportFrom):
+                named.update(alias.name for alias in n.names)
+    orphans = [f"{where} {name}" for where, name in defined
+               if name.startswith("_") and not name.startswith("__") and name not in named]
+    assert orphans == []
