@@ -18,9 +18,9 @@ from pathlib import Path
 
 from . import dataset as dsmod
 from . import synthetic
-from .dataset import INTEGER, NUMBER, STRING, DatasetError, SplitSpec, check_object, or_null
+from .dataset import COUNT, FRACTION, SEED, DatasetError, SplitSpec, check_object
 from .experiment import (ExperimentConfig, emit_report, eval_init_times, load_standardized,
-                         run_experiment, training_candidates, whole_number)
+                         run_experiment, training_candidates)
 from .forecast import (
     VALID_KINDS,
     ForecastError,
@@ -32,8 +32,7 @@ from .forecast import (
     save_forecaster,
     train,
 )
-from .metrics import (METRICS, MetricError, MetricRecord, area_weights, evaluate_forecast,
-                      records_to_csv)
+from .metrics import area_weights, evaluate_forecast, read_records, records_to_csv
 from .selection import STRATEGIES, SelectionBudget, SelectionError, SubsetSelection, run_strategy
 
 log = logging.getLogger("stratacast")
@@ -63,9 +62,15 @@ def _years(text: str) -> tuple[int, int]:
     return (int(lo), int(hi or lo))
 
 
-def _add_common(p: argparse.ArgumentParser, seed_help="base random seed"):
-    p.add_argument("--seed", type=int, default=None, help=seed_help)
+def _add_common(p: argparse.ArgumentParser, seed_help="random seed (default 0)", seed_default=0):
+    if seed_help:  # None for a command that reads no seed
+        p.add_argument("--seed", type=int, default=seed_default, help=seed_help)
     p.add_argument("--out", required=True, help="output directory")
+
+
+# flags with a range and the rule each must pass, checked before a command reads anything
+_FLAGS = {"--seed": (SEED, False), "--members": (COUNT, False), "--steps": (COUNT, False),
+          "--fraction": (FRACTION, False)}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("generate-data", help="generate a synthetic toy-climate dataset")
-    _add_common(p, seed_help="generator seed (default: the config's seed, else 0)")
+    _add_common(p, "generator seed (default: the config's seed, else 0)", None)
     p.add_argument("--config", required=True, help="synthetic config JSON")
 
     p = sub.add_parser("select", help="run one selection strategy")
@@ -101,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test-years", required=True)
 
     p = sub.add_parser("evaluate", help="score a forecast against truth")
-    _add_common(p)
+    _add_common(p, None)
     p.add_argument("--data", required=True)
     p.add_argument("--forecast", required=True, help="forecast file prefix")
     p.add_argument("--train-years", required=True)
@@ -110,11 +115,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", default="", help="method label for the records")
 
     p = sub.add_parser("run", help="full experiment from a config file")
-    _add_common(p, seed_help="base random seed (default: the config's base_seed)")
+    _add_common(p, "base random seed (default: the config's base_seed)", None)
     p.add_argument("--config", required=True, help="experiment config JSON")
 
     p = sub.add_parser("report", help="emit report tables from records JSON")
-    _add_common(p)
+    _add_common(p, None)
     p.add_argument("--records", required=True, help="records.json from a run")
 
     return parser
@@ -166,8 +171,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_rollout(args) -> int:
-    whole_number("n_members", args.members, 1)
-    whole_number("n_steps", args.steps, 1)
     split = SplitSpec(_years(args.train_years), test_years=_years(args.test_years))
     ds = load_standardized(args.data, split)
     model = load_forecaster(args.model)
@@ -198,24 +201,8 @@ def cmd_run(args) -> int:
     return 0
 
 
-# records.json row keys and what their values must be
-_RECORD_KEYS = {"method": (STRING, True), "variable": (STRING, True), "lead_days": (INTEGER, True),
-                **dict.fromkeys(METRICS, (NUMBER, True)), "seed": (or_null(INTEGER), True)}
-
-
-def _read_records(path) -> list[MetricRecord]:
-    """The rows of a ``records.json``; a key that is missing, unknown or of
-    the wrong type raises MetricError naming it."""
-    rows = dsmod.read_json(path, MetricError)
-    if not isinstance(rows, list):
-        raise MetricError(f"{path} must hold a list of records")
-    for row in rows:
-        check_object(row, _RECORD_KEYS, "record", MetricError)
-    return [MetricRecord(**row) for row in rows]
-
-
 def cmd_report(args) -> int:
-    emit_report(_read_records(args.records), args.out)
+    emit_report(read_records(args.records), args.out)
     return 0
 
 
@@ -237,9 +224,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
-    if args.seed is None and args.command not in ("run", "generate-data"):
-        args.seed = 0
+    flags = {f: getattr(args, f[2:]) for f in _FLAGS if getattr(args, f[2:], None) is not None}
     try:
+        check_object(flags, _FLAGS, "command-line", DatasetError)
         return COMMANDS[args.command](args)
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

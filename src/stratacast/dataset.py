@@ -15,8 +15,8 @@ little-endian f32 payload in [time][var][lat][lon] order. A JSON sidecar
 format, is ignored on read.
 
 Every JSON document the package reads is parsed by ``read_json`` and its
-keys and value types are checked by ``check_object``, so each refusal names
-the file or the key in one form.
+keys, value types and ranges are checked by ``check_object``, so each
+refusal names the file or the key in one form.
 """
 
 from __future__ import annotations
@@ -57,10 +57,11 @@ def read_json(path: str | Path, error: type[Exception]):
 
 
 class Rule(NamedTuple):
-    """What a JSON value must be: ``ok(value)`` and, for messages, ``desc``."""
+    """What a value must be (``ok``), its ``desc`` for messages and the value ``store`` keeps."""
 
     ok: Callable[[object], bool]
     desc: str
+    store: Callable[[object], object] = lambda v: v
 
 
 ANY = Rule(lambda v: True, "anything")
@@ -70,12 +71,19 @@ OBJECT = Rule(lambda v: isinstance(v, dict), "an object")
 INTEGER = Rule(lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer")
 NUMBER = Rule(lambda v: INTEGER.ok(v) or (isinstance(v, float) and math.isfinite(v)),
               "a finite number")
+# an integral number, stored as an int: ``8.0`` is read as 8, ``8.5`` refused
+_WHOLE = Rule(lambda v: NUMBER.ok(v) and v == int(v), "an integer", int)
+
+
+def at_least(rule: Rule, least) -> Rule:
+    """``rule``, refusing values below ``least``."""
+    return Rule(lambda v: rule.ok(v) and v >= least, f"{rule.desc} >= {least}", rule.store)
 
 
 def list_of(item: Rule, desc: str, n: int | None = None) -> Rule:
-    """A list of ``n`` (or any number of) values that pass ``item``."""
-    return Rule(lambda v: isinstance(v, list) and n in (None, len(v)) and all(map(item.ok, v)),
-                desc)
+    """A list (or tuple) of ``n`` (or any number of) values that pass ``item``."""
+    return Rule(lambda v: isinstance(v, (list, tuple)) and n in (None, len(v))
+                and all(map(item.ok, v)), desc)
 
 
 def or_null(rule: Rule) -> Rule:
@@ -84,11 +92,18 @@ def or_null(rule: Rule) -> Rule:
 
 STRINGS = list_of(STRING, "a list of strings")
 NUMBERS = list_of(NUMBER, "a list of numbers")
+INTEGERS = list_of(INTEGER, "a list of integers")
+# The ranges the key tables share.
+COUNT = at_least(_WHOLE, 1)
+SEED = at_least(_WHOLE, 0)
+POSITIVE = Rule(lambda v: NUMBER.ok(v) and v > 0, "a positive finite number")
+FRACTION = Rule(lambda v: NUMBER.ok(v) and 0 < v <= 1, "a number in (0, 1]", float)
 
 
-def check_object(obj, keys: dict, what: str, error: type[Exception], _prefix: str = "") -> None:
+def check_object(obj, keys: dict, what: str, error: type[Exception], _prefix: str = "") -> dict:
     """Raise ``error`` unless ``obj`` is a JSON object whose keys are keys of
-    ``keys`` and whose values pass their rules.
+    ``keys`` and whose values pass their rules; returns the keys of ``obj``
+    with each value as its rule stores it.
 
     ``keys`` maps each key to ``(rule, required)``; a rule that is a dict is
     such a table for a nested object, whose keys are named ``outer.inner``.
@@ -101,6 +116,7 @@ def check_object(obj, keys: dict, what: str, error: type[Exception], _prefix: st
     for key in obj:
         if key not in keys:
             raise error(f"unknown {what} key {_prefix + str(key)!r}")
+    stored = {}
     for key, (rule, required) in keys.items():
         name = _prefix + key
         if key not in obj:
@@ -110,8 +126,9 @@ def check_object(obj, keys: dict, what: str, error: type[Exception], _prefix: st
         check = OBJECT if isinstance(rule, dict) else rule
         if not check.ok(obj[key]):
             raise error(f"{what} key {name!r} must be {check.desc}, not {reprlib.repr(obj[key])}")
-        if isinstance(rule, dict):
-            check_object(obj[key], rule, what, error, name + ".")
+        stored[key] = (check_object(obj[key], rule, what, error, name + ".")
+                       if isinstance(rule, dict) else rule.store(obj[key]))
+    return stored
 
 
 def hours_delta(hours: float) -> np.timedelta64:

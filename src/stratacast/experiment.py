@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
@@ -20,10 +20,12 @@ import numpy as np
 
 from . import dataset as dsmod
 from . import synthetic
-from .dataset import (ANY, BOOLEAN, INTEGER, NUMBER, OBJECT, STRING, STRINGS, GriddedDataset,
-                      SplitSpec, check_object, list_of, or_null)
+from .dataset import (ANY, BOOLEAN, COUNT, FRACTION, INTEGER, INTEGERS, OBJECT, POSITIVE, SEED,
+                      STRING, STRINGS, GriddedDataset, Rule, SplitSpec, check_object, list_of,
+                      or_null)
 from .forecast import ForecasterSpec, rollout, train
-from .metrics import METRICS, MetricRecord, area_weights, evaluate_forecast, records_to_csv
+from .metrics import (METRICS, MetricRecord, area_weights, check_leads, evaluate_forecast,
+                      records_to_csv, write_records)
 from .selection import FULL, STRATEGIES, SelectionBudget, SubsetSelection, run_strategy
 
 log = logging.getLogger("stratacast")
@@ -33,33 +35,24 @@ class ExperimentError(ValueError):
     pass
 
 
-def whole_number(name: str, v, least: int) -> int:
-    """``v`` as an int; raises naming ``name`` unless it is a whole number
-    >= ``least`` (integral floats such as ``8.0`` pass)."""
-    if not (NUMBER.ok(v) and v == int(v) and v >= least):
-        raise ExperimentError(f"{name} must be an integer >= {least}, not {v!r}")
-    return int(v)
-
-
 _YEARS = list_of(INTEGER, "a list of two integers", 2)
-# Run config keys: what each must be and whether it is required. Value
-# ranges are checked by ExperimentConfig itself.
+_STRATEGIES = Rule(lambda v: STRINGS.ok(v) and len(v) > 0, "a non-empty list of strings")
+_LEADS = Rule(lambda v: INTEGERS.ok(v) and len(v) > 0, "a non-empty list of integers", tuple)
+# The run config keys that are ExperimentConfig fields of the same name, each
+# with the rule its value must pass, in the order they are checked.
+_FIELDS = {"strategies": (_STRATEGIES, True), "fraction": (FRACTION, False),
+           "n_members": (COUNT, False), "n_seeds": (COUNT, False), "base_seed": (SEED, False),
+           "n_steps": (COUNT, False), "leads_days": (_LEADS, False),
+           "eval_stride_hours": (POSITIVE, False), "flat_grid": (BOOLEAN, False)}
+# Run config keys: what each must be and whether it is required.
 _CONFIG_KEYS = {
-    "strategies": (STRINGS, True),
+    **_FIELDS,
     "split": ({"train_years": (_YEARS, True), "val_years": (or_null(_YEARS), False),
                "test_years": (or_null(_YEARS), False)}, True),
     "forecaster": ({"kind": (STRING, True), "hyperparameters": (OBJECT, False)}, True),
-    "dataset_path": (or_null(STRING), False),
-    "synthetic": (OBJECT, False),
-    "leads_days": (list_of(INTEGER, "a list of integers"), False),
-    **dict.fromkeys(("fraction", "n_members", "n_seeds", "base_seed", "n_steps",
-                     "eval_stride_hours"), (NUMBER, False)),
-    "flat_grid": (BOOLEAN, False),
+    "dataset_path": (or_null(STRING), False), "synthetic": (OBJECT, False),
     "jobs": (ANY, False),  # retired; ignored
 }
-# the optional keys that are ExperimentConfig fields of the same name
-_FIELD_KEYS = ("fraction", "n_members", "n_seeds", "base_seed", "leads_days", "n_steps",
-               "eval_stride_hours", "flat_grid")
 
 
 @dataclass
@@ -79,10 +72,11 @@ class ExperimentConfig:
     flat_grid: bool = False
 
     def __post_init__(self):
-        """Refuses a config that cannot run, before any data is read; integral
-        float counts (``8.0``) are stored as ints."""
-        if not self.strategies:
-            raise ExperimentError("strategies must be non-empty")
+        """Refuses a config that cannot run, before any data is read: each
+        field by its run config row, which stores ``8.0`` as 8, then the rules
+        across keys."""
+        vars(self).update(check_object({key: getattr(self, key) for key in _FIELDS}, _FIELDS,
+                                       "run config", ExperimentError))
         for i, name in enumerate(self.strategies):
             if name not in STRATEGIES:
                 raise ExperimentError(f"unknown strategy {name!r}; known: {', '.join(STRATEGIES)}")
@@ -90,26 +84,13 @@ class ExperimentConfig:
                 raise ExperimentError(f"strategy {name!r} is listed more than once")
         if (self.dataset_path is None) == (self.synthetic is None):
             raise ExperimentError("exactly one of dataset_path / synthetic required")
-        for name, least in (("n_members", 1), ("n_seeds", 1), ("n_steps", 1), ("base_seed", 0)):
-            setattr(self, name, whole_number(name, getattr(self, name), least))
-        if not (NUMBER.ok(self.fraction) and 0 < self.fraction <= 1):
-            raise ExperimentError(f"fraction must lie in (0, 1], not {self.fraction!r}")
-        if not (NUMBER.ok(self.eval_stride_hours) and self.eval_stride_hours > 0):
-            raise ExperimentError(f"eval_stride_hours must be > 0, not {self.eval_stride_hours!r}")
-        if not self.leads_days:
-            raise ExperimentError("leads_days must be non-empty")
-        self.fraction, self.leads_days = float(self.fraction), tuple(self.leads_days)
-        for i, lead in enumerate(self.leads_days):
-            if not 1 <= lead <= self.n_steps:
-                raise ExperimentError(f"lead {lead}d outside 1..{self.n_steps} rollout steps")
-            if lead in self.leads_days[:i]:
-                raise ExperimentError(f"lead {lead}d is listed more than once")
+        check_leads(self.leads_days, self.n_steps, ExperimentError)
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
         path = Path(path)
-        d = dsmod.read_json(path, ExperimentError)
-        check_object(d, _CONFIG_KEYS, "run config", ExperimentError)
+        d = check_object(dsmod.read_json(path, ExperimentError), _CONFIG_KEYS, "run config",
+                         ExperimentError)
         synth = None
         if "synthetic" in d:
             synth = synthetic.SyntheticConfig.from_dict(d["synthetic"])
@@ -118,10 +99,7 @@ class ExperimentConfig:
             ds_path = str((path.parent / ds_path).resolve())
         split = d["split"]
         return cls(
-            strategies=list(d["strategies"]),
-            forecaster=ForecasterSpec(
-                d["forecaster"]["kind"], d["forecaster"].get("hyperparameters", {})
-            ),
+            forecaster=ForecasterSpec(**d["forecaster"]),
             split=SplitSpec(
                 tuple(split["train_years"]),
                 tuple(split["val_years"]) if split.get("val_years") else None,
@@ -129,7 +107,7 @@ class ExperimentConfig:
             ),
             dataset_path=ds_path,
             synthetic=synth,
-            **{key: d[key] for key in _FIELD_KEYS if key in d},  # else the field's default
+            **{key: d[key] for key in _FIELDS if key in d},  # else the field's default
         )
 
 
@@ -222,9 +200,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> list[MetricRec
     means = aggregate_means(per_seed)
 
     records = per_seed + means
-    (out_dir / "records.json").write_text(
-        json.dumps([asdict(r) for r in records], indent=2)
-    )
+    write_records(records, out_dir / "records.json")
     (out_dir / "metrics.csv").write_text(records_to_csv(means))
     (out_dir / "metrics_by_seed.csv").write_text(records_to_csv(per_seed))
     return records

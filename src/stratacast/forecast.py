@@ -43,18 +43,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import (NUMBER, GriddedDataset, Rule, SplitSpec, check_object, day_offset,
+from .dataset import (COUNT, POSITIVE, GriddedDataset, SplitSpec, check_object, day_offset,
                       hours_delta, split_time_indices)
 from .selection import SubsetSelection
 
 
 class ForecastError(ValueError):
     pass
-
-
-# Hyperparameter rules: a count is an integer >= 1 (``24.0`` is stored as 24)
-_COUNT = Rule(lambda v: NUMBER.ok(v) and v == int(v) and v >= 1, "an integer >= 1")
-_POSITIVE = Rule(lambda v: NUMBER.ok(v) and v > 0, "a positive finite number")
 
 
 @dataclass(frozen=True)
@@ -71,11 +66,10 @@ class ForecasterSpec:
         if self.kind not in FORECASTERS:
             raise ForecastError(f"unknown forecaster kind {self.kind!r}")
         table = FORECASTERS[self.kind].hyperparameters
-        check_object(self.hyperparameters, {k: (rule, False) for k, (rule, _) in table.items()},
-                     "hyperparameter", ForecastError)
         hp = {k: default for k, (_, default) in table.items()}
-        hp.update({k: int(v) if table[k][0] is _COUNT else v
-                   for k, v in self.hyperparameters.items()})
+        hp.update(check_object(self.hyperparameters,
+                               {k: (rule, False) for k, (rule, _) in table.items()},
+                               "hyperparameter", ForecastError))
         if "sigma_min" in hp and not hp["sigma_min"] < hp["sigma_max"]:
             raise ForecastError("sigma_min must be below sigma_max")
         object.__setattr__(self, "hyperparameters", hp)
@@ -177,7 +171,7 @@ class StochasticLinearForecaster:
     """Per-variable, per-cell x_{t+24h} ~ a*x_t + b plus Gaussian residual noise."""
 
     kind = "stochastic_linear"
-    hyperparameters = {"ridge_lambda": (_POSITIVE, 1e-3)}
+    hyperparameters = {"ridge_lambda": (POSITIVE, 1e-3)}
     arrays = {"a": STATE_DIMS, "b": STATE_DIMS, "resid_std": STATE_DIMS}
 
     def __init__(self, a: np.ndarray, b: np.ndarray, resid_std: np.ndarray):
@@ -255,10 +249,10 @@ class ToyDiffusionForecaster:
     """
 
     kind = "toy_diffusion"
-    hyperparameters = {"n_noise_levels": (_COUNT, 20), "n_sample_steps": (_COUNT, 24),
-                       "hidden_width": (_COUNT, 64), "learning_rate": (_POSITIVE, 1e-3),
-                       "n_epochs": (_COUNT, 150), "batch_size": (_COUNT, 64),
-                       "sigma_min": (_POSITIVE, 0.02), "sigma_max": (_POSITIVE, 3.0)}
+    hyperparameters = {"n_noise_levels": (COUNT, 20), "n_sample_steps": (COUNT, 24),
+                       "hidden_width": (COUNT, 64), "learning_rate": (POSITIVE, 1e-3),
+                       "n_epochs": (COUNT, 150), "batch_size": (COUNT, 64),
+                       "sigma_min": (POSITIVE, 0.02), "sigma_max": (POSITIVE, 3.0)}
     # "values" is the flattened state size; w1 takes [state, noisy state, log sigma]
     arrays = {"w1": (lambda sizes: 2 * sizes["values"] + 1, "hidden"), "b1": ("hidden",),
               "w2": ("hidden", "values"), "b2": ("values",), "sample_sigmas": ("levels",)}
@@ -685,8 +679,8 @@ class _Entries(dict):
 
 def _read_npz(prefix: str | Path) -> _Entries:
     path = Path(prefix).with_suffix(".npz")
-    try:
-        with np.load(path, allow_pickle=False) as z:
+    try:  # np.load leaves a file it opened unclosed when the zip does not parse
+        with open(path, "rb") as f, np.load(f, allow_pickle=False) as z:
             return _Entries(path, z)
     except (zipfile.BadZipFile, EOFError) as e:
         raise ForecastError(f"{path} is not an npz file: {e}") from e

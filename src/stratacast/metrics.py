@@ -8,12 +8,15 @@ sqrt((M+1)/M) finite-ensemble correction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import json
+from dataclasses import asdict, dataclass
+from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
-from .dataset import DatasetError, GriddedDataset, GridSpec, hours_delta
+from .dataset import (INTEGER, NUMBER, STRING, DatasetError, GriddedDataset, GridSpec,
+                      check_object, hours_delta, or_null, read_json)
 
 
 class MetricError(ValueError):
@@ -111,6 +114,25 @@ class MetricRecord:
                 raise MetricError(f"non-finite {name} for {self.method}/{self.variable}")
 
 
+# records.json row keys and what their values must be
+_RECORD_KEYS = {"method": (STRING, True), "variable": (STRING, True), "lead_days": (INTEGER, True),
+                **dict.fromkeys(METRICS, (NUMBER, True)), "seed": (or_null(INTEGER), True)}
+
+
+def write_records(records: Iterable[MetricRecord], path: str | Path) -> None:
+    """Write ``records`` as a ``records.json``: a list of rows, one per record."""
+    Path(path).write_text(json.dumps([asdict(r) for r in records], indent=2))
+
+
+def read_records(path: str | Path) -> list[MetricRecord]:
+    """The rows of a ``records.json``; a key that is missing, unknown or of
+    the wrong type raises MetricError naming it."""
+    rows = read_json(path, MetricError)
+    if not isinstance(rows, list):
+        raise MetricError(f"{path} must hold a list of records")
+    return [MetricRecord(**check_object(row, _RECORD_KEYS, "record", MetricError)) for row in rows]
+
+
 def records_to_csv(records: Iterable[MetricRecord]) -> str:
     """CSV with one line per record; a ``seed`` column follows ``method``
     when the records carry seeds (per-seed rows, not seed means)."""
@@ -146,6 +168,15 @@ def _target_indices(truth: GriddedDataset, init_indices, lead_hours: float) -> n
     return idx
 
 
+def check_leads(leads, n_steps: int, error: type[Exception]) -> None:
+    """Raise ``error`` unless ``leads`` are distinct lead days within 1..``n_steps``."""
+    for i, lead in enumerate(leads):
+        if not 1 <= lead <= n_steps:
+            raise error(f"lead {lead}d outside 1..{n_steps} rollout steps")
+        if lead in leads[:i]:
+            raise error(f"lead {lead}d is listed more than once")
+
+
 def evaluate_forecast(
     forecast,
     truth: GriddedDataset,
@@ -167,13 +198,10 @@ def evaluate_forecast(
                           f"the truth dataset's {truth_state}")
     if w is None:
         w = np.ones((truth.grid.n_lat, truth.grid.n_lon))
+    check_leads(leads_days, forecast.n_steps, MetricError)
     records = []
-    for i, lead in enumerate(leads_days):
+    for lead in leads_days:
         step = int(lead) - 1  # rollouts step one day at a time
-        if not 0 <= step < forecast.n_steps:
-            raise MetricError(f"lead {lead}d not covered by {forecast.n_steps} steps")
-        if lead in leads_days[:i]:
-            raise MetricError(f"lead {lead}d is listed more than once")
         truth_idx = _target_indices(truth, forecast.init_indices, lead * 24)
         for v, name in enumerate(truth.variables):
             # members: [M, case, lat, lon]; RMSE takes the float32 ensemble

@@ -26,8 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import (INTEGER, NUMBER, OBJECT, STRING, GriddedDataset, check_object, day_offset,
-                      list_of, read_json)
+from .dataset import (FRACTION, INTEGER, INTEGERS, NUMBER, OBJECT, STRING, GriddedDataset,
+                      check_object, day_offset, read_json)
 from .features import (
     _svd_pca,
     default_pca_dims,
@@ -46,8 +46,8 @@ class SelectionBudget:
     fraction: float
 
     def __post_init__(self):
-        if not 0.0 < self.fraction <= 1.0:
-            raise SelectionError("budget fraction must lie in (0, 1]")
+        check_object({"fraction": self.fraction}, {"fraction": (FRACTION, True)},
+                     "selection budget", SelectionError)
 
     def target_count(self, n: int) -> int:
         # round half up, deterministically
@@ -92,7 +92,7 @@ class SubsetSelection:
 
 
 _FILE_KEYS = {"strategy": (STRING, True), "seed": (INTEGER, True), "fraction": (NUMBER, True),
-              "indices": (list_of(INTEGER, "a list of integers"), True),
+              "indices": (INTEGERS, True),
               "metadata": (OBJECT, False)}
 
 

@@ -9,14 +9,13 @@ informative at desk scale.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import (INTEGER, NUMBER, NUMBERS, DatasetError, GriddedDataset, GridSpec,
-                      check_object, hours_delta)
+from .dataset import (INTEGER, NUMBER, NUMBERS, DatasetError, GriddedDataset, GridSpec, Rule,
+                      at_least, check_object, hours_delta)
 
 N_REGIMES = 12  # one regime pattern per calendar month
 
@@ -35,16 +34,8 @@ class SyntheticConfig:
     start_year: int = 2000
 
     def __post_init__(self):
-        fields = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)[1:]}
+        fields = {key: getattr(self, key) for key in _FIELD_KEYS}
         check_object(fields, _FIELD_KEYS, "synthetic config", DatasetError)
-        if not self.stride_hours > 0:
-            raise DatasetError("stride_hours must be > 0")
-        if not 0.0 <= self.ar1_coefficient < 1.0:
-            raise DatasetError("ar1_coefficient must lie in [0, 1)")
-        if self.noise_std < 0:
-            raise DatasetError("noise_std must be >= 0")
-        if self.n_years < 1:
-            raise DatasetError("n_years must be >= 1")
         if self.grid.n_cells < N_REGIMES:
             raise DatasetError(f"grid too small to orthogonalize {N_REGIMES} regime patterns")
 
@@ -52,16 +43,20 @@ class SyntheticConfig:
     def from_dict(cls, d: dict) -> "SyntheticConfig":
         """A config from JSON keys: ``lats`` and ``lons`` give the grid, and
         every other key is a field. A missing or unknown key, or one of the
-        wrong type, raises DatasetError naming it."""
-        check_object(d, _KEYS, "synthetic config", DatasetError)
-        s = dict(d)
+        wrong type or out of range, raises DatasetError naming it."""
+        s = check_object(d, _KEYS, "synthetic config", DatasetError)
         grid = GridSpec(np.asarray(s.pop("lats")), np.asarray(s.pop("lons")))
         return cls(grid=grid, **s)
 
 
-# every field but the grid, from its annotation: "int" or "float"
-_FIELD_KEYS = {f.name: (INTEGER if f.type == "int" else NUMBER, f.default is dataclasses.MISSING)
-               for f in dataclasses.fields(SyntheticConfig)[1:]}
+# Every field but the grid, with the rule its value must pass and whether it
+# is required. Integer fields are JSON integers: ``2.0`` is refused.
+_FIELD_KEYS = {
+    "n_years": (at_least(INTEGER, 1), True), "stride_hours": (at_least(INTEGER, 1), True),
+    "seasonal_amplitude": (NUMBER, True), "regime_amplitude": (NUMBER, True),
+    "ar1_coefficient": (Rule(lambda v: NUMBER.ok(v) and 0 <= v < 1, "a number in [0, 1)"), True),
+    "noise_std": (at_least(NUMBER, 0), True), "seed": (at_least(INTEGER, 0), True),
+    "n_variables": (at_least(INTEGER, 1), False), "start_year": (INTEGER, False)}
 _KEYS = {"lats": (NUMBERS, True), "lons": (NUMBERS, True), **_FIELD_KEYS}
 
 

@@ -14,10 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stratacast import dataset as dsmod
-from stratacast.cli import _read_records, main
+from stratacast.cli import main
 from stratacast.experiment import eval_init_times, load_standardized
 from stratacast.forecast import VALID_KINDS
-from stratacast.metrics import MetricRecord
+from stratacast.metrics import MetricRecord, read_records
 
 PKG_ROOT = Path(__file__).resolve().parents[1]
 
@@ -77,7 +77,7 @@ class TestUsage:
     def test_help_exits_0_and_lists_common_flags(self, cmd):
         r = run_cli(cmd, "--help")
         assert r.returncode == 0
-        assert "--seed" in r.stdout
+        assert ("--seed" in r.stdout) == (cmd not in ("evaluate", "report"))
         assert "--out" in r.stdout
 
 
@@ -124,8 +124,8 @@ class TestDataErrors:
 
     @pytest.mark.parametrize("block, key, value, what", [
         ("split", "train_years", 2000, "a list of two integers"),
-        (None, "leads_days", 5, "a list of integers"),
-        (None, "fraction", None, "a finite number"),
+        (None, "leads_days", 5, "a non-empty list of integers"),
+        (None, "fraction", None, "a number in (0, 1]"),
     ], ids=["train_years", "leads_days", "fraction"])
     def test_run_config_bad_type_exits_2_naming_it(self, tmp_path, block, key, value, what):
         d = {
@@ -151,13 +151,16 @@ class TestDataErrors:
         ({"forecaster": {"kind": "persistence", "hyper": {}}},
          "unknown run config key 'forecaster.hyper'"),
         ({"flat_grid": "false"}, "run config key 'flat_grid' must be true or false"),
-        ({"n_members": 2.5}, "n_members must be an integer >= 1, not 2.5"),
-        ({"n_members": 0}, "n_members must be an integer >= 1, not 0"),
-        ({"n_steps": 0, "leads_days": []}, "n_steps must be an integer >= 1, not 0"),
-        ({"leads_days": []}, "leads_days must be non-empty"),
-        ({"base_seed": -1}, "base_seed must be an integer >= 0, not -1"),
-        ({"fraction": 2.0}, "fraction must lie in (0, 1], not 2.0"),
-        ({"eval_stride_hours": 0}, "eval_stride_hours must be > 0, not 0"),
+        ({"n_members": 2.5}, "run config key 'n_members' must be an integer >= 1, not 2.5"),
+        ({"n_members": 0}, "run config key 'n_members' must be an integer >= 1, not 0"),
+        ({"n_steps": 0, "leads_days": []},
+         "run config key 'n_steps' must be an integer >= 1, not 0"),
+        ({"leads_days": []},
+         "run config key 'leads_days' must be a non-empty list of integers, not []"),
+        ({"base_seed": -1}, "run config key 'base_seed' must be an integer >= 0, not -1"),
+        ({"fraction": 2.0}, "run config key 'fraction' must be a number in (0, 1], not 2.0"),
+        ({"eval_stride_hours": 0},
+         "run config key 'eval_stride_hours' must be a positive finite number, not 0"),
         ({"strategies": ["randm"]}, "unknown strategy 'randm'"),
         ({"strategies": ["random", "random"]}, "strategy 'random' is listed more than once"),
         ({"leads_days": [5, 5]}, "lead 5d is listed more than once"),
@@ -187,7 +190,7 @@ class TestDataErrors:
                     flag, "0", "--train-years", "2000:2000", "--test-years", "2001:2001",
                     "--out", str(tmp_path / "fc"))
         assert r.returncode == 2
-        assert f"{name} must be an integer >= 1, not 0" in r.stderr
+        assert f"command-line key '{flag}' must be an integer >= 1, not 0" in r.stderr
         assert "Traceback" not in r.stderr
         assert not (tmp_path / "fc").exists()
 
@@ -199,7 +202,7 @@ class TestDataErrors:
             code = main(["run", "--config", str(cfg), "--seed", "-1",
                          "--out", str(tmp_path / "out")])
         assert code == 2
-        assert "base_seed must be an integer >= 0, not -1" in err.getvalue()
+        assert "command-line key '--seed' must be an integer >= 0, not -1" in err.getvalue()
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("change, message", [
@@ -262,11 +265,14 @@ class TestDataErrors:
         ({"n_years": "2"}, None, "n_years"),
         ({"noise_std": "0.4"}, None, "noise_std"),
         ({"n_years": 1.5}, None, "n_years"),
+        ({"n_variables": 0}, None, "n_variables"),
+        ({"n_variables": -1}, None, "n_variables"),
+        ({"seed": -3}, None, "seed"),
     ], ids=["misspelt", "missing", "with_static", "n_regimes", "string_count", "string_number",
-            "fractional_count"])
+            "fractional_count", "no_variables", "negative_variables", "negative_seed"])
     def test_bad_synthetic_key_exits_2_naming_it(self, synth_config, tmp_path,
                                                  command, add, drop, key):
-        synth = dict(json.loads(synth_config.read_text()), seed=1, **add)
+        synth = {**json.loads(synth_config.read_text()), "seed": 1, **add}
         synth.pop(drop, None)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(synth if command == "generate-data" else {
@@ -280,6 +286,27 @@ class TestDataErrors:
             code = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert code == 2
         assert repr(key) in err.getvalue()
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, args", [
+        ("generate-data", ["--config", "{tmp}/synth.json"]),
+        ("select", ["--data", "{tmp}/x.ften", "--strategy", "full",
+                    "--train-years", "2000:2000"]),
+        ("select", ["--data", "{tmp}/x.ften", "--strategy", "random",
+                    "--train-years", "2000:2000"]),
+        ("train", ["--data", "{tmp}/x.ften", "--selection", "{tmp}/s.json", "--forecaster",
+                   "stochastic_linear", "--train-years", "2000:2000"]),
+        ("rollout", ["--data", "{tmp}/x.ften", "--model", "{tmp}/m", "--train-years", "2000:2000",
+                     "--test-years", "2001:2001"]),
+        ("run", ["--config", "{tmp}/cfg.json"]),
+    ], ids=["generate-data", "select_full", "select_random", "train", "rollout", "run"])
+    def test_negative_seed_flag_exits_2_before_any_input(self, tmp_path, command, args):
+        # no input file exists: the seed is refused before any is read
+        args = [a.format(tmp=tmp_path) for a in args]
+        r = run_cli(command, *args, "--seed", "-1", "--out", str(tmp_path / "out"))
+        assert r.returncode == 2
+        assert "command-line key '--seed' must be an integer >= 0, not -1" in r.stderr
+        assert "Traceback" not in r.stderr
         assert not (tmp_path / "out").exists()
 
 
@@ -375,13 +402,14 @@ class TestPipeline:
         assert main(["generate-data", "--config", str(synth), "--seed", "5",
                      "--out", str(tmp_path)]) == 0
         data = str(tmp_path / "synthetic.ften")
-        common = ["--data", data, "--train-years", "2001:2001", "--seed", "1"]
-        assert main(["select", *common, "--strategy", "stratified_time",
+        common = ["--data", data, "--train-years", "2001:2001"]
+        seeded = [*common, "--seed", "1"]
+        assert main(["select", *seeded, "--strategy", "stratified_time",
                      "--out", str(tmp_path / "sel")]) == 0
         sel = tmp_path / "sel" / "stratified_time_seed1.json"
-        assert main(["train", *common, "--selection", str(sel),
+        assert main(["train", *seeded, "--selection", str(sel),
                      "--forecaster", "stochastic_linear", "--out", str(tmp_path)]) == 0
-        assert main(["rollout", *common, "--model", str(tmp_path / "stochastic_linear"),
+        assert main(["rollout", *seeded, "--model", str(tmp_path / "stochastic_linear"),
                      "--members", "3", "--test-years", "2002:2002", "--out", str(tmp_path)]) == 0
         assert main(["evaluate", *common, "--forecast", str(tmp_path / "forecast"),
                      "--flat-grid", "--method", "stratified_time", "--out", str(tmp_path)]) == 0
@@ -544,6 +572,24 @@ class TestPipeline:
                     "--out", str(tmp_path / "scores"))
         assert r.returncode == 2
         assert "lead 5d is listed more than once" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not (tmp_path / "scores").exists()
+
+    def test_evaluate_refuses_a_lead_past_the_forecast_steps(self, data_dir, tmp_path):
+        data = str(data_dir / "synthetic.ften")
+        assert main(["select", "--data", data, "--strategy", "random",
+                     "--train-years", "2000:2000", "--out", str(tmp_path)]) == 0
+        assert main(["train", "--data", data, "--selection", str(tmp_path / "random_seed0.json"),
+                     "--forecaster", "persistence",
+                     "--train-years", "2000:2000", "--out", str(tmp_path)]) == 0
+        assert main(["rollout", "--data", data, "--model", str(tmp_path / "persistence"),
+                     "--members", "2", "--steps", "10", "--train-years", "2000:2000",
+                     "--test-years", "2001:2001", "--out", str(tmp_path)]) == 0
+        r = run_cli("evaluate", "--data", data, "--forecast", str(tmp_path / "forecast"),
+                    "--train-years", "2000:2000", "--leads", "5,11",
+                    "--out", str(tmp_path / "scores"))
+        assert r.returncode == 2
+        assert "lead 11d outside 1..10 rollout steps" in r.stderr
         assert "Traceback" not in r.stderr
         assert not (tmp_path / "scores").exists()
 
@@ -821,4 +867,4 @@ class TestOutsideInput:
         """Every ``records.json`` a run writes, ``report`` reads back equal."""
         path = tmp_path_factory.mktemp("records") / "records.json"
         path.write_text(json.dumps([dataclasses.asdict(r) for r in records], indent=2))
-        assert _read_records(path) == records
+        assert read_records(path) == records

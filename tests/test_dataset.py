@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from stratacast import dataset as dsmod
 from stratacast.dataset import (
     DatasetError,
     GriddedDataset,
@@ -335,3 +336,14 @@ class TestSplitSpec:
 
     def test_disjoint_ok(self):
         SplitSpec((2000, 2004), (2005, 2006), (2007, 2007))
+
+
+class TestSharedRules:
+    @pytest.mark.parametrize("name", ["INTEGER", "NUMBER", "COUNT", "SEED", "POSITIVE",
+                                      "FRACTION"])
+    @pytest.mark.parametrize("value", [True, None, float("nan"), float("inf"), float("-inf"),
+                                       "1"], ids=["true", "none", "nan", "inf", "-inf", "string"])
+    def test_refuses_what_is_not_a_finite_number(self, name, value):
+        rule = getattr(dsmod, name)
+        assert rule.ok(1)
+        assert not rule.ok(value)

@@ -4,6 +4,7 @@ from datetime import datetime, timedelta
 import numpy as np
 import pytest
 
+from stratacast import dataset as dsmod
 from stratacast import experiment
 from stratacast.dataset import GriddedDataset, GridSpec, SplitSpec, save_dataset
 from stratacast.experiment import (
@@ -14,7 +15,7 @@ from stratacast.experiment import (
     emit_report,
     run_experiment,
 )
-from stratacast.forecast import ForecasterSpec
+from stratacast.forecast import ForecasterSpec, ToyDiffusionForecaster
 from stratacast.metrics import MetricRecord
 from stratacast.selection import STRATEGIES
 from stratacast.synthetic import SyntheticConfig
@@ -207,15 +208,34 @@ class TestConfig:
             base_config(small_grid, leads_days=leads, n_steps=10)
 
     @pytest.mark.parametrize("over, message", [
-        ({"n_members": 2.5}, "n_members must be an integer >= 1, not 2.5"),
-        ({"n_members": 0}, "n_members must be an integer >= 1, not 0"),
-        ({"n_seeds": 0}, "n_seeds must be an integer >= 1, not 0"),
-        ({"n_steps": 0, "leads_days": ()}, "n_steps must be an integer >= 1, not 0"),
-        ({"base_seed": -1}, "base_seed must be an integer >= 0, not -1"),
-        ({"fraction": 0.0}, "fraction must lie in (0, 1], not 0.0"),
-        ({"fraction": 2.0}, "fraction must lie in (0, 1], not 2.0"),
-        ({"eval_stride_hours": 0.0}, "eval_stride_hours must be > 0, not 0.0"),
-        ({"leads_days": ()}, "leads_days must be non-empty"),
+        # explicit ids keep these cases' test names stable across rewordings
+        pytest.param({"n_members": 2.5},
+                     "run config key 'n_members' must be an integer >= 1, not 2.5",
+                     id="over0-n_members must be an integer >= 1, not 2.5"),
+        pytest.param({"n_members": 0},
+                     "run config key 'n_members' must be an integer >= 1, not 0",
+                     id="over1-n_members must be an integer >= 1, not 0"),
+        pytest.param({"n_seeds": 0},
+                     "run config key 'n_seeds' must be an integer >= 1, not 0",
+                     id="over2-n_seeds must be an integer >= 1, not 0"),
+        pytest.param({"n_steps": 0, "leads_days": ()},
+                     "run config key 'n_steps' must be an integer >= 1, not 0",
+                     id="over3-n_steps must be an integer >= 1, not 0"),
+        pytest.param({"base_seed": -1},
+                     "run config key 'base_seed' must be an integer >= 0, not -1",
+                     id="over4-base_seed must be an integer >= 0, not -1"),
+        pytest.param({"fraction": 0.0},
+                     "run config key 'fraction' must be a number in (0, 1], not 0.0",
+                     id="over5-fraction must lie in (0, 1], not 0.0"),
+        pytest.param({"fraction": 2.0},
+                     "run config key 'fraction' must be a number in (0, 1], not 2.0",
+                     id="over6-fraction must lie in (0, 1], not 2.0"),
+        pytest.param({"eval_stride_hours": 0.0},
+                     "run config key 'eval_stride_hours' must be a positive finite number, not 0.0",
+                     id="over7-eval_stride_hours must be > 0, not 0.0"),
+        pytest.param({"leads_days": ()},
+                     "run config key 'leads_days' must be a non-empty list of integers, not ()",
+                     id="over8-leads_days must be non-empty"),
         ({"strategies": ["random", "randm"]},
          "unknown strategy 'randm'; known: " + ", ".join(STRATEGIES)),
         ({"strategies": ["random", "stratified_time", "random"]},
@@ -232,6 +252,34 @@ class TestConfig:
         cfg = base_config(small_grid, n_members=8.0, n_seeds=2.0, n_steps=12.0, base_seed=3.0)
         counts = (cfg.n_members, cfg.n_seeds, cfg.n_steps, cfg.base_seed)
         assert counts == (8, 2, 12, 3) and all(type(v) is int for v in counts)
+
+    def test_config_and_spec_read_counts_through_one_rule(self, small_grid):
+        rows = [experiment._CONFIG_KEYS[key] for key in ("n_members", "n_seeds", "n_steps")]
+        rows.append(ToyDiffusionForecaster.hyperparameters["n_epochs"])
+        assert all(rule is dsmod.COUNT for rule, _ in rows)
+        spec = ForecasterSpec("toy_diffusion", {"n_epochs": 8.0})
+        cfg = base_config(small_grid, forecaster=spec, n_members=8.0)
+        for v in (cfg.n_members, cfg.forecaster.hyperparameters["n_epochs"]):
+            assert v == 8 and type(v) is int
+
+    @pytest.mark.parametrize("key, value", [
+        ("strategies", []), ("fraction", 0.0), ("fraction", 1.5), ("n_members", 0),
+        ("n_members", 2.5), ("n_seeds", 0), ("base_seed", -1), ("base_seed", 0.5),
+        ("n_steps", 0), ("leads_days", []), ("eval_stride_hours", 0), ("eval_stride_hours", -24.0),
+    ])
+    def test_out_of_range_value_refused_alike_from_json_and_direct(self, tmp_path, key, value):
+        d = {"strategies": ["random"], "forecaster": {"kind": "persistence"},
+             "split": {"train_years": [2000, 2000]}, "dataset_path": "x.ften", key: value}
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(d))
+        with pytest.raises(ExperimentError) as from_json:
+            ExperimentConfig.from_json(p)
+        with pytest.raises(ExperimentError) as direct:
+            ExperimentConfig(**dict(d, forecaster=ForecasterSpec("persistence"),
+                                    split=SplitSpec((2000, 2000))))
+        assert str(from_json.value) == str(direct.value)
+        assert str(direct.value).startswith(f"run config key {key!r} must be ")
+        assert str(direct.value).endswith(f", not {value!r}")
 
     @pytest.mark.parametrize("key", ["n_seed", "split.tset_years", "forecaster.hyper"])
     def test_from_json_unknown_key_named(self, tmp_path, key):

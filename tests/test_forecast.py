@@ -900,7 +900,7 @@ class TestForecasterSpec:
 
     @pytest.mark.parametrize("key", [
         k for k, (rule, _) in forecast_mod.ToyDiffusionForecaster.hyperparameters.items()
-        if rule is forecast_mod._COUNT])
+        if rule is forecast_mod.COUNT])
     def test_fractional_count_rejected(self, key):
         with pytest.raises(ForecastError, match=f"{key!r} must be an integer"):
             ForecasterSpec("toy_diffusion", {key: 8.5})
