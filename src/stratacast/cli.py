@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import dataset as dsmod
 from . import synthetic
-from .dataset import COUNT, FRACTION, SEED, DatasetError, SplitSpec, check_object
+from .dataset import COUNT, FRACTION, SEED, STEP_HOURS, DatasetError, SplitSpec, check_object
 from .experiment import (ExperimentConfig, emit_report, eval_init_times, load_standardized,
                          run_experiment, training_candidates)
 from .forecast import (
@@ -57,9 +57,14 @@ def _setup_logging():
     )
 
 
-def _years(text: str) -> tuple[int, int]:
+# Flag types, read by argparse: ``argument --leads: invalid leads value: '5,x'``
+def years(text: str) -> tuple[int, int]:
     lo, _, hi = text.partition(":")
     return (int(lo), int(hi or lo))
+
+
+def leads(text: str) -> list[int]:
+    return [int(x) for x in text.split(",")]
 
 
 def _add_common(p: argparse.ArgumentParser, seed_help="random seed (default 0)", seed_default=0):
@@ -86,14 +91,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="field-tensor dataset path")
     p.add_argument("--strategy", required=True, choices=sorted(STRATEGIES))
     p.add_argument("--fraction", type=float, default=0.2)
-    p.add_argument("--train-years", required=True, help="Y0:Y1 training year range")
+    p.add_argument("--train-years", type=years, required=True, help="Y0:Y1 training year range")
 
     p = sub.add_parser("train", help="train a forecaster on a selection")
     _add_common(p)
     p.add_argument("--data", required=True)
     p.add_argument("--selection", required=True, help="selection JSON path")
     p.add_argument("--forecaster", required=True, choices=VALID_KINDS)
-    p.add_argument("--train-years", required=True)
+    p.add_argument("--train-years", type=years, required=True)
     p.add_argument("--hyper", default="{}", help="hyperparameters as JSON")
 
     p = sub.add_parser("rollout", help="autoregressive ensemble rollout")
@@ -102,15 +107,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="forecaster file prefix")
     p.add_argument("--members", type=int, default=8)
     p.add_argument("--steps", type=int, default=10)
-    p.add_argument("--train-years", required=True)
-    p.add_argument("--test-years", required=True)
+    p.add_argument("--train-years", type=years, required=True)
+    p.add_argument("--test-years", type=years, required=True)
 
     p = sub.add_parser("evaluate", help="score a forecast against truth")
     _add_common(p, None)
     p.add_argument("--data", required=True)
     p.add_argument("--forecast", required=True, help="forecast file prefix")
-    p.add_argument("--train-years", required=True)
-    p.add_argument("--leads", default="5,10", help="comma-separated lead days")
+    p.add_argument("--train-years", type=years, required=True)
+    p.add_argument("--leads", type=leads, default="5,10", help="comma-separated lead days")
     p.add_argument("--flat-grid", action="store_true", help="uniform area weights")
     p.add_argument("--method", default="", help="method label for the records")
 
@@ -136,7 +141,7 @@ def cmd_generate_data(args) -> int:
 
 
 def cmd_select(args) -> int:
-    split = SplitSpec(_years(args.train_years))
+    split = SplitSpec(args.train_years)
     ds = load_standardized(args.data, split)
     candidates = training_candidates(ds, split)
     sel = run_strategy(
@@ -149,17 +154,14 @@ def cmd_select(args) -> int:
 
 
 def cmd_train(args) -> int:
-    split = SplitSpec(_years(args.train_years))
+    split = SplitSpec(args.train_years)
     ds = load_standardized(args.data, split)
     sel = SubsetSelection.load(args.selection)
-    candidates, seen = set(training_candidates(ds, split)), set()
+    candidates = set(training_candidates(ds, split))
     for i in sel.indices:
         if i not in candidates:
             raise SelectionError(f"{args.selection}: index {i} is not a training candidate of "
-                                 f"{args.data} for train years {args.train_years}")
-        if i in seen:
-            raise SelectionError(f"{args.selection}: index {i} is listed more than once")
-        seen.add(i)
+                                 f"{args.data} for train years {'%d:%d' % args.train_years}")
     try:
         hyper = json.loads(args.hyper)
     except ValueError as e:
@@ -171,21 +173,20 @@ def cmd_train(args) -> int:
 
 
 def cmd_rollout(args) -> int:
-    split = SplitSpec(_years(args.train_years), test_years=_years(args.test_years))
+    split = SplitSpec(args.train_years, test_years=args.test_years)
     ds = load_standardized(args.data, split)
     model = load_forecaster(args.model)
-    inits = eval_init_times(ds, split, args.steps, 24.0)
+    inits = eval_init_times(ds, split, args.steps, STEP_HOURS)
     fc = rollout(model, ds, inits, args.members, n_steps=args.steps, seed=args.seed)
     save_forecast(fc, Path(args.out) / "forecast")
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    ds = load_standardized(args.data, SplitSpec(_years(args.train_years)))
+    ds = load_standardized(args.data, SplitSpec(args.train_years))
     fc = load_forecast(args.forecast)
     w = area_weights(ds.grid, flat=args.flat_grid)
-    leads = [int(x) for x in args.leads.split(",")]
-    records = evaluate_forecast(fc, ds, leads_days=leads, w=w, method=args.method)
+    records = evaluate_forecast(fc, ds, leads_days=args.leads, w=w, method=args.method)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "metrics.csv").write_text(records_to_csv(records))

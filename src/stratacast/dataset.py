@@ -37,6 +37,8 @@ FORMAT_VERSION = 1
 
 KNOWN_VARIABLES = {"z500", "t850", "t2m", "u10", "v10", "ws10"}
 _SYNTH_RE = re.compile(r"^synthetic_\d+$")
+# One forecast step: training pairs, rollout steps and leads are this far apart.
+STEP_HOURS = 24.0
 
 
 class DatasetError(ValueError):
@@ -136,6 +138,11 @@ def hours_delta(hours: float) -> np.timedelta64:
     return np.timedelta64(round(hours * 3.6e9), "us")
 
 
+def month_index(times) -> np.ndarray:
+    """Calendar month of each of ``times``, 0 for January."""
+    return np.asarray(times, dtype="datetime64[M]").astype(np.int64) % 12
+
+
 def validate_variable_name(name: str) -> str:
     if name in KNOWN_VARIABLES or _SYNTH_RE.match(name):
         return name
@@ -227,15 +234,27 @@ class GriddedDataset:
         return len(self.timestamps)
 
     @property
-    def stride_hours(self) -> float:
+    def stride(self) -> np.timedelta64:
         if len(self.timestamps) < 2:
             raise DatasetError("stride undefined for a single-timestep dataset")
-        stride = self.timestamps[1] - self.timestamps[0]
-        return float(stride / np.timedelta64(1, "s") / 3600.0)
+        return self.timestamps[1] - self.timestamps[0]
+
+    @property
+    def stride_hours(self) -> float:
+        return float(self.stride / np.timedelta64(1, "s") / 3600.0)
+
+    def steps(self, hours: float, what: str) -> int:
+        """``hours`` (to the microsecond, as ``hours_delta`` rounds) in strides;
+        raises DatasetError naming ``what`` unless that is a whole number >= 1."""
+        n, rest = divmod(round(hours * 3.6e9), int(self.stride.astype(np.int64)))
+        if n < 1 or rest:
+            raise DatasetError(f"{what} is not a whole number of the dataset's "
+                               f"{self.stride_hours:g} h strides")
+        return n
 
     def months(self) -> np.ndarray:
         """Calendar month (1..12) of every timestamp."""
-        return self.timestamps.astype("datetime64[M]").astype(np.int64) % 12 + 1
+        return month_index(self.timestamps) + 1
 
 
 @dataclass(frozen=True)
@@ -404,20 +423,12 @@ def standardize(ds: GriddedDataset, stats: StandardizationStats) -> GriddedDatas
     )
 
 
-def day_offset(ds: GriddedDataset) -> int:
-    """Index offset of each time step's 24 h successor (the stride must divide 24 h)."""
-    off = 24.0 / ds.stride_hours
-    if abs(off - round(off)) > 1e-9:
-        raise DatasetError("dataset stride does not divide 24 hours")
-    return int(round(off))
-
-
 def valid_init_times(
     ds: GriddedDataset,
     split: SplitSpec,
     which: str = "train",
-    max_lead_hours: float = 240.0,
-    history_hours: float = 24.0,
+    max_lead_hours: float = 10 * STEP_HOURS,
+    history_hours: float = STEP_HOURS,
 ) -> list[int]:
     """Forecast init time indices inside a split.
 

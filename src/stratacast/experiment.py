@@ -21,8 +21,8 @@ import numpy as np
 from . import dataset as dsmod
 from . import synthetic
 from .dataset import (ANY, BOOLEAN, COUNT, FRACTION, INTEGER, INTEGERS, OBJECT, POSITIVE, SEED,
-                      STRING, STRINGS, GriddedDataset, Rule, SplitSpec, check_object, list_of,
-                      or_null)
+                      STEP_HOURS, STRING, STRINGS, GriddedDataset, Rule, SplitSpec, check_object,
+                      list_of, or_null)
 from .forecast import ForecasterSpec, rollout, train
 from .metrics import (METRICS, MetricRecord, area_weights, check_leads, evaluate_forecast,
                       records_to_csv, write_records)
@@ -68,7 +68,7 @@ class ExperimentConfig:
     base_seed: int = 0
     leads_days: tuple = (5, 10)
     n_steps: int = 10
-    eval_stride_hours: float = 24.0
+    eval_stride_hours: float = STEP_HOURS
     flat_grid: bool = False
 
     def __post_init__(self):
@@ -126,9 +126,9 @@ def load_standardized(
 
 def training_candidates(ds: GriddedDataset, split: SplitSpec) -> list[int]:
     """Indices of ``ds`` that may be selected for training: the training
-    split less its first and last 24 h, so every candidate has a day of
-    history and its 24 h successor in the split; raises when there are none."""
-    candidates = dsmod.valid_init_times(ds, split, "train", max_lead_hours=24.0)
+    split less its first and last forecast step, so every candidate has a
+    step of history and its successor in the split; raises when there are none."""
+    candidates = dsmod.valid_init_times(ds, split, "train", max_lead_hours=STEP_HOURS)
     if not candidates:
         raise ExperimentError("training split yields no candidate times")
     return candidates
@@ -137,17 +137,13 @@ def training_candidates(ds: GriddedDataset, split: SplitSpec) -> list[int]:
 def eval_init_times(
     ds: GriddedDataset, split: SplitSpec, n_steps: int, eval_stride_hours: float
 ) -> list[int]:
-    """Test-split init indices with room for ``n_steps`` daily steps, one per
-    ``eval_stride_hours``; raises when there are none or when
+    """Test-split init indices with room for ``n_steps`` forecast steps, one
+    per ``eval_stride_hours``; raises when there are none or when
     ``eval_stride_hours`` is not a whole number of dataset strides."""
-    inits = dsmod.valid_init_times(ds, split, which="test", max_lead_hours=n_steps * 24.0)
+    inits = dsmod.valid_init_times(ds, split, which="test", max_lead_hours=n_steps * STEP_HOURS)
     if not inits:
         raise ExperimentError("test split yields no valid init times")
-    every = eval_stride_hours / ds.stride_hours
-    if every < 1 or abs(every - round(every)) > 1e-9:
-        raise ExperimentError(f"eval_stride_hours {eval_stride_hours:g} is not a whole number "
-                              f"of the dataset's {ds.stride_hours:g} h strides")
-    return inits[::round(every)]
+    return inits[::ds.steps(eval_stride_hours, f"eval_stride_hours {eval_stride_hours:g}")]
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> list[MetricRecord]:

@@ -43,8 +43,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import (COUNT, POSITIVE, GriddedDataset, SplitSpec, check_object, day_offset,
-                      hours_delta, split_time_indices)
+from .dataset import (COUNT, POSITIVE, STEP_HOURS, GriddedDataset, SplitSpec, check_object,
+                      hours_delta, month_index, split_time_indices)
 from .selection import SubsetSelection
 
 
@@ -84,7 +84,7 @@ class EnsembleForecast:
     ``rollout`` checks every step and ``load_forecast`` checks the file.
     """
 
-    lead_stride_hours = 24.0  # training pairs are one day apart (day_offset)
+    lead_stride_hours = STEP_HOURS  # training pairs are one step apart
 
     init_indices: list[int]
     trajectories: np.ndarray
@@ -104,11 +104,11 @@ class EnsembleForecast:
 
 
 def _pairs_from_subset(ds: GriddedDataset, subset: SubsetSelection) -> tuple[np.ndarray, int]:
-    """The subset's indices that have a successor ``off`` (one day) later in
-    ``ds``, and off; raises unless there are at least two."""
+    """The subset's indices that have a successor ``off`` (one forecast step)
+    later in ``ds``, and off; raises unless there are at least two."""
     if subset is None:
         raise ForecastError("a learned forecaster needs a training subset")
-    off = day_offset(ds)
+    off = ds.steps(STEP_HOURS, f"the {STEP_HOURS:g} h forecast step")
     idx = np.asarray(subset.indices, dtype=np.int64)
     pair_idx = idx[idx + off < ds.n_times]
     if pair_idx.size < 2:
@@ -164,7 +164,7 @@ class ClimatologyForecaster:
         ]))
 
     def step(self, states, rng, valid_times):
-        return self.monthly_means[valid_times.astype("datetime64[M]").astype(np.int64) % 12]
+        return self.monthly_means[month_index(valid_times)]
 
 
 class StochasticLinearForecaster:
@@ -448,12 +448,18 @@ def train(
     seed: int = 0,
     split: SplitSpec | None = None,
 ):
-    """Train a forecaster of the requested kind on the subset's t -> t+24h pairs.
+    """Train a forecaster of the requested kind on the subset's one-step pairs.
 
-    The subset holds indices of ``ds``, the whole dataset. A pair whose
-    successor falls past the end of ``ds`` is dropped; training candidates
-    (``experiment.training_candidates``) all have theirs in the training split.
+    The subset holds distinct indices of ``ds``, the whole dataset; a repeat
+    raises. A pair whose successor falls past the end of ``ds`` is dropped;
+    training candidates (``experiment.training_candidates``) all have theirs
+    in the training split.
     """
+    indices = [] if subset is None else subset.indices
+    if len(set(indices)) < len(indices):
+        repeat = next(i for n, i in enumerate(indices) if i in indices[:n])
+        raise ForecastError(f"index {repeat} is listed more than once in the "
+                            f"{subset.strategy} subset")
     return FORECASTERS[spec.kind].fit(ds, subset, split, spec.hyperparameters, seed)
 
 

@@ -15,8 +15,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .dataset import (INTEGER, NUMBER, STRING, DatasetError, GriddedDataset, GridSpec,
-                      check_object, hours_delta, or_null, read_json)
+from .dataset import (INTEGER, NUMBER, STEP_HOURS, STRING, DatasetError, GriddedDataset,
+                      GridSpec, at_least, check_object, or_null, read_json)
 
 
 class MetricError(ValueError):
@@ -107,15 +107,12 @@ class MetricRecord:
     seed: int | None = None
 
     def __post_init__(self):
-        if type(self.lead_days) is not int or self.lead_days < 1:
-            raise MetricError(f"lead_days {self.lead_days!r} is not an integer >= 1")
-        for name in METRICS:
-            if not np.isfinite(getattr(self, name)):
-                raise MetricError(f"non-finite {name} for {self.method}/{self.variable}")
+        check_object(asdict(self), _RECORD_KEYS, "record", MetricError)
 
 
-# records.json row keys and what their values must be
-_RECORD_KEYS = {"method": (STRING, True), "variable": (STRING, True), "lead_days": (INTEGER, True),
+# records.json row keys and what a record's values must be, read or built
+_RECORD_KEYS = {"method": (STRING, True), "variable": (STRING, True),
+                "lead_days": (at_least(INTEGER, 1), True),
                 **dict.fromkeys(METRICS, (NUMBER, True)), "seed": (or_null(INTEGER), True)}
 
 
@@ -146,28 +143,6 @@ def records_to_csv(records: Iterable[MetricRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _target_indices(truth: GriddedDataset, init_indices, lead_hours: float) -> np.ndarray:
-    """Index of each init's valid time ``lead_hours`` later in ``truth``.
-
-    Raises DatasetError naming the first target off the time grid or
-    outside the dataset.
-    """
-    inits = np.asarray(init_indices, dtype=np.int64)
-    lead = hours_delta(lead_hours)
-    if truth.n_times < 2:  # no stride, and a lead steps past the one time
-        raise DatasetError(f"timestamp {(truth.timestamps[0] + lead).item()} not in dataset")
-    stride = truth.timestamps[1] - truth.timestamps[0]
-    k = lead / stride
-    idx = inits + int(round(k))
-    bad = (idx < 0) | (idx >= truth.n_times) | (inits < 0) | (inits >= truth.n_times)
-    bad |= abs(k - round(k)) > 1e-9
-    if bad.any():
-        first = int(bad.argmax())
-        target = truth.timestamps[0] + inits[first] * stride + lead
-        raise DatasetError(f"timestamp {target.item()} not in dataset")
-    return idx
-
-
 def check_leads(leads, n_steps: int, error: type[Exception]) -> None:
     """Raise ``error`` unless ``leads`` are distinct lead days within 1..``n_steps``."""
     for i, lead in enumerate(leads):
@@ -186,7 +161,8 @@ def evaluate_forecast(
     seed: int | None = None,
 ) -> list[MetricRecord]:
     """One MetricRecord per (variable, lead); a lead listed twice, or past
-    the forecast's steps, raises MetricError.
+    the forecast's steps, raises MetricError, and one whose truth is off the
+    time grid or past its end raises DatasetError.
 
     CRPS is the weighted mean of pointwise fair CRPS over all cases and grid
     cells. Degenerate cases (deterministic ensemble or zero error) record
@@ -199,10 +175,15 @@ def evaluate_forecast(
     if w is None:
         w = np.ones((truth.grid.n_lat, truth.grid.n_lon))
     check_leads(leads_days, forecast.n_steps, MetricError)
+    inits = np.asarray(forecast.init_indices, dtype=np.int64)
     records = []
     for lead in leads_days:
         step = int(lead) - 1  # rollouts step one day at a time
-        truth_idx = _target_indices(truth, forecast.init_indices, lead * 24)
+        truth_idx = inits + truth.steps(lead * STEP_HOURS, f"lead {lead}d")
+        bad = (inits < 0) | (truth_idx >= truth.n_times)
+        if bad.any():
+            target = truth.timestamps[0] + truth_idx[bad.argmax()] * truth.stride
+            raise DatasetError(f"timestamp {target.item()} not in dataset")
         for v, name in enumerate(truth.variables):
             # members: [M, case, lat, lon]; RMSE takes the float32 ensemble
             # mean, CRPS and SSR share one float64 cast

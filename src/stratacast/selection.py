@@ -26,8 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import (FRACTION, INTEGER, INTEGERS, NUMBER, OBJECT, STRING, GriddedDataset,
-                      check_object, day_offset, read_json)
+from .dataset import (FRACTION, INTEGER, INTEGERS, NUMBER, OBJECT, STEP_HOURS, STRING,
+                      GriddedDataset, check_object, month_index, read_json)
 from .features import (
     _svd_pca,
     default_pca_dims,
@@ -135,7 +135,7 @@ def allocate_quotas(target: int, bin_sizes: list[int]) -> list[int]:
 def _stratified(cand: np.ndarray, k: int, labels: np.ndarray, pick) -> list[int]:
     """The skeleton of every stratified strategy.
 
-    Candidates fall into 12 bins by ``labels`` (0..11, e.g. month - 1), each
+    Candidates fall into 12 bins by ``labels`` (0..11, e.g. ``month_index``), each
     bin gets its ``allocate_quotas`` share of ``k``, and
     ``pick(bin, members, quota)`` chooses from the bin's candidates (in
     candidate order) for every bin with a non-zero quota, bins in order.
@@ -338,8 +338,6 @@ def nearest_to_centroids(
     return out
 
 
-
-
 # ---------------------------------------------------------------------------
 # Strategies: pick(ds, cand, k, seed) -> (indices, metadata)
 # ---------------------------------------------------------------------------
@@ -357,7 +355,7 @@ def _random(ds, cand, k, seed):
 
 def _stratified_time(ds, cand, k, seed):
     rng = np.random.default_rng(seed)
-    return _stratified(cand, k, ds.months()[cand] - 1, _random_pick(rng)), {}
+    return _stratified(cand, k, month_index(ds.timestamps[cand]), _random_pick(rng)), {}
 
 
 def _kmeans_coreset(ds, cand, k, seed):
@@ -448,12 +446,12 @@ def _stratified_kmeans(ds, cand, k, seed, init: str):
         centers, assign = kmeans(feats, quota, np.random.default_rng([seed, m]), init=init)
         return members[nearest_to_centroids(feats, centers, assign)]
 
-    return _stratified(cand, k, ds.months()[cand] - 1, pick), {}
+    return _stratified(cand, k, month_index(ds.timestamps[cand]), pick), {}
 
 
 def persistence_difficulty_scores(ds: GriddedDataset, cand: np.ndarray) -> np.ndarray:
-    """||x_{t+24h} - x_t||_2 per candidate; -inf where t+24h has no successor."""
-    off = day_offset(ds)
+    """||x_{t+step} - x_t||_2 per candidate; -inf where t+step is past the end."""
+    off = ds.steps(STEP_HOURS, f"the {STEP_HOURS:g} h forecast step")
     scores = np.full(cand.size, -np.inf)
     ok = cand + off < ds.n_times
     if ok.any():
@@ -469,7 +467,7 @@ def _stratified_entropy(ds, cand, k, seed):
         scores = persistence_difficulty_scores(ds, members)
         return members[np.lexsort((members, -scores))[:quota]]
 
-    return _stratified(cand, k, ds.months()[cand] - 1, pick), {}
+    return _stratified(cand, k, month_index(ds.timestamps[cand]), pick), {}
 
 
 def greedy_cosine_order(feats: np.ndarray, k: int) -> list[int]:
@@ -496,7 +494,7 @@ def _stratified_spatial_diversity(ds, cand, k, seed):
         # zero-vector exclusion may leave the month short: fill by lowest index
         return np.concatenate([usable, np.sort(members[zero])[: quota - usable.size]])
 
-    chosen = _stratified(cand, k, ds.months()[cand] - 1, pick)
+    chosen = _stratified(cand, k, month_index(ds.timestamps[cand]), pick)
     return chosen, ({"zero_vector_candidates": sorted(excluded_zero)} if excluded_zero else {})
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import (INTEGER, NUMBER, NUMBERS, DatasetError, GriddedDataset, GridSpec, Rule,
-                      at_least, check_object, hours_delta)
+                      at_least, check_object, hours_delta, month_index)
 
 N_REGIMES = 12  # one regime pattern per calendar month
 
@@ -36,6 +36,9 @@ class SyntheticConfig:
     def __post_init__(self):
         fields = {key: getattr(self, key) for key in _FIELD_KEYS}
         check_object(fields, _FIELD_KEYS, "synthetic config", DatasetError)
+        if self.start_year + self.n_years - 1 > _LAST_YEAR:
+            raise DatasetError(f"synthetic config key 'start_year' {self.start_year} with n_years "
+                               f"{self.n_years} runs past year {_LAST_YEAR}")
         if self.grid.n_cells < N_REGIMES:
             raise DatasetError(f"grid too small to orthogonalize {N_REGIMES} regime patterns")
 
@@ -49,6 +52,9 @@ class SyntheticConfig:
         return cls(grid=grid, **s)
 
 
+# The years that ``datetime`` and a sidecar's four-digit ISO 8601 timestamps hold.
+_LAST_YEAR = 9999
+_YEAR = Rule(lambda v: INTEGER.ok(v) and 1 <= v <= _LAST_YEAR, f"an integer in 1..{_LAST_YEAR}")
 # Every field but the grid, with the rule its value must pass and whether it
 # is required. Integer fields are JSON integers: ``2.0`` is refused.
 _FIELD_KEYS = {
@@ -56,7 +62,7 @@ _FIELD_KEYS = {
     "seasonal_amplitude": (NUMBER, True), "regime_amplitude": (NUMBER, True),
     "ar1_coefficient": (Rule(lambda v: NUMBER.ok(v) and 0 <= v < 1, "a number in [0, 1)"), True),
     "noise_std": (at_least(NUMBER, 0), True), "seed": (at_least(INTEGER, 0), True),
-    "n_variables": (at_least(INTEGER, 1), False), "start_year": (INTEGER, False)}
+    "n_variables": (at_least(INTEGER, 1), False), "start_year": (_YEAR, False)}
 _KEYS = {"lats": (NUMBERS, True), "lons": (NUMBERS, True), **_FIELD_KEYS}
 
 
@@ -113,7 +119,7 @@ def generate(cfg: SyntheticConfig) -> GriddedDataset:
     timestamps = _timestamps(cfg)
     n_t = len(timestamps)
     n_cells = cfg.grid.n_cells
-    months = timestamps.astype("datetime64[M]").astype(np.int64) % 12
+    months = month_index(timestamps)
     angles = 2.0 * math.pi * day_of_year(timestamps) / 365.25
     data = np.empty((n_t, cfg.n_variables, cfg.grid.n_lat, cfg.grid.n_lon), dtype=np.float32)
     chunk = max(_CHUNK_VALUES // n_cells, 1)

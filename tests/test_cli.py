@@ -209,7 +209,7 @@ class TestDataErrors:
         (lambda row: row.update(extra=1), "unknown record key 'extra'"),
         (lambda row: row.pop("crps"), "missing record key 'crps'"),
         (lambda row: row.update(lead_days="5"),
-         "record key 'lead_days' must be an integer, not '5'"),
+         "record key 'lead_days' must be an integer >= 1, not '5'"),
         (lambda row: row.update(seed=1.5), "record key 'seed' must be null or an integer, not 1.5"),
     ], ids=["extra_key", "missing_key", "string_lead", "float_seed"])
     def test_report_bad_records_exit_2_naming_key(self, tmp_path, change, message):
@@ -268,8 +268,13 @@ class TestDataErrors:
         ({"n_variables": 0}, None, "n_variables"),
         ({"n_variables": -1}, None, "n_variables"),
         ({"seed": -3}, None, "seed"),
+        ({"start_year": 300000}, None, "start_year"),
+        ({"start_year": 10**20}, None, "start_year"),
+        ({"start_year": 0}, None, "start_year"),
+        ({"start_year": 9999, "n_years": 2}, None, "start_year"),
     ], ids=["misspelt", "missing", "with_static", "n_regimes", "string_count", "string_number",
-            "fractional_count", "no_variables", "negative_variables", "negative_seed"])
+            "fractional_count", "no_variables", "negative_variables", "negative_seed",
+            "year_past_iso", "year_past_int64", "year_zero", "years_run_past_9999"])
     def test_bad_synthetic_key_exits_2_naming_it(self, synth_config, tmp_path,
                                                  command, add, drop, key):
         synth = {**json.loads(synth_config.read_text()), "seed": 1, **add}
@@ -307,6 +312,33 @@ class TestDataErrors:
         assert r.returncode == 2
         assert "command-line key '--seed' must be an integer >= 0, not -1" in r.stderr
         assert "Traceback" not in r.stderr
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, args, flag, value", [
+        ("select", ["--strategy", "random"], "--train-years", "abc"),
+        ("train", ["--selection", "{tmp}/s.json", "--forecaster", "persistence"],
+         "--train-years", "2000:x"),
+        ("rollout", ["--model", "{tmp}/m", "--train-years", "2000"], "--test-years", "2001-2002"),
+        ("evaluate", ["--forecast", "{tmp}/f", "--train-years", "2000"], "--leads", "5,x"),
+        ("evaluate", ["--forecast", "{tmp}/f", "--train-years", "2000"], "--leads", ""),
+    ], ids=["select_years", "train_years", "rollout_test_years", "evaluate_leads",
+            "evaluate_empty_leads"])
+    def test_malformed_time_flag_is_a_usage_error_before_any_input(self, tmp_path, command,
+                                                                   args, flag, value):
+        # no input file exists: the flag is refused as it is parsed
+        args = [a.format(tmp=tmp_path) for a in args]
+        r = run_cli(command, "--data", str(tmp_path / "x.ften"), *args, flag, value,
+                    "--out", str(tmp_path / "out"))
+        assert r.returncode == 1
+        assert f"argument {flag}: invalid" in r.stderr and repr(value) in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_inverted_year_range_exits_2(self, data_dir, tmp_path):
+        r = run_cli("select", "--data", str(data_dir / "synthetic.ften"), "--strategy", "random",
+                    "--train-years", "2001:2000", "--out", str(tmp_path / "out"))
+        assert r.returncode == 2
+        assert "invalid year range 2001-2000" in r.stderr
         assert not (tmp_path / "out").exists()
 
 
@@ -477,7 +509,8 @@ class TestPipeline:
          "selection file {sel} key 'fraction' must be a finite number, not '0.2'"),
         (lambda d: d.update(strategy=7),
          "selection file {sel} key 'strategy' must be a string, not 7"),
-        (lambda d: d.update(indices=[40] * 73), "{sel}: index 40 is listed more than once"),
+        (lambda d: d.update(indices=[40] * 73),
+         "index 40 is listed more than once in the random subset"),
     ], ids=["no_indices", "null_seed", "float_indices", "string_indices", "bool_index",
             "float_seed", "string_fraction", "number_strategy", "repeated_index"])
     def test_train_refuses_a_damaged_selection_file(self, data_dir, tmp_path, change, message):
@@ -694,7 +727,7 @@ class TestPipeline:
                          "--forecast", str(tmp_path / "forecast"),
                          "--train-years", "2000:2000", "--out", str(tmp_path / "scores")])
         assert code == 2
-        assert "not in dataset" in err.getvalue()
+        assert "stride undefined for a single-timestep dataset" in err.getvalue()
         assert not (tmp_path / "scores").exists()
 
     def test_run_and_report(self, data_dir, tmp_path):
@@ -774,19 +807,22 @@ class TestPipeline:
 
 
 # One valid instance of each JSON document the CLI reads, as (a key it
-# requires, a key and a value of the wrong type). Hyperparameters have no
-# required key.
+# requires, a key and a value of the wrong type, a key and a value of the
+# right type out of its range). Hyperparameters have no required key; a
+# selection file and a sidecar have no ranged key.
 _DOCUMENTS = {
-    "run_config": ("strategies", "fraction", "0.2"),
-    "synthetic_config": ("noise_std", "n_years", "2"),
-    "hyperparameters": (None, "ridge_lambda", [1e-3]),
-    "selection": ("indices", "seed", "0"),
-    "records": ("crps", "lead_days", "5"),
-    "sidecar": ("lats", "variables", [5]),
+    "run_config": ("strategies", "fraction", "0.2", ("fraction", 2.0)),
+    "synthetic_config": ("noise_std", "n_years", "2", ("start_year", 300000)),
+    "hyperparameters": (None, "ridge_lambda", [1e-3], ("ridge_lambda", 0)),
+    "selection": ("indices", "seed", "0", None),
+    "records": ("crps", "lead_days", "5", ("lead_days", 0)),
+    "sidecar": ("lats", "variables", [5], None),
 }
 _CASES = [(doc, case) for doc in _DOCUMENTS
-          for case in ("unparseable", "not_an_object", "missing_key", "unknown_key", "wrong_type")
-          if case != "missing_key" or _DOCUMENTS[doc][0]]
+          for case in ("unparseable", "not_an_object", "missing_key", "unknown_key", "wrong_type",
+                       "out_of_range")
+          if (case != "missing_key" or _DOCUMENTS[doc][0])
+          and (case != "out_of_range" or _DOCUMENTS[doc][3])]
 
 
 class TestOutsideInput:
@@ -812,16 +848,19 @@ class TestOutsideInput:
     @pytest.mark.parametrize("doc, case", _CASES)
     def test_refused_with_exit_2_naming_the_file_or_key(self, data_dir, synth_config, selection,
                                                        tmp_path, doc, case):
-        required, typed, bad = _DOCUMENTS[doc]
+        required, typed, bad, out_of_range = _DOCUMENTS[doc]
         valid = self._valid(doc, data_dir, synth_config, selection)
         obj = valid[0] if doc == "records" else valid  # a records file is a list of them
-        named = {"missing_key": required, "unknown_key": "extra", "wrong_type": typed}.get(case)
+        named = {"missing_key": required, "unknown_key": "extra", "wrong_type": typed,
+                 "out_of_range": out_of_range and out_of_range[0]}.get(case)
         if case == "missing_key":
             del obj[required]
         elif case == "unknown_key":
             obj["extra"] = 1
         elif case == "wrong_type":
             obj[typed] = bad
+        elif case == "out_of_range":
+            obj.update([out_of_range])
         text = {"unparseable": "{", "not_an_object": "[1, 2]"}.get(case, json.dumps(valid))
 
         data, out = str(data_dir / "synthetic.ften"), str(tmp_path / "out")
@@ -852,6 +891,9 @@ class TestOutsideInput:
             assert ("--hyper" if doc == "hyperparameters" else str(path)) in err.getvalue()
         elif case == "not_an_object":
             assert "must be an object" in err.getvalue()
+        elif case == "out_of_range":  # a range refusal takes the type refusal's form
+            assert f"key {named!r} must be " in err.getvalue()
+            assert f", not {out_of_range[1]!r}" in err.getvalue()
         else:
             assert repr(named) in err.getvalue()
         assert not (tmp_path / "out").exists()

@@ -329,6 +329,34 @@ class TestTimeAxisOracles:
             assert _series(ts).timestamps.tolist() == ts
 
 
+class TestTimeAxisRules:
+    @settings(max_examples=300, deadline=None)
+    @given(stride=st.sampled_from([1, 1.5, 6, 24, 48]), minutes=st.integers(-3000, 6000))
+    @example(stride=1.5, minutes=36 * 60)  # 24 strides
+    @example(stride=48, minutes=24 * 60)   # half a stride
+    @example(stride=6, minutes=0)
+    def test_steps_is_the_whole_timedelta_ratio(self, stride, minutes):
+        """``steps`` is the exact ratio of the two ``timedelta``s when that is
+        a whole number >= 1, and refuses otherwise, naming what it converts."""
+        ds = _series([datetime(2000, 1, 1) + timedelta(hours=stride * i) for i in range(3)])
+        count, rest = divmod(timedelta(minutes=minutes), timedelta(hours=stride))
+        if count >= 1 and not rest:
+            assert ds.steps(minutes / 60, "span") == count
+        else:
+            with pytest.raises(DatasetError, match=f"^span is not a whole number of the "
+                                                   f"dataset's {stride:g} h strides$"):
+                ds.steps(minutes / 60, "span")
+
+    def test_steps_of_a_single_timestep_dataset_is_refused(self):
+        with pytest.raises(DatasetError, match="stride undefined for a single-timestep dataset"):
+            _series([datetime(2000, 1, 1)]).steps(dsmod.STEP_HOURS, "step")
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.datetimes(datetime(1, 1, 1), datetime(9999, 12, 31)), max_size=20))
+    def test_month_index_is_the_calendar_month_from_0(self, times):
+        assert dsmod.month_index(times).tolist() == [t.month - 1 for t in times]
+
+
 class TestSplitSpec:
     def test_overlap_rejected(self):
         with pytest.raises(DatasetError):

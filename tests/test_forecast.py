@@ -79,6 +79,18 @@ class TestStochasticLinear:
         with pytest.raises(ForecastError, match="pairs"):
             train(ForecasterSpec("stochastic_linear"), ds, sel, seed=0)
 
+    @pytest.mark.parametrize("kind", ["stochastic_linear", "toy_diffusion"])
+    @pytest.mark.parametrize("indices, repeat", [([40] * 73, 40), ([3, 5, 7, 9, 7, 3, 5], 7)])
+    def test_subset_whose_indices_repeat_is_refused(self, kind, indices, repeat):
+        """Duplicated pairs would fit a model with too little spread (a
+        ``resid_std`` of 0 for one pair 73 times), so the first index listed
+        again is named before anything is fitted."""
+        ds = series_ds(np.arange(100.0))
+        sel = SubsetSelection("random", indices, 0.2, 0)
+        with pytest.raises(ForecastError,
+                           match=f"^index {repeat} is listed more than once in the random subset$"):
+            train(ForecasterSpec(kind), ds, sel, seed=0)
+
     def test_json_round_trip(self, tmp_path):
         ds = series_ds(np.random.default_rng(1).normal(size=50))
         model = train(ForecasterSpec("stochastic_linear"), ds, full_selection(ds), seed=0)
@@ -868,7 +880,8 @@ class TestEvaluateForecast:
     def test_lead_off_the_time_grid_raises(self):
         ds = series_ds(np.zeros(20), stride_hours=48)
         fc = rollout(PersistenceForecaster(), ds, [3], n_members=1, n_steps=10, seed=0)
-        with pytest.raises(DatasetError, match="timestamp 2000-01-12 00:00:00 not in dataset"):
+        with pytest.raises(DatasetError,
+                           match="lead 5d is not a whole number of the dataset's 48 h strides"):
             evaluate_forecast(fc, ds, leads_days=(5,))
 
 

@@ -295,5 +295,5 @@ class TestOneStepTruth:
         fc = EnsembleForecast(
             init_indices=[0], trajectories=np.zeros((1, 2, 5, 1, 2, 1), dtype=np.float32)
         )
-        with pytest.raises(DatasetError, match="timestamp 2001-03-06 00:00:00 not in dataset"):
+        with pytest.raises(DatasetError, match="stride undefined for a single-timestep dataset"):
             evaluate_forecast(fc, truth, leads_days=(5,))

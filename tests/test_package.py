@@ -65,3 +65,17 @@ def test_no_orphaned_private_names():
     orphans = [f"{where} {name}" for where, name in defined
                if name.startswith("_") and not name.startswith("__") and name not in named]
     assert orphans == []
+
+
+def test_time_axis_is_answered_in_dataset_only():
+    """The forecast step (``STEP_HOURS``), the hours-to-strides rule
+    (``GriddedDataset.steps``) and the month of a time (``month_index``) are
+    written once, in ``dataset.py``. No other module spells the 24 h step,
+    divides by a stride or computes a month itself."""
+    spelled = re.compile(r"day_offset|24\.0|\* ?24\b|datetime64\[M\]|timestamps\[1\]"
+                         r"|/ ?(ds|truth|self)\.stride_hours")
+    hits = [f"{path.name}:{n}: {line.strip()}"
+            for path in sorted(Path(stratacast.__file__).parent.glob("*.py"))
+            if path.name != "dataset.py"
+            for n, line in enumerate(path.read_text().splitlines(), 1) if spelled.search(line)]
+    assert hits == []
