@@ -133,9 +133,18 @@ def check_object(obj, keys: dict, what: str, error: type[Exception], _prefix: st
     return stored
 
 
+def _hours_us(hours: float) -> int:
+    """``hours`` in whole microseconds; raises DatasetError past the int64
+    microseconds of ``datetime64[us]`` (or for a NaN)."""
+    us = hours * 3.6e9
+    if not abs(us) < 2**63:
+        raise DatasetError(f"{hours:g} h is past the datetime64[us] range")
+    return round(us)
+
+
 def hours_delta(hours: float) -> np.timedelta64:
     """``hours`` as a ``timedelta64``, rounded to the microsecond."""
-    return np.timedelta64(round(hours * 3.6e9), "us")
+    return np.timedelta64(_hours_us(hours), "us")
 
 
 def month_index(times) -> np.ndarray:
@@ -246,7 +255,7 @@ class GriddedDataset:
     def steps(self, hours: float, what: str) -> int:
         """``hours`` (to the microsecond, as ``hours_delta`` rounds) in strides;
         raises DatasetError naming ``what`` unless that is a whole number >= 1."""
-        n, rest = divmod(round(hours * 3.6e9), int(self.stride.astype(np.int64)))
+        n, rest = divmod(_hours_us(hours), int(self.stride.astype(np.int64)))
         if n < 1 or rest:
             raise DatasetError(f"{what} is not a whole number of the dataset's "
                                f"{self.stride_hours:g} h strides")

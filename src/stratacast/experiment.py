@@ -85,6 +85,8 @@ class ExperimentConfig:
         if (self.dataset_path is None) == (self.synthetic is None):
             raise ExperimentError("exactly one of dataset_path / synthetic required")
         check_leads(self.leads_days, self.n_steps, ExperimentError)
+        if self.split.test_years is None:
+            raise ExperimentError("missing run config key 'split.test_years'")
 
     @classmethod
     def from_json(cls, path: str | Path) -> "ExperimentConfig":
@@ -148,13 +150,12 @@ def eval_init_times(
 
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> list[MetricRecord]:
     """Run all (strategy, seed) cells; returns per-seed records plus mean rows."""
-    out_dir = Path(out_dir)
-    (out_dir / "selections").mkdir(parents=True, exist_ok=True)
-
     source = cfg.synthetic if cfg.dataset_path is None else cfg.dataset_path
     ds = load_standardized(source, cfg.split)
     candidates = training_candidates(ds, cfg.split)
     eval_inits = eval_init_times(ds, cfg.split, cfg.n_steps, cfg.eval_stride_hours)
+    out_dir = Path(out_dir)
+    (out_dir / "selections").mkdir(parents=True, exist_ok=True)
     w = area_weights(ds.grid, flat=cfg.flat_grid)
 
     strategies = list(cfg.strategies)

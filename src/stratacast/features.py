@@ -105,10 +105,6 @@ def pca_transform(model: PcaModel, x: np.ndarray) -> np.ndarray:
     return (x - model.center) @ model.axes.T
 
 
-def default_pca_dims(n: int, d: int) -> int:
-    return min(64, n, d)
-
-
 def spatial_mean_matrix(ds: GriddedDataset, times) -> np.ndarray:
     """Per-variable spatial mean (unweighted), one row per time index."""
     times = np.asarray(times, dtype=np.int64)

@@ -30,7 +30,6 @@ from .dataset import (FRACTION, INTEGER, INTEGERS, NUMBER, OBJECT, STEP_HOURS, S
                       GriddedDataset, check_object, month_index, read_json)
 from .features import (
     _svd_pca,
-    default_pca_dims,
     flatten_samples,
     pca_transform,
     spatial_mean_matrix,
@@ -101,34 +100,23 @@ _FILE_KEYS = {"strategy": (STRING, True), "seed": (INTEGER, True), "fraction": (
 # ---------------------------------------------------------------------------
 
 def allocate_quotas(target: int, bin_sizes: list[int]) -> list[int]:
-    """Largest-remainder allocation of equal shares across bins.
+    """Equal shares of ``target`` across bins, capped at each bin's size.
 
-    Ideal share is target / n_bins for every bin; leftover units go to the
-    earliest bins (January-first for month bins). Quotas larger than a bin are
-    capped and the deficit redistributed round-robin over bins with spare
-    capacity; raises when total capacity is short.
+    Every bin starts at ``target // n_bins`` and the first ``target % n_bins``
+    bins (January-first for month bins) at one more. A share larger than its
+    bin is capped, and the deficit goes round-robin, in bin order, to bins
+    with room; raises when the bins hold fewer than ``target`` candidates.
     """
+    if target > sum(bin_sizes):
+        raise SelectionError("bins cannot absorb the requested budget")
     n_bins = len(bin_sizes)
-    ideal = target / n_bins
-    quotas = [int(math.floor(ideal))] * n_bins
-    remainder = target - sum(quotas)
-    # equal fractional remainders: ties resolved earliest-bin-first
-    for b in range(remainder):
-        quotas[b] += 1
-
-    quotas = [min(q, s) for q, s in zip(quotas, bin_sizes)]
+    quotas = [min(target // n_bins + (b < target % n_bins), s) for b, s in enumerate(bin_sizes)]
     deficit = target - sum(quotas)
     while deficit > 0:
-        progressed = False
         for b in range(n_bins):
-            if deficit == 0:
-                break
-            if quotas[b] < bin_sizes[b]:
+            if deficit and quotas[b] < bin_sizes[b]:
                 quotas[b] += 1
                 deficit -= 1
-                progressed = True
-        if not progressed:
-            raise SelectionError("bins cannot absorb the requested budget")
     return quotas
 
 
@@ -150,7 +138,8 @@ def _stratified(cand: np.ndarray, k: int, labels: np.ndarray, pick) -> list[int]
 
 
 def _random_pick(rng: np.random.Generator):
-    """Pick that draws a bin's quota without replacement from one shared rng."""
+    """Pick that draws a bin's quota without replacement from one shared rng;
+    ``random`` draws its whole budget as one bin."""
 
     def pick(b, members, quota):
         if quota == members.size:
@@ -172,7 +161,8 @@ _pca_memo: tuple | None = None
 
 
 def pca_features(ds: GriddedDataset, cand: np.ndarray) -> np.ndarray:
-    """Flatten candidates and project to the default PCA space (read-only).
+    """Flatten candidates and project onto their top min(64, n, d) principal
+    axes (read-only).
 
     The PCA dimension is clamped to the numerical rank of the flattened
     matrix (low-noise synthetic data is routinely rank-deficient). The result
@@ -188,7 +178,7 @@ def pca_features(ds: GriddedDataset, cand: np.ndarray) -> np.ndarray:
     # The pool goes in as a temporary, so no flattened copy is alive during
     # the SVD; it is flattened again for the projection.
     n, d = len(cand), ds.data[0].size
-    model, _ = _svd_pca(flatten_samples(ds, cand), default_pca_dims(n, d))
+    model, _ = _svd_pca(flatten_samples(ds, cand), min(64, n, d))
     if model is None:
         feats = np.zeros((n, 1))
     else:
@@ -203,7 +193,7 @@ def pca_features(ds: GriddedDataset, cand: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """k-means++ seeding (Arthur & Vassilvitskii, SODA 2007) in reused buffers.
+    """k-means++ seeding (Arthur & Vassilvitskii, SODA 2007).
 
     Each D² draw computes what ``rng.choice(n, p=d2 / d2.sum())`` does with
     its one ``rng.random()`` draw: the cumulative sum of p, divided by its
@@ -211,31 +201,18 @@ def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
     ``choice``, without its argument checks.
     """
     n = x.shape[0]
-    centers = np.empty((k, x.shape[1]))
-    diff = np.empty(x.shape)
-    d2, d_new, p, cdf = np.empty((4, n))
-
-    def sq_dist(c, out):
-        np.subtract(x, centers[c], out=diff)
-        np.square(diff, out=diff)
-        np.sum(diff, axis=1, out=out)
-
-    first = int(rng.integers(n))
-    centers[0] = x[first]
-    sq_dist(0, d2)
-    for c in range(1, k):
+    picks = [int(rng.integers(n))]
+    d2 = np.sum((x - x[picks[0]]) ** 2, axis=1)
+    for _ in range(1, k):
         total = d2.sum()
         if total <= 0:
             idx = int(rng.integers(n))
         else:
-            np.divide(d2, total, out=p)
-            np.cumsum(p, out=cdf)
-            cdf /= cdf[-1]
-            idx = int(cdf.searchsorted(rng.random(), side="right"))
-        centers[c] = x[idx]
-        sq_dist(c, d_new)
-        np.minimum(d2, d_new, out=d2)
-    return centers
+            cdf = np.cumsum(d2 / total)
+            idx = int((cdf / cdf[-1]).searchsorted(rng.random(), side="right"))
+        picks.append(idx)
+        d2 = np.minimum(d2, np.sum((x - x[idx]) ** 2, axis=1))
+    return x[picks]
 
 
 # Lloyd iterations stop after this many rounds, or once no centroid moves
@@ -348,9 +325,7 @@ def _full(ds, cand, k, seed):
 
 
 def _random(ds, cand, k, seed):
-    if k == cand.size:
-        return cand, {}
-    return np.random.default_rng(seed).choice(cand, size=k, replace=False), {}
+    return _random_pick(np.random.default_rng(seed))(0, cand, k), {}
 
 
 def _stratified_time(ds, cand, k, seed):

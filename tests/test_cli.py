@@ -164,9 +164,10 @@ class TestDataErrors:
         ({"strategies": ["randm"]}, "unknown strategy 'randm'"),
         ({"strategies": ["random", "random"]}, "strategy 'random' is listed more than once"),
         ({"leads_days": [5, 5]}, "lead 5d is listed more than once"),
+        ({}, "missing run config key 'split.test_years'"),
     ], ids=["unknown", "unknown_split", "unknown_forecaster", "flat_grid", "fractional_count",
             "no_members", "no_steps", "no_leads", "negative_seed", "fraction", "eval_stride",
-            "unknown_strategy", "repeated_strategy", "repeated_lead"])
+            "unknown_strategy", "repeated_strategy", "repeated_lead", "no_test_years"])
     def test_run_config_that_cannot_run_exits_2_before_data(self, tmp_path, over, message):
         # dataset_path names no file: each config is refused before it is read
         d = dict({
@@ -233,6 +234,25 @@ class TestDataErrors:
             code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
         assert code == 2
         assert "lead 5d outside 1..3 rollout steps" in err.getvalue()
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, change, message", [
+        ("generate-data", lambda d: d["synthetic"].update(stride_hours=10**15),
+         "1e+15 h is past the datetime64[us] range"),
+        ("run", lambda d: d.update(n_steps=10**20), "2.4e+21 h is past the datetime64[us] range"),
+        ("run", lambda d: d.update(eval_stride_hours=1e300),
+         "1e+300 h is past the datetime64[us] range"),
+    ], ids=["stride_hours", "n_steps", "eval_stride_hours"])
+    def test_duration_past_the_time_range_exits_2(self, tmp_path, command, change, message):
+        d = json.loads((PKG_ROOT / "benchmarks" / "synthetic_benchmark.json").read_text())
+        change(d)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(d["synthetic"] if command == "generate-data" else d))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([command, "--config", str(cfg), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"error: {message}" in err.getvalue()
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("hyper", [{"n_epoch": 1}, {"sigma_min": 3.0, "sigma_max": 0.5},

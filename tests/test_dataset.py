@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 from datetime import datetime, timedelta
 
@@ -13,6 +14,7 @@ from stratacast.dataset import (
     GriddedDataset,
     GridSpec,
     SplitSpec,
+    StandardizationStats,
     fit_standardization,
     load_dataset,
     save_dataset,
@@ -355,6 +357,53 @@ class TestTimeAxisRules:
     @given(st.lists(st.datetimes(datetime(1, 1, 1), datetime(9999, 12, 31)), max_size=20))
     def test_month_index_is_the_calendar_month_from_0(self, times):
         assert dsmod.month_index(times).tolist() == [t.month - 1 for t in times]
+
+
+def _with_header_word(tmp_path, offset, word):
+    """A saved dataset whose 4 header bytes at ``offset`` are ``word``."""
+    path = save_dataset(make_ds(np.zeros((2, 1, 2, 2))), tmp_path / "d.ften")
+    raw = bytearray(path.read_bytes())
+    raw[offset:offset + 4] = word
+    path.write_bytes(bytes(raw))
+    return path
+
+
+_POINT = GridSpec(np.array([0.0]), np.array([0.0]))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda tmp: load_dataset(_with_header_word(tmp, 0, b"FTEM")), "d.ften: bad magic bytes"),
+    (lambda tmp: load_dataset(_with_header_word(tmp, 4, struct.pack("<I", 2))),
+     "d.ften: unsupported format version 2"),
+    (lambda tmp: GridSpec(np.array([]), np.array([0.0])), "grid axes must be non-empty 1-D arrays"),
+    (lambda tmp: GridSpec(np.array([90.5]), np.array([0.0])), "latitudes must lie in [-90, 90]"),
+    (lambda tmp: GridSpec(np.array([0.0]), np.array([360.0])),
+     "longitudes must lie in [0, 360) or [-180, 180)"),
+    (lambda tmp: GridSpec(np.array([0.0, 10.0, 5.0]), np.array([0.0])),
+     "lats must be strictly monotone"),
+    (lambda tmp: GridSpec(np.array([0.0]), np.array([0.0, 0.0])), "lons must be strictly monotone"),
+    (lambda tmp: GriddedDataset(_POINT, ["synthetic_0"], [datetime(2000, 1, 1)],
+                                np.zeros((1, 1, 1, 2))),
+     "data shape (1, 1, 1, 2) does not match (time=1, var=1, lat=1, lon=1)"),
+    (lambda tmp: GriddedDataset(_POINT, ["synthetic_0"], np.array(["NaT"], "datetime64[us]"),
+                                np.zeros((1, 1, 1, 1))),
+     "timestamps must not be NaT"),
+    (lambda tmp: make_ds(np.zeros((1, 1, 1, 1)), variables=["z501"]),
+     "unknown variable name: 'z501'"),
+    (lambda tmp: StandardizationStats({"z500": 0.0}, {"z500": 0.0}),
+     "non-positive std for variable 'z500'"),
+    (lambda tmp: fit_standardization(make_ds(np.zeros((2, 1, 1, 1))), SplitSpec((2001, 2001))),
+     "training split is empty"),
+    (lambda tmp: dsmod.hours_delta(10**15), "1e+15 h is past the datetime64[us] range"),
+    (lambda tmp: make_ds(np.zeros((2, 1, 1, 1))).steps(1e300, "span"),
+     "1e+300 h is past the datetime64[us] range"),
+    (lambda tmp: dsmod.hours_delta(float("nan")), "nan h is past the datetime64[us] range"),
+], ids=["bad_magic", "format_version", "empty_axis", "latitude", "longitude", "lats_order",
+        "lons_order", "data_shape", "nat_timestamp", "unknown_variable", "zero_std",
+        "empty_training_split", "delta_past_int64", "steps_past_int64", "nan_hours"])
+def test_refusals(tmp_path, build, message):
+    with pytest.raises(DatasetError, match=re.escape(message) + "$"):
+        build(tmp_path)
 
 
 class TestSplitSpec:

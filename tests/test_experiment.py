@@ -1,4 +1,5 @@
 import json
+import re
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -14,6 +15,7 @@ from stratacast.experiment import (
     aggregate_means,
     emit_report,
     run_experiment,
+    training_candidates,
 )
 from stratacast.forecast import ForecasterSpec, ToyDiffusionForecaster
 from stratacast.metrics import MetricRecord
@@ -165,6 +167,17 @@ class TestRunExperiment:
         )
         with pytest.raises(ExperimentError):
             run_experiment(cfg, tmp_path)
+
+
+@pytest.mark.parametrize("years", [(1999, 1999), (2000, 2000)],
+                         ids=["outside_the_archive", "two_steps"])
+def test_refusals(years):
+    # two daily steps in 2000: a one-step pair has no room inside its own split
+    ds = GriddedDataset(GridSpec(np.array([0.0]), np.array([0.0])), ["synthetic_0"],
+                        [datetime(2000, 1, 1), datetime(2000, 1, 2)], np.zeros((2, 1, 1, 1)))
+    with pytest.raises(ExperimentError,
+                       match=re.escape("training split yields no candidate times") + "$"):
+        training_candidates(ds, SplitSpec(years))
 
 
 class TestConfig:

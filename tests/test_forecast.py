@@ -1,4 +1,5 @@
 import math
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -883,6 +884,28 @@ class TestEvaluateForecast:
         with pytest.raises(DatasetError,
                            match="lead 5d is not a whole number of the dataset's 48 h strides"):
             evaluate_forecast(fc, ds, leads_days=(5,))
+
+
+class _ForeignPersistence(PersistenceForecaster):
+    """Declares the persistence kind without being the class registered for it."""
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda ds, tmp: train(ForecasterSpec("stochastic_linear"), ds, None),
+     "a learned forecaster needs a training subset"),
+    (lambda ds, tmp: train(ForecasterSpec("toy_diffusion"), ds, None),
+     "a learned forecaster needs a training subset"),
+    (lambda ds, tmp: train(ForecasterSpec("climatology"), ds, full_selection(ds)),
+     "climatology needs a split"),
+    (lambda ds, tmp: save_forecaster(object(), tmp / "m"), "cannot serialize object"),
+    (lambda ds, tmp: save_forecaster(_ForeignPersistence(), tmp / "m"),
+     "cannot serialize _ForeignPersistence"),
+], ids=["linear_without_subset", "diffusion_without_subset", "climatology_without_split",
+        "foreign_object", "foreign_subclass"])
+def test_refusals(tmp_path, call, message):
+    with pytest.raises(ForecastError, match=re.escape(message) + "$"):
+        call(series_ds(np.arange(10.0)), tmp_path)
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestForecasterSpec:

@@ -1,4 +1,5 @@
 import math
+import re
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -15,6 +16,7 @@ from stratacast.metrics import (
     crps_ensemble,
     ensemble_spread,
     evaluate_forecast,
+    read_records,
     records_to_csv,
     rmse,
     ssr,
@@ -181,6 +183,21 @@ class TestSsr:
         w = np.ones((1, 1))
         assert rmse(x, y, w) == pytest.approx(1.2)
         assert float(crps_ensemble(x[None, 0, 0, 0], y[0, 0, 0])) == pytest.approx(1.2)
+
+
+def _records_file(tmp, text):
+    (tmp / "records.json").write_text(text)
+    return tmp / "records.json"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda tmp: crps_ensemble(np.zeros((0, 3)), np.zeros(3)), "need at least one ensemble member"),
+    (lambda tmp: read_records(_records_file(tmp, "{}")), "records.json must hold a list of records"),
+    (lambda tmp: read_records(_records_file(tmp, "5")), "records.json must hold a list of records"),
+], ids=["no_members", "object_records", "number_records"])
+def test_refusals(tmp_path, call, message):
+    with pytest.raises(MetricError, match=re.escape(message) + "$"):
+        call(tmp_path)
 
 
 class TestMetricRecord:

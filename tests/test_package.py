@@ -1,17 +1,31 @@
 import ast
+import importlib
 import re
+import runpy
 from pathlib import Path
 
 import stratacast
 from stratacast.selection import STRATEGIES
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def test_exports_resolve_once():
     names = stratacast.__all__
     assert [n for n in names if not hasattr(stratacast, n)] == []
     assert sorted({n for n in names if names.count(n) > 1}) == []
+
+
+def test_perfbench_sees_the_package():
+    """Every function the benchmark traces is still a callable of the module
+    and name it patches, and its desk_select workload runs every registered
+    strategy. The benchmark's files are read, not changed."""
+    targets = runpy.run_path(str(PERFBENCH / "spans.py"))["TARGETS"]
+    lost = [f"{module}.{name}" for module, name in targets
+            if not callable(getattr(importlib.import_module(module), name, None))]
+    assert lost == []
+    assert runpy.run_path(str(PERFBENCH / "workloads.py"))["ALL_STRATEGIES"] == list(STRATEGIES)
 
 
 def test_readme_names_the_registered_strategies():

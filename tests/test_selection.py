@@ -1,4 +1,6 @@
 import gc
+import math
+import re
 import weakref
 from datetime import datetime, timedelta
 
@@ -56,6 +58,34 @@ class TestBudget:
             SelectionBudget(1.5)
 
 
+def _reference_allocate_quotas(target, bin_sizes):
+    """The quota rule written out long-hand, the oracle ``allocate_quotas``
+    must equal: float shares, a remainder loop, and a stall check in place of
+    a capacity check."""
+    n_bins = len(bin_sizes)
+    ideal = target / n_bins
+    quotas = [int(math.floor(ideal))] * n_bins
+    remainder = target - sum(quotas)
+    # equal fractional remainders: ties resolved earliest-bin-first
+    for b in range(remainder):
+        quotas[b] += 1
+
+    quotas = [min(q, s) for q, s in zip(quotas, bin_sizes)]
+    deficit = target - sum(quotas)
+    while deficit > 0:
+        progressed = False
+        for b in range(n_bins):
+            if deficit == 0:
+                break
+            if quotas[b] < bin_sizes[b]:
+                quotas[b] += 1
+                deficit -= 1
+                progressed = True
+        if not progressed:
+            raise SelectionError("bins cannot absorb the requested budget")
+    return quotas
+
+
 class TestQuotas:
     def test_exact_division(self):
         assert allocate_quotas(24, [10] * 12) == [2] * 12
@@ -92,6 +122,33 @@ class TestQuotas:
         assert len(quotas) == len(bin_sizes)
         assert sum(quotas) == target
         assert all(0 <= q <= size for q, size in zip(quotas, bin_sizes))
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        target=st.integers(0, 200),
+        bin_sizes=st.lists(st.integers(0, 30), min_size=1, max_size=12),
+    )
+    def test_property_equals_the_reference(self, target, bin_sizes):
+        try:
+            want = _reference_allocate_quotas(target, bin_sizes)
+        except SelectionError as e:
+            with pytest.raises(SelectionError, match=re.escape(str(e)) + "$"):
+                allocate_quotas(target, bin_sizes)
+        else:
+            assert allocate_quotas(target, bin_sizes) == want
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda ds: run_strategy("randum", ds, [0, 1], SelectionBudget(0.5), 0),
+     "unknown strategy 'randum'"),
+    (lambda ds: run_strategy("random", ds, [], SelectionBudget(0.5), 0), "no candidate times"),
+    (lambda ds: kmeans(np.zeros((3, 2)), 4, np.random.default_rng(0)), "k=4 exceeds 3 points"),
+    (lambda ds: kmeans(np.zeros((3, 2)), 2, np.random.default_rng(0), init="kmeans||"),
+     "unknown init 'kmeans||'"),
+], ids=["unknown_strategy", "no_candidates", "k_past_points", "unknown_init"])
+def test_refusals(call, message):
+    with pytest.raises(SelectionError, match=re.escape(message) + "$"):
+        call(scalar_series(range(4)))
 
 
 # ---------------------------------------------------------------------------
