@@ -82,14 +82,15 @@ def at_least(rule: Rule, least) -> Rule:
     return Rule(lambda v: rule.ok(v) and v >= least, f"{rule.desc} >= {least}", rule.store)
 
 
-def list_of(item: Rule, desc: str, n: int | None = None) -> Rule:
+def list_of(item: Rule, desc: str, n: int | None = None, store=ANY.store) -> Rule:
     """A list (or tuple) of ``n`` (or any number of) values that pass ``item``."""
     return Rule(lambda v: isinstance(v, (list, tuple)) and n in (None, len(v))
-                and all(map(item.ok, v)), desc)
+                and all(map(item.ok, v)), desc, store)
 
 
 def or_null(rule: Rule) -> Rule:
-    return Rule(lambda v: v is None or rule.ok(v), f"null or {rule.desc}")
+    return Rule(lambda v: v is None or rule.ok(v), f"null or {rule.desc}",
+                lambda v: None if v is None else rule.store(v))
 
 
 STRINGS = list_of(STRING, "a list of strings")
@@ -279,15 +280,22 @@ class StandardizationStats:
                 raise DatasetError(f"non-positive std for variable {v!r}")
 
 
+# Split keys: each year range is stored as a tuple, so a split from JSON is hashable.
+_YEARS = list_of(INTEGER, "a list of two integers", 2, tuple)
+SPLIT_KEYS = {"train_years": (_YEARS, True), "val_years": (or_null(_YEARS), False),
+              "test_years": (or_null(_YEARS), False)}
+
+
 @dataclass(frozen=True)
 class SplitSpec:
-    """Inclusive year ranges for train/val/test; ranges must be disjoint."""
+    """Inclusive, disjoint train/val/test year ranges, each checked by its ``SPLIT_KEYS`` row."""
 
     train_years: tuple[int, int]
     val_years: tuple[int, int] | None = None
     test_years: tuple[int, int] | None = None
 
     def __post_init__(self):
+        vars(self).update(check_object(vars(self), SPLIT_KEYS, "split", DatasetError))
         ranges = [r for r in (self.train_years, self.val_years, self.test_years) if r]
         for lo, hi in ranges:
             if lo > hi:
@@ -437,17 +445,14 @@ def valid_init_times(
     split: SplitSpec,
     which: str = "train",
     max_lead_hours: float = 10 * STEP_HOURS,
-    history_hours: float = STEP_HOURS,
 ) -> list[int]:
-    """Forecast init time indices inside a split.
-
-    Excludes the first ``history_hours`` hours and the final ``max_lead_hours``
-    hours of the split. Returns an empty list when the split is too short.
-    """
+    """Forecast init time indices inside a split: past its first forecast
+    step (an init's history) and ``max_lead_hours`` before its end, spans
+    compared as int64 microsecond differences of its times, which cannot
+    leave the ``datetime64[us]`` range as a time shifted by the lead can."""
     idx = split_time_indices(ds, split.years_of(which))
     if idx.size == 0:
         return []
-    ts = ds.timestamps[idx]
-    lo = ts[0] + hours_delta(history_hours)
-    hi = ts[-1] - hours_delta(max_lead_hours)
-    return idx[(ts >= lo) & (ts <= hi)].tolist()
+    us = ds.timestamps[idx].astype(np.int64)
+    ok = (us - us[0] >= _hours_us(STEP_HOURS)) & (us[-1] - us >= _hours_us(max_lead_hours))
+    return idx[ok].tolist()

@@ -20,9 +20,9 @@ import numpy as np
 
 from . import dataset as dsmod
 from . import synthetic
-from .dataset import (ANY, BOOLEAN, COUNT, FRACTION, INTEGER, INTEGERS, OBJECT, POSITIVE, SEED,
-                      STEP_HOURS, STRING, STRINGS, GriddedDataset, Rule, SplitSpec, check_object,
-                      list_of, or_null)
+from .dataset import (ANY, BOOLEAN, COUNT, FRACTION, INTEGERS, OBJECT, POSITIVE, SEED,
+                      SPLIT_KEYS, STEP_HOURS, STRING, STRINGS, GriddedDataset, Rule, SplitSpec,
+                      check_object, or_null)
 from .forecast import ForecasterSpec, rollout, train
 from .metrics import (METRICS, MetricRecord, area_weights, check_leads, evaluate_forecast,
                       records_to_csv, write_records)
@@ -35,7 +35,6 @@ class ExperimentError(ValueError):
     pass
 
 
-_YEARS = list_of(INTEGER, "a list of two integers", 2)
 _STRATEGIES = Rule(lambda v: STRINGS.ok(v) and len(v) > 0, "a non-empty list of strings")
 _LEADS = Rule(lambda v: INTEGERS.ok(v) and len(v) > 0, "a non-empty list of integers", tuple)
 # The run config keys that are ExperimentConfig fields of the same name, each
@@ -47,8 +46,7 @@ _FIELDS = {"strategies": (_STRATEGIES, True), "fraction": (FRACTION, False),
 # Run config keys: what each must be and whether it is required.
 _CONFIG_KEYS = {
     **_FIELDS,
-    "split": ({"train_years": (_YEARS, True), "val_years": (or_null(_YEARS), False),
-               "test_years": (or_null(_YEARS), False)}, True),
+    "split": (SPLIT_KEYS, True),
     "forecaster": ({"kind": (STRING, True), "hyperparameters": (OBJECT, False)}, True),
     "dataset_path": (or_null(STRING), False), "synthetic": (OBJECT, False),
     "jobs": (ANY, False),  # retired; ignored
@@ -99,14 +97,9 @@ class ExperimentConfig:
         ds_path = d.get("dataset_path")
         if ds_path is not None:
             ds_path = str((path.parent / ds_path).resolve())
-        split = d["split"]
         return cls(
             forecaster=ForecasterSpec(**d["forecaster"]),
-            split=SplitSpec(
-                tuple(split["train_years"]),
-                tuple(split["val_years"]) if split.get("val_years") else None,
-                tuple(split["test_years"]) if split.get("test_years") else None,
-            ),
+            split=SplitSpec(**d["split"]),
             dataset_path=ds_path,
             synthetic=synth,
             **{key: d[key] for key in _FIELDS if key in d},  # else the field's default

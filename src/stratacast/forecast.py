@@ -450,16 +450,11 @@ def train(
 ):
     """Train a forecaster of the requested kind on the subset's one-step pairs.
 
-    The subset holds distinct indices of ``ds``, the whole dataset; a repeat
-    raises. A pair whose successor falls past the end of ``ds`` is dropped;
-    training candidates (``experiment.training_candidates``) all have theirs
-    in the training split.
+    The subset holds distinct non-negative indices of ``ds``, the whole
+    dataset, as ``SubsetSelection`` checks. A pair whose successor falls past
+    the end of ``ds`` is dropped; training candidates
+    (``experiment.training_candidates``) all have theirs in the training split.
     """
-    indices = [] if subset is None else subset.indices
-    if len(set(indices)) < len(indices):
-        repeat = next(i for n, i in enumerate(indices) if i in indices[:n])
-        raise ForecastError(f"index {repeat} is listed more than once in the "
-                            f"{subset.strategy} subset")
     return FORECASTERS[spec.kind].fit(ds, subset, split, spec.hyperparameters, seed)
 
 
@@ -630,9 +625,12 @@ def rollout(
     512 rows, but always at least one init's members: 512 rows on a
     32-value state, 64 rows on a 1,024-value state, one init on a very
     large state. A forecaster whose state dimensions are not the data's is
-    refused, naming the entry.
+    refused, naming the entry, and so is an init index outside ``ds``.
     """
     init_indices = [int(i) for i in init_indices]
+    outside = next((i for i in init_indices if not 0 <= i < ds.n_times), None)
+    if outside is not None:
+        raise ForecastError(f"init index {outside} is outside the dataset's {ds.n_times} times")
     shape = ds.data.shape[1:]
     _check_shapes(getattr(forecaster, "arrays", {}), vars(forecaster), "forecaster",
                   dict(zip(STATE_DIMS, shape), values=math.prod(shape)))

@@ -26,8 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import (FRACTION, INTEGER, INTEGERS, NUMBER, OBJECT, STEP_HOURS, STRING,
-                      GriddedDataset, check_object, month_index, read_json)
+from .dataset import (FRACTION, INTEGER, NUMBER, OBJECT, STEP_HOURS, STRING, GriddedDataset,
+                      at_least, check_object, list_of, month_index, read_json)
 from .features import (
     _svd_pca,
     flatten_samples,
@@ -58,41 +58,44 @@ class SelectionBudget:
 
 @dataclass
 class SubsetSelection:
+    """A strategy's chosen indices of a dataset: each field checked by its
+    ``_KEYS`` row on construction, and no index listed twice."""
+
     strategy: str
     indices: list[int]
     fraction: float
     seed: int
     metadata: dict = dc_field(default_factory=dict)
 
+    def __post_init__(self):
+        vars(self).update(check_object(vars(self), _KEYS, "selection", SelectionError))
+        if len(set(self.indices)) < len(self.indices):
+            repeat = next(i for n, i in enumerate(self.indices) if i in self.indices[:n])
+            raise SelectionError(f"index {repeat} is listed more than once in the "
+                                 f"{self.strategy} subset")
+
     def to_json(self) -> str:
-        payload = {
-            "strategy": self.strategy,
-            "seed": self.seed,
-            "fraction": self.fraction,
-            "indices": [int(i) for i in self.indices],
-        }
-        if self.metadata:
-            payload["metadata"] = self.metadata
-        return json.dumps(payload, indent=2)
+        """The ``_KEYS`` in table order; ``metadata`` only when it is not empty."""
+        return json.dumps({k: getattr(self, k) for k in _KEYS if k != "metadata" or self.metadata},
+                          indent=2)
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(self.to_json())
 
     @classmethod
     def load(cls, path: str | Path) -> "SubsetSelection":
-        """Read a selection file; one that does not parse, or that lacks a
-        key, has an unknown one or holds a value of the wrong type (an index
-        or seed that is not an integer, a fraction that is not a number, a
-        strategy that is not a string), raises SelectionError."""
+        """Read a selection file; one that does not parse, or whose keys or
+        values ``_KEYS`` refuses, raises SelectionError naming the file; a
+        repeated index raises as on construction."""
         d = read_json(path, SelectionError)
-        check_object(d, _FILE_KEYS, f"selection file {path}", SelectionError)
-        return cls(strategy=d["strategy"], indices=d["indices"], fraction=float(d["fraction"]),
-                   seed=d["seed"], metadata=d.get("metadata", {}))
+        return cls(**check_object(d, _KEYS, f"selection file {path}", SelectionError))
 
 
-_FILE_KEYS = {"strategy": (STRING, True), "seed": (INTEGER, True), "fraction": (NUMBER, True),
-              "indices": (INTEGERS, True),
-              "metadata": (OBJECT, False)}
+# Selection keys, in file order: what each must be and whether a file must hold it.
+_KEYS = {"strategy": (STRING, True), "seed": (INTEGER, True),
+         "fraction": (NUMBER._replace(store=float), True),
+         "indices": (list_of(at_least(INTEGER, 0), "a list of integers >= 0", store=list), True),
+         "metadata": (OBJECT, False)}
 
 
 # ---------------------------------------------------------------------------

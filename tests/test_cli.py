@@ -518,11 +518,13 @@ class TestPipeline:
         (lambda d: d.update(seed=None),
          "selection file {sel} key 'seed' must be an integer, not None"),
         (lambda d: d.update(indices=[i + 0.9 for i in d["indices"]]),
-         "selection file {sel} key 'indices' must be a list of integers, not ["),
+         "selection file {sel} key 'indices' must be a list of integers >= 0, not ["),
         (lambda d: d.update(indices=[str(i) for i in d["indices"]]),
-         "selection file {sel} key 'indices' must be a list of integers, not ['"),
+         "selection file {sel} key 'indices' must be a list of integers >= 0, not ['"),
         (lambda d: d.update(indices=[True, *d["indices"][1:]]),
-         "selection file {sel} key 'indices' must be a list of integers, not [True, "),
+         "selection file {sel} key 'indices' must be a list of integers >= 0, not [True, "),
+        (lambda d: d.update(indices=[-1, *d["indices"][1:]]),
+         "selection file {sel} key 'indices' must be a list of integers >= 0, not [-1, "),
         (lambda d: d.update(seed=0.0),
          "selection file {sel} key 'seed' must be an integer, not 0.0"),
         (lambda d: d.update(fraction="0.2"),
@@ -532,7 +534,8 @@ class TestPipeline:
         (lambda d: d.update(indices=[40] * 73),
          "index 40 is listed more than once in the random subset"),
     ], ids=["no_indices", "null_seed", "float_indices", "string_indices", "bool_index",
-            "float_seed", "string_fraction", "number_strategy", "repeated_index"])
+            "negative_index", "float_seed", "string_fraction", "number_strategy",
+            "repeated_index"])
     def test_train_refuses_a_damaged_selection_file(self, data_dir, tmp_path, change, message):
         data = str(data_dir / "synthetic.ften")
         assert main(["select", "--data", data, "--strategy", "random",

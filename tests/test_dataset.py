@@ -240,19 +240,20 @@ class TestStandardization:
 class TestValidInitTimes:
     def test_hourly_year_count(self):
         ds = make_ds(np.random.default_rng(0).normal(size=(8760, 1, 1, 1)))
-        idx = valid_init_times(ds, SplitSpec((2000, 2000)), "train", 240.0, 24.0)
+        idx = valid_init_times(ds, SplitSpec((2000, 2000)), "train", 240.0)
         assert len(idx) == 8496
         # contiguous range
         assert idx == list(range(idx[0], idx[-1] + 1))
 
     def test_no_exclusion(self):
+        """With no lead span, only the first forecast step, an init's history, is excluded."""
         ds = make_ds(np.random.default_rng(0).normal(size=(100, 1, 1, 1)))
-        idx = valid_init_times(ds, SplitSpec((2000, 2000)), "train", 0.0, 0.0)
-        assert idx == list(range(100))
+        idx = valid_init_times(ds, SplitSpec((2000, 2000)), "train", 0.0)
+        assert idx == list(range(24, 100))
 
     def test_too_short_split_empty(self):
         ds = make_ds(np.random.default_rng(0).normal(size=(100, 1, 1, 1)))
-        idx = valid_init_times(ds, SplitSpec((2000, 2000)), "train", 240.0, 24.0)
+        idx = valid_init_times(ds, SplitSpec((2000, 2000)), "train", 240.0)
         assert idx == []
 
 
@@ -263,13 +264,10 @@ def _oracle_split(ts, years):
     return [i for i, t in enumerate(ts) if lo <= t.year <= hi]
 
 
-def _oracle_valid_inits(ts, years, max_lead_hours, history_hours):
+def _oracle_valid_inits(ts, years, max_lead_hours):
     idx = _oracle_split(ts, years)
-    if not idx:
-        return []
-    lo = ts[idx[0]] + timedelta(hours=history_hours)
-    hi = ts[idx[-1]] - timedelta(hours=max_lead_hours)
-    return [i for i in idx if lo <= ts[i] <= hi]
+    return [i for i in idx if ts[i] - ts[idx[0]] >= timedelta(hours=24)
+            and ts[idx[-1]] - ts[i] >= timedelta(hours=max_lead_hours)]
 
 
 def _oracle_rejects(ts):
@@ -287,8 +285,9 @@ STRIDES = [1, 2, 3, 4, 6, 8, 12, 24, 48, 5, 7, 10, 25, 36, 100, 720]
 
 @st.composite
 def time_axes(draw, max_steps=600):
-    # 1999-2005 holds the leap years 2000 and 2004; starts fall anywhere in a year
-    start = datetime(draw(st.integers(1999, 2005)), 1, 1) + timedelta(
+    # 1999-2005 holds the leap years 2000 and 2004; year 1 lies within a lead
+    # span of the datetime64[us] minimum; starts fall anywhere in a year
+    start = datetime(draw(st.sampled_from([1, *range(1999, 2006)])), 1, 1) + timedelta(
         hours=draw(st.integers(0, 366 * 24 - 1))
     )
     stride = draw(st.sampled_from(STRIDES))
@@ -298,18 +297,21 @@ def time_axes(draw, max_steps=600):
 
 class TestTimeAxisOracles:
     @settings(max_examples=150, deadline=None)
+    # leads up to the last whole hour inside the datetime64[us] range (2**63 us)
     @given(ts=time_axes(), first=st.integers(-1, 3), span=st.integers(0, 3),
-           max_lead=st.integers(0, 3000), history=st.integers(0, 500))
-    @example(ts=[datetime(2000, 6, 1)], first=1, span=0, max_lead=0, history=0)  # one step
+           max_lead=st.integers(0, 3000) | st.integers(2_540_000_000, 2_562_047_788))
+    @example(ts=[datetime(2000, 6, 1)], first=1, span=0, max_lead=0)  # one step
     @example(ts=[datetime(2000, 12, 31, 22), datetime(2000, 12, 31, 23)],  # split too short
-             first=1, span=0, max_lead=24, history=0)
-    def test_matches_datetime_loops(self, ts, first, span, max_lead, history):
+             first=1, span=0, max_lead=24)
+    @example(ts=[datetime(1, 1, 1) + timedelta(days=i) for i in range(10)],  # lead span wraps
+             first=0, span=0, max_lead=106_500_000 * 24)
+    def test_matches_datetime_loops(self, ts, first, span, max_lead):
         ds = _series(ts)
         years = (ts[0].year + first, ts[0].year + first + span)
         assert split_time_indices(ds, years).tolist() == _oracle_split(ts, years)
         assert ds.months().tolist() == [t.month for t in ts]
-        inits = valid_init_times(ds, SplitSpec(years), "train", float(max_lead), float(history))
-        assert inits == _oracle_valid_inits(ts, years, max_lead, history)
+        inits = valid_init_times(ds, SplitSpec(years), "train", float(max_lead))
+        assert inits == _oracle_valid_inits(ts, years, max_lead)
         if len(ts) > 1:
             assert ds.stride_hours == (ts[1] - ts[0]).total_seconds() / 3600.0
         else:
@@ -413,6 +415,25 @@ class TestSplitSpec:
 
     def test_disjoint_ok(self):
         SplitSpec((2000, 2004), (2005, 2006), (2007, 2007))
+
+    @pytest.mark.parametrize("fields, key, value", [
+        (((2000.5, 2001),), "train_years", "(2000.5, 2001)"),
+        ((("2000", 2001),), "train_years", "('2000', 2001)"),
+        (((2000,),), "train_years", "(2000,)"),
+        (((2000, 2001), None, (True, 2003)), "test_years", "(True, 2003)"),
+        (((2000, 2001), [2002, 2003, 2004]), "val_years", "[2002, 2003, 2004]"),
+    ], ids=["float_year", "string_year", "one_year", "bool_year", "three_years"])
+    def test_year_range_that_is_not_two_integers_is_refused(self, fields, key, value):
+        with pytest.raises(DatasetError, match=re.escape(
+                f"split key {key!r} must be {'' if key == 'train_years' else 'null or '}"
+                f"a list of two integers, not {value}") + "$"):
+            SplitSpec(*fields)
+
+    def test_lists_are_stored_as_tuples(self):
+        split = SplitSpec([2000, 2001], test_years=[2003, 2003])
+        assert split == SplitSpec((2000, 2001), test_years=(2003, 2003))
+        assert hash(split) == hash(SplitSpec((2000, 2001), test_years=(2003, 2003)))
+        assert split.train_years == (2000, 2001) and split.val_years is None
 
 
 class TestSharedRules:

@@ -28,7 +28,7 @@ from stratacast.forecast import (
     train,
 )
 from stratacast.metrics import evaluate_forecast
-from stratacast.selection import SelectionBudget, SubsetSelection, run_strategy
+from stratacast.selection import SelectionBudget, SelectionError, SubsetSelection, run_strategy
 from stratacast.synthetic import SyntheticConfig, generate
 
 
@@ -84,13 +84,13 @@ class TestStochasticLinear:
     @pytest.mark.parametrize("indices, repeat", [([40] * 73, 40), ([3, 5, 7, 9, 7, 3, 5], 7)])
     def test_subset_whose_indices_repeat_is_refused(self, kind, indices, repeat):
         """Duplicated pairs would fit a model with too little spread (a
-        ``resid_std`` of 0 for one pair 73 times), so the first index listed
-        again is named before anything is fitted."""
+        ``resid_std`` of 0 for one pair 73 times), so the subset is refused
+        when it is built, naming the first index listed again, and no kind
+        is ever fitted on it."""
         ds = series_ds(np.arange(100.0))
-        sel = SubsetSelection("random", indices, 0.2, 0)
-        with pytest.raises(ForecastError,
+        with pytest.raises(SelectionError,
                            match=f"^index {repeat} is listed more than once in the random subset$"):
-            train(ForecasterSpec(kind), ds, sel, seed=0)
+            train(ForecasterSpec(kind), ds, SubsetSelection("random", indices, 0.2, 0), seed=0)
 
     def test_json_round_trip(self, tmp_path):
         ds = series_ds(np.random.default_rng(1).normal(size=50))
@@ -900,8 +900,15 @@ class _ForeignPersistence(PersistenceForecaster):
     (lambda ds, tmp: save_forecaster(object(), tmp / "m"), "cannot serialize object"),
     (lambda ds, tmp: save_forecaster(_ForeignPersistence(), tmp / "m"),
      "cannot serialize _ForeignPersistence"),
+    (lambda ds, tmp: rollout(PersistenceForecaster(), ds, [0, -1], n_members=2),
+     "init index -1 is outside the dataset's 10 times"),
+    (lambda ds, tmp: rollout(PersistenceForecaster(), ds, [2, ds.n_times + 3], n_members=2),
+     "init index 13 is outside the dataset's 10 times"),
+    (lambda ds, tmp: rollout(PersistenceForecaster(), ds, [ds.n_times], n_members=2),
+     "init index 10 is outside the dataset's 10 times"),
 ], ids=["linear_without_subset", "diffusion_without_subset", "climatology_without_split",
-        "foreign_object", "foreign_subclass"])
+        "foreign_object", "foreign_subclass", "negative_init", "init_past_the_end",
+        "init_at_the_end"])
 def test_refusals(tmp_path, call, message):
     with pytest.raises(ForecastError, match=re.escape(message) + "$"):
         call(series_ds(np.arange(10.0)), tmp_path)

@@ -2,6 +2,8 @@ import ast
 import importlib
 import re
 import runpy
+import subprocess
+import sys
 from pathlib import Path
 
 import stratacast
@@ -9,6 +11,7 @@ from stratacast.selection import STRATEGIES
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
 def test_exports_resolve_once():
@@ -93,3 +96,21 @@ def test_time_axis_is_answered_in_dataset_only():
             if path.name != "dataset.py"
             for n, line in enumerate(path.read_text().splitlines(), 1) if spelled.search(line)]
     assert hits == []
+
+
+def test_a_failing_property_test_does_not_stop_the_run(tmp_path):
+    """Under the repo's pytest settings, which turn warnings into errors, a
+    failing ``@given`` test is reported as one failure and the run goes on
+    to the next test, rather than ending with INTERNALERROR."""
+    (tmp_path / "test_two.py").write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 0\n\n\n"
+        "def test_passes():\n"
+        "    pass\n")
+    r = subprocess.run([sys.executable, "-m", "pytest", "-c", str(PYPROJECT), "--rootdir",
+                        str(tmp_path), "-p", "no:cacheprovider", "test_two.py"],
+                       cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert "INTERNALERROR" not in r.stdout + r.stderr
+    assert "1 failed, 1 passed" in r.stdout

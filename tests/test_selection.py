@@ -145,7 +145,14 @@ class TestQuotas:
     (lambda ds: kmeans(np.zeros((3, 2)), 4, np.random.default_rng(0)), "k=4 exceeds 3 points"),
     (lambda ds: kmeans(np.zeros((3, 2)), 2, np.random.default_rng(0), init="kmeans||"),
      "unknown init 'kmeans||'"),
-], ids=["unknown_strategy", "no_candidates", "k_past_points", "unknown_init"])
+    (lambda ds: SubsetSelection("random", [5, 3, 3], 0.2, 0),
+     "index 3 is listed more than once in the random subset"),
+    (lambda ds: SubsetSelection("random", [-1], 0.2, 0),
+     "selection key 'indices' must be a list of integers >= 0, not [-1]"),
+    (lambda ds: SubsetSelection("random", [0, 1], "0.2", 0),
+     "selection key 'fraction' must be a finite number, not '0.2'"),
+], ids=["unknown_strategy", "no_candidates", "k_past_points", "unknown_init", "repeated_index",
+        "negative_index", "string_fraction"])
 def test_refusals(call, message):
     with pytest.raises(SelectionError, match=re.escape(message) + "$"):
         call(scalar_series(range(4)))
@@ -189,6 +196,12 @@ def test_selection_json_round_trip(std_toy, tmp_path):
     sel.save(tmp_path / "sel.json")
     back = SubsetSelection.load(tmp_path / "sel.json")
     assert back == sel
+    text = (tmp_path / "sel.json").read_text()
+    assert back.to_json() == text  # load -> save keeps the file's bytes
+    (tmp_path / "one.json").write_text(text.replace('"fraction": 0.2', '"fraction": 1'))
+    one = SubsetSelection.load(tmp_path / "one.json")
+    assert type(one.fraction) is float
+    assert one.to_json() == text.replace('"fraction": 0.2', '"fraction": 1.0')
 
 
 _JSON_VALUES = st.recursive(
@@ -198,16 +211,19 @@ _JSON_VALUES = st.recursive(
 
 
 @settings(max_examples=80, deadline=None)
-@given(strategy=st.text(), indices=st.lists(st.integers(0, 2**40)), seed=st.integers(),
-       fraction=st.floats(0.0, 1.0, exclude_min=True),
+@given(strategy=st.text(), indices=st.lists(st.integers(0, 2**40), unique=True),
+       seed=st.integers(), fraction=st.floats(0.0, 1.0, exclude_min=True),
        metadata=st.dictionaries(st.text(), _JSON_VALUES, max_size=4))
 def test_selection_file_round_trip_property(tmp_path_factory, strategy, indices, seed, fraction,
                                             metadata):
-    """Every file ``save`` writes, ``load`` accepts and reads back equal."""
+    """Every file ``save`` writes, ``load`` accepts and reads back equal, and
+    saves again byte for byte."""
     sel = SubsetSelection(strategy, indices, fraction, seed, metadata)
     path = tmp_path_factory.mktemp("sel") / "sel.json"
     sel.save(path)
-    assert SubsetSelection.load(path) == sel
+    back = SubsetSelection.load(path)
+    assert back == sel
+    assert back.to_json() == path.read_text()
 
 
 # ---------------------------------------------------------------------------
