@@ -105,9 +105,13 @@ class EnsembleForecast:
 
 def _pairs_from_subset(ds: GriddedDataset, subset: SubsetSelection) -> tuple[np.ndarray, int]:
     """The subset's indices that have a successor ``off`` (one forecast step)
-    later in ``ds``, and off; raises unless there are at least two."""
+    later in ``ds``, and off; raises on an index past the end of ``ds``, and
+    unless at least two are left."""
     if subset is None:
         raise ForecastError("a learned forecaster needs a training subset")
+    outside = next((i for i in subset.indices if i >= ds.n_times), None)
+    if outside is not None:
+        raise ForecastError(f"subset index {outside} is outside the dataset's {ds.n_times} times")
     off = ds.steps(STEP_HOURS, f"the {STEP_HOURS:g} h forecast step")
     idx = np.asarray(subset.indices, dtype=np.int64)
     pair_idx = idx[idx + off < ds.n_times]
@@ -298,134 +302,55 @@ class ToyDiffusionForecaster:
         return self.sample(flat, rng).reshape(states.shape)
 
 
-# Elements per step of the chunked Adam update: two scratch buffers of this
-# many float64 values serve every parameter.
-_ADAM_CHUNK = 16384
-
-
 def _train_toy_diffusion(
     ds: GriddedDataset, pair_idx: np.ndarray, off: int, hp: dict, seed: int
 ) -> ToyDiffusionForecaster:
     """Adam on the noise-prediction loss over the (t, t + off) pairs, with
-    every hyperparameter in ``hp``.
-
-    Memory is O(batch · D), not O(pairs · D): each batch's conditioning and
-    target rows are read from the float32 archive into reused float64
-    buffers, and every product and gradient is written into a buffer. The
-    four parameters are views into one flat vector, which Adam updates in
-    fixed-size chunks. Neither changes a bit of the result: the ``rng``
-    draws and every floating-point operation keep their order, e.g.
-    ``((1 - beta2) * g) * g`` and ``(lr * mhat) / (sqrt(vhat) + eps)``.
-
-    The buffers and the chunked Adam save time as well as memory: on a
-    16 x 32 x 2 grid (150 pairs, 90 batches, one BLAS thread), fresh arrays
-    per batch cost 1,320 minor page faults per batch against 25 (0.65 s
-    against 0.42 s), and a whole-vector Adam adds 3.6 MB to desk_diffusion's
-    peak RSS.
-    """
+    every hyperparameter in ``hp``, in O(batch · D) memory, not O(pairs · D):
+    each batch's rows are read from the float32 archive. The ``rng`` draws
+    and every floating-point operation keep the order of a loop over
+    whole-set float64 pair copies, e.g. ``(g * (1 - beta2)) * g``, so the
+    weights and losses are bitwise that loop's."""
     rng = np.random.default_rng([seed, 7])
     frames = ds.data.reshape(ds.n_times, -1)
-    target_idx = pair_idx + off
-    d = frames.shape[1]
-    h = hp["hidden_width"]
+    d, h = frames.shape[1], hp["hidden_width"]
     in_dim = 2 * d + 1
-
-    theta = np.zeros(in_dim * h + h + h * d + d)
-    grad = np.empty_like(theta)
-    ends = np.cumsum([in_dim * h, h, h * d])
-    shapes = [(in_dim, h), (h,), (h, d), (d,)]
-    w1, b1, w2, b2 = (p.reshape(s) for p, s in zip(np.split(theta, ends), shapes))
-    g_w1, g_b1, g_w2, g_b2 = (g.reshape(s) for g, s in zip(np.split(grad, ends), shapes))
-    rng.standard_normal(out=w1)
-    w1 /= math.sqrt(in_dim)
-    rng.standard_normal(out=w2)
-    w2 /= math.sqrt(h)
-
-    sigmas = _log_linear_sigmas(hp["sigma_max"], hp["sigma_min"], hp["n_noise_levels"])
-    lr = float(hp["learning_rate"])
-    n_epochs = hp["n_epochs"]
-    batch = hp["batch_size"]
-    adam_m = np.zeros_like(theta)
-    adam_v = np.zeros_like(theta)
+    w1 = rng.standard_normal((in_dim, h)) / math.sqrt(in_dim)
+    w2 = rng.standard_normal((h, d)) / math.sqrt(h)
+    b1, b2 = np.zeros(h), np.zeros(d)
+    params = [w1, b1, w2, b2]
+    moments = [(np.zeros_like(p), np.zeros_like(p)) for p in params]  # Adam m, v
     beta1, beta2, eps_adam = 0.9, 0.999, 1e-8
-    t_adam = 0
-
-    rows_max = min(batch, pair_idx.size)
-    inp_buf = np.empty((rows_max, in_dim))    # [cond | noisy | log sigma]
-    eps_buf = np.empty((rows_max, d))
-    hact_buf = np.empty((rows_max, h))
-    diff_buf = np.empty((rows_max, d))
-    gh_buf = np.empty((rows_max, h))
-    scratch = np.empty((2, min(_ADAM_CHUNK, theta.size)))
-
+    lr, t_adam = float(hp["learning_rate"]), 0
+    sigmas = _log_linear_sigmas(hp["sigma_max"], hp["sigma_min"], hp["n_noise_levels"])
     model = ToyDiffusionForecaster(
-        w1, b1, w2, b2,
-        _log_linear_sigmas(hp["sigma_max"], hp["sigma_min"], hp["n_sample_steps"]),
-    )
-
-    for epoch in range(n_epochs):
+        *params, _log_linear_sigmas(hp["sigma_max"], hp["sigma_min"], hp["n_sample_steps"]))
+    batches = range(0, pair_idx.size, hp["batch_size"])
+    for _ in range(hp["n_epochs"]):
         order = rng.permutation(pair_idx.size)
         epoch_loss = 0.0
-        n_batches = 0
-        for start in range(0, order.size, batch):
-            rows = order[start : start + batch]
-            n = rows.size
-            inp, eps, hact, diff, gh = (
-                buf[:n] for buf in (inp_buf, eps_buf, hact_buf, diff_buf, gh_buf)
-            )
-            cond, noisy = inp[:, :d], inp[:, d : 2 * d]
-            cond[...] = frames[pair_idx[rows]]
-            level = rng.integers(0, sigmas.size, size=n)
-            sigma = sigmas[level][:, None]
-            rng.standard_normal(out=eps)
-            np.multiply(sigma, eps, out=noisy)
-            noisy += frames[target_idx[rows]]
-            inp[:, 2 * d :] = np.log(sigma)
-
-            np.matmul(inp, w1, out=hact)
-            hact += b1
-            np.tanh(hact, out=hact)
-            np.matmul(hact, w2, out=diff)
-            diff += b2
-            diff -= eps
-            np.square(diff, out=eps)  # eps is spent; its buffer takes diff ** 2
-            loss = float(np.mean(eps))
-            epoch_loss += loss
-            n_batches += 1
-
-            gout = diff  # 2 * diff / diff.size, in place
-            gout *= 2.0
-            gout /= diff.size
-            np.matmul(hact.T, gout, out=g_w2)
-            np.sum(gout, axis=0, out=g_b2)
-            np.matmul(gout, w2.T, out=gh)
-            np.square(hact, out=hact)  # hact becomes 1 - hact ** 2
-            np.subtract(1.0, hact, out=hact)
-            gh *= hact
-            np.matmul(inp.T, gh, out=g_w1)
-            np.sum(gh, axis=0, out=g_b1)
-
+        for start in batches:
+            rows = pair_idx[order[start : start + hp["batch_size"]]]
+            sigma = sigmas[rng.integers(0, sigmas.size, size=rows.size)][:, None]
+            eps = rng.standard_normal((rows.size, d))
+            noisy = sigma * eps
+            noisy += frames[rows + off]
+            inp = np.concatenate([frames[rows], noisy, np.log(sigma)], axis=1)
+            hact = np.tanh(inp @ w1 + b1)
+            diff = hact @ w2 + b2 - eps
+            epoch_loss += float(np.mean(diff ** 2))
+            gout = diff * 2.0 / diff.size
+            gh = (gout @ w2.T) * (1.0 - hact ** 2)
+            grads = [inp.T @ gh, gh.sum(axis=0), hact.T @ gout, gout.sum(axis=0)]
             t_adam += 1
-            for lo in range(0, theta.size, scratch.shape[1]):
-                hi = min(lo + scratch.shape[1], theta.size)
-                p, g, m_, v_ = theta[lo:hi], grad[lo:hi], adam_m[lo:hi], adam_v[lo:hi]
-                a, b = scratch[0, : hi - lo], scratch[1, : hi - lo]
-                m_ *= beta1
-                np.multiply(g, 1 - beta1, out=a)
-                m_ += a
-                v_ *= beta2
-                np.multiply(g, 1 - beta2, out=a)
-                a *= g
-                v_ += a
-                np.divide(m_, 1 - beta1 ** t_adam, out=a)      # mhat
-                a *= lr
-                np.divide(v_, 1 - beta2 ** t_adam, out=b)      # vhat
-                np.sqrt(b, out=b)
-                b += eps_adam
-                a /= b
-                p -= a
-        model.training_losses.append(epoch_loss / max(n_batches, 1))
-
+            bc1, bc2 = 1 - beta1 ** t_adam, 1 - beta2 ** t_adam
+            for p, g, (m, v) in zip(params, grads, moments):
+                m *= beta1
+                m += g * (1 - beta1)
+                v *= beta2
+                v += g * (1 - beta2) * g
+                p -= (m / bc1) * lr / (np.sqrt(v / bc2) + eps_adam)
+        model.training_losses.append(epoch_loss / len(batches))
     return model
 
 
@@ -451,9 +376,10 @@ def train(
     """Train a forecaster of the requested kind on the subset's one-step pairs.
 
     The subset holds distinct non-negative indices of ``ds``, the whole
-    dataset, as ``SubsetSelection`` checks. A pair whose successor falls past
-    the end of ``ds`` is dropped; training candidates
-    (``experiment.training_candidates``) all have theirs in the training split.
+    dataset, as ``SubsetSelection`` checks, and a learned kind refuses one
+    past its end. A pair whose successor falls past the end of ``ds`` is
+    dropped; training candidates (``experiment.training_candidates``) all
+    have theirs in the training split.
     """
     return FORECASTERS[spec.kind].fit(ds, subset, split, spec.hyperparameters, seed)
 
@@ -625,12 +551,15 @@ def rollout(
     512 rows, but always at least one init's members: 512 rows on a
     32-value state, 64 rows on a 1,024-value state, one init on a very
     large state. A forecaster whose state dimensions are not the data's is
-    refused, naming the entry, and so is an init index outside ``ds``.
+    refused, naming the entry, and so are an init index outside ``ds`` and
+    a negative seed.
     """
     init_indices = [int(i) for i in init_indices]
     outside = next((i for i in init_indices if not 0 <= i < ds.n_times), None)
     if outside is not None:
         raise ForecastError(f"init index {outside} is outside the dataset's {ds.n_times} times")
+    if seed < 0:
+        raise ForecastError(f"seed {seed} is negative")
     shape = ds.data.shape[1:]
     _check_shapes(getattr(forecaster, "arrays", {}), vars(forecaster), "forecaster",
                   dict(zip(STATE_DIMS, shape), values=math.prod(shape)))

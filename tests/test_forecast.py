@@ -446,7 +446,8 @@ def two_var_grid(small_grid):
 
 
 class TestDiffusionTrainingOracle:
-    """Batch-buffered training equals the whole-set loop bit for bit."""
+    """Training on batches read from the float32 archive equals the
+    whole-set loop bit for bit."""
 
     def check(self, ds, sel, hyper, seed=0):
         spec = ForecasterSpec("toy_diffusion", hyper)
@@ -466,10 +467,7 @@ class TestDiffusionTrainingOracle:
                  "batch_size": batch_size}
         self.check(two_var_grid, sel, hyper)
 
-    @pytest.mark.parametrize("adam_chunk", [1000, 16384])
-    def test_hidden_width_7_and_adam_chunks(self, two_var_grid, monkeypatch, adam_chunk):
-        # 1000 splits the 1,422 parameters into one full chunk and a partial one
-        monkeypatch.setattr(forecast_mod, "_ADAM_CHUNK", adam_chunk)
+    def test_hidden_width_7(self, two_var_grid):
         sel = SubsetSelection("random", list(range(0, 700, 3)), 0.3, 0)
         self.check(two_var_grid, sel, {"n_epochs": 3, "hidden_width": 7}, seed=4)
 
@@ -906,9 +904,18 @@ class _ForeignPersistence(PersistenceForecaster):
      "init index 13 is outside the dataset's 10 times"),
     (lambda ds, tmp: rollout(PersistenceForecaster(), ds, [ds.n_times], n_members=2),
      "init index 10 is outside the dataset's 10 times"),
+    (lambda ds, tmp: rollout(PersistenceForecaster(), ds, [0, 1], n_members=2, seed=-1),
+     "seed -1 is negative"),
+    (lambda ds, tmp: train(ForecasterSpec("stochastic_linear"), ds,
+                           SubsetSelection("random", [*range(1, 10), 10**9], 0.2, 0)),
+     "subset index 1000000000 is outside the dataset's 10 times"),
+    (lambda ds, tmp: train(ForecasterSpec("toy_diffusion"), ds,
+                           SubsetSelection("random", [3, 10, 4], 0.2, 0)),
+     "subset index 10 is outside the dataset's 10 times"),
 ], ids=["linear_without_subset", "diffusion_without_subset", "climatology_without_split",
         "foreign_object", "foreign_subclass", "negative_init", "init_past_the_end",
-        "init_at_the_end"])
+        "init_at_the_end", "negative_seed", "linear_subset_past_the_end",
+        "diffusion_subset_at_the_end"])
 def test_refusals(tmp_path, call, message):
     with pytest.raises(ForecastError, match=re.escape(message) + "$"):
         call(series_ds(np.arange(10.0)), tmp_path)

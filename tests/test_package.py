@@ -7,7 +7,11 @@ import sys
 from pathlib import Path
 
 import stratacast
+from stratacast.dataset import GridSpec, SplitSpec
+from stratacast.experiment import ExperimentConfig, run_experiment
+from stratacast.forecast import ForecasterSpec
 from stratacast.selection import STRATEGIES
+from stratacast.synthetic import SyntheticConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -29,6 +33,34 @@ def test_perfbench_sees_the_package():
             if not callable(getattr(importlib.import_module(module), name, None))]
     assert lost == []
     assert runpy.run_path(str(PERFBENCH / "workloads.py"))["ALL_STRATEGIES"] == list(STRATEGIES)
+
+
+def test_perfbench_traces_a_run(tmp_path):
+    """The benchmark's span attributes read the traced functions' arguments
+    by name (``forecaster``, ``ds``, ``init_indices``, ``spec``, ``name``,
+    ``seed``, ``forecast``, ``leads_days`` ...). A tiny run under its tracer
+    finds every target, reads every span's attributes and opens a span for
+    each layer the benchmark reports. The benchmark's files are read, not
+    changed."""
+    tracer = runpy.run_path(str(PERFBENCH / "spans.py"))["Tracer"]()
+    cfg = ExperimentConfig(
+        strategies=["random"], forecaster=ForecasterSpec("stochastic_linear"),
+        split=SplitSpec((2000, 2000), None, (2001, 2001)),
+        synthetic=SyntheticConfig(GridSpec([-30.0, 0.0, 30.0], [0.0, 90.0, 180.0, 270.0]),
+                                  n_years=2, stride_hours=24, seasonal_amplitude=2.0,
+                                  regime_amplitude=1.5, ar1_coefficient=0.5, noise_std=0.5,
+                                  seed=0),
+        n_members=2, n_steps=2, leads_days=(1, 2))
+    tracer.install()
+    try:
+        run_experiment(cfg, tmp_path)
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == []
+    assert [s.name for s in tracer.spans if "attr_error" in s.attrs or s.failed] == []
+    layers = {"forecast.train", "forecast.rollout", "metrics.evaluate_forecast",
+              "selection.run_strategy"}
+    assert layers - {s.name for s in tracer.spans} == set()
 
 
 def test_readme_names_the_registered_strategies():
