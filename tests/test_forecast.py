@@ -435,6 +435,15 @@ def _reference_train(ds, pair_idx, off, hyper, seed):
     return (*params, losses)
 
 
+def _adam_step(p, g, m, v, bc1=0.1, bc2=0.001, lr=1e-3):
+    """One in-place Adam update with the trainer's operation order."""
+    m *= 0.9
+    m += g * (1 - 0.9)
+    v *= 0.999
+    v += g * (1 - 0.999) * g
+    p -= (m / bc1) * lr / (np.sqrt(v / bc2) + 1e-8)
+
+
 @pytest.fixture(scope="module")
 def two_var_grid(small_grid):
     cfg = SyntheticConfig(
@@ -457,6 +466,7 @@ class TestDiffusionTrainingOracle:
         for got, want in zip((model.w1, model.b1, model.w2, model.b2), weights):
             assert np.array_equal(got, want)
         assert model.training_losses == losses
+        return model
 
     @pytest.mark.parametrize("batch_size", [64, 37, 1, 500])
     def test_two_variables_batch_sizes(self, two_var_grid, batch_size):
@@ -467,9 +477,25 @@ class TestDiffusionTrainingOracle:
                  "batch_size": batch_size}
         self.check(two_var_grid, sel, hyper)
 
-    def test_hidden_width_7(self, two_var_grid):
+    @pytest.mark.parametrize("adam_chunk", [1000, 16384])
+    def test_hidden_width_7_and_adam_chunks(self, two_var_grid, adam_chunk):
         sel = SubsetSelection("random", list(range(0, 700, 3)), 0.3, 0)
-        self.check(two_var_grid, sel, {"n_epochs": 3, "hidden_width": 7}, seed=4)
+        model = self.check(two_var_grid, sel, {"n_epochs": 3, "hidden_width": 7}, seed=4)
+        # Adam is elementwise, so the trainer's update of each parameter array
+        # equals the update of one flat vector of the 1,422 parameters in
+        # adam_chunk-element chunks (1000 gives a full and a partial chunk)
+        rng = np.random.default_rng(11)
+        params = [model.w1, model.b1, model.w2, model.b2]
+        grads = [rng.standard_normal(p.shape) for p in params]
+        moments = [(rng.standard_normal(p.shape), rng.random(p.shape)) for p in params]
+        flat = [np.concatenate([a.ravel() for a in arrays])
+                for arrays in (params, grads, *zip(*moments))]
+        assert flat[0].size == 1422
+        for p, g, (m, v) in zip(params, grads, moments):
+            _adam_step(p, g, m, v)
+        for start in range(0, flat[0].size, adam_chunk):
+            _adam_step(*(a[start : start + adam_chunk] for a in flat))
+        assert np.array_equal(np.concatenate([p.ravel() for p in params]), flat[0])
 
     def test_one_cell_series(self):
         rng = np.random.default_rng(2024)
