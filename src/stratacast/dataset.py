@@ -1,4 +1,4 @@
-"""Gridded spatiotemporal data model: file format, preprocessing, splits.
+"""Gridded spatiotemporal data model: array files, preprocessing, splits.
 
 A dataset's time axis is one ``datetime64[us]`` array: calendar months,
 years, the stride and forecast init windows are array arithmetic on it. Its
@@ -6,13 +6,11 @@ invariants (shape, variable names, constant stride, finite values) are
 checked once, when a ``GriddedDataset`` is built; ``load_dataset``,
 ``synthetic.generate`` and ``standardize`` build one.
 
-The on-disk container is a minimal binary tensor file ("FTEN"): magic bytes,
-a version word, four little-endian u32 dims (time, var, lat, lon) and a flat
-little-endian f32 payload in [time][var][lat][lon] order. A JSON sidecar
-``<name>.meta.json`` carries the timestamps as ISO 8601 strings
-(``2000-01-01T06:00:00``), the variable names and the grid coordinates
-(``lats``, ``lons``). A ``static`` key, written by older versions of the
-format, is ignored on read.
+Every array file the package writes is an npz archive, written by
+``write_npz`` and read back, without pickles, by ``read_npz``. A dataset file
+(conventionally named ``.ften``) holds five entries: ``data`` (float32,
+[time][var][lat][lon]), ``timestamps`` (``datetime64[us]``), ``variables``
+(strings), ``lats`` and ``lons`` (float64).
 
 Every JSON document the package reads is parsed by ``read_json`` and its
 keys, value types and ranges are checked by ``check_object``, so each
@@ -25,15 +23,12 @@ import json
 import math
 import re
 import reprlib
-import struct
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
 
 import numpy as np
-
-MAGIC = b"FTEN"
-FORMAT_VERSION = 1
 
 KNOWN_VARIABLES = {"z500", "t850", "t2m", "u10", "v10", "ws10"}
 _SYNTH_RE = re.compile(r"^synthetic_\d+$")
@@ -320,83 +315,72 @@ def split_time_indices(ds: GriddedDataset, years: tuple[int, int]) -> np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# File format
+# Array files
 # ---------------------------------------------------------------------------
 
+def write_npz(path: str | Path, **arrays) -> None:
+    """Write ``arrays`` by name to an npz archive at exactly ``path``."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "wb") as f:  # given a name, np.savez would append ".npz"
+        np.savez(f, **arrays)
+
+
+class _Entries(dict):
+    """The arrays of one npz archive by name; a missing one raises the reader's error."""
+
+    def __init__(self, path: Path, error: type[Exception], arrays):
+        super().__init__(arrays)
+        self.path, self.error = path, error
+
+    def __missing__(self, name):
+        raise self.error(f"{self.path} has no entry {name!r}")
+
+
+def read_npz(path: str | Path, error: type[Exception]) -> _Entries:
+    """The arrays of the npz archive at exactly ``path``, read without pickles;
+    raises ``error`` naming the file when it is not such an archive (a bare
+    ``.npy`` array, other bytes, an entry of Python objects)."""
+    path = Path(path)
+    try:  # np.load leaves a file it opened unclosed when the zip does not parse
+        with open(path, "rb") as f:
+            z = np.load(f, allow_pickle=False)
+            if isinstance(z, np.ndarray):
+                raise ValueError("a bare .npy array")
+            with z:
+                return _Entries(path, error, z)
+    except (ValueError, EOFError, zipfile.BadZipFile):
+        raise error(f"{path} is not an npz archive of pickle-free arrays") from None
+
+
+# A dataset file's entries: ndim, dtype kind and the name of that kind.
+_DATASET_ENTRIES = {"data": (4, "f", "float"), "timestamps": (1, "M", "datetime64"),
+                    "variables": (1, "U", "string"), "lats": (1, "f", "float"),
+                    "lons": (1, "f", "float")}
+
+
 def save_dataset(ds: GriddedDataset, path: str | Path) -> Path:
-    """Write the field-tensor file plus its JSON sidecar; returns the data path."""
+    """Write ``ds`` as one npz archive at ``path``; returns ``path``."""
     path = Path(path)
     if "ws10" in ds.variables:
         raise DatasetError("ws10 is a derived variable and is never stored raw")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    _write_raw_tensor(path, ds.data)
-    # whole seconds print as isoformat() does; finer timestamps keep their microseconds
-    ts = ds.timestamps
-    unit = "s" if (ts == ts.astype("datetime64[s]")).all() else "us"
-    meta = {
-        "timestamps": np.datetime_as_string(ts, unit=unit).tolist(),
-        "variables": ds.variables,
-        "lats": ds.grid.lats.tolist(),
-        "lons": ds.grid.lons.tolist(),
-    }
-    sidecar = path.with_name(path.name + ".meta.json")
-    sidecar.write_text(json.dumps(meta, indent=2))
+    write_npz(path, data=ds.data, timestamps=ds.timestamps,
+              variables=np.array(ds.variables, dtype=str), lats=ds.grid.lats, lons=ds.grid.lons)
     return path
 
 
-def _write_raw_tensor(path: Path, arr: np.ndarray) -> None:
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<5I", FORMAT_VERSION, *arr.shape))
-        f.write(np.asarray(arr, dtype="<f4").tobytes())
-
-
-def _read_raw_tensor(path: Path) -> np.ndarray:
-    raw = path.read_bytes()
-    if raw[:4] != MAGIC:
-        raise DatasetError(f"{path}: bad magic bytes")
-    version, nt, nv, nlat, nlon = struct.unpack_from("<5I", raw, 4)
-    if version != FORMAT_VERSION:
-        raise DatasetError(f"{path}: unsupported format version {version}")
-    payload = raw[24:]
-    expected = nt * nv * nlat * nlon * 4
-    if len(payload) != expected:
-        raise DatasetError(
-            f"{path}: payload of {len(payload)} bytes does not match header "
-            f"dims ({nt}, {nv}, {nlat}, {nlon})"
-        )
-    return np.frombuffer(payload, dtype="<f4").reshape(nt, nv, nlat, nlon).copy()
-
-
-_SIDECAR_KEYS = {"timestamps": (STRINGS, True), "variables": (STRINGS, True),
-                 "lats": (NUMBERS, True), "lons": (NUMBERS, True),
-                 "static": (ANY, False)}  # written by older versions; ignored
-
-
 def load_dataset(path: str | Path) -> GriddedDataset:
-    """Load a field-tensor file and its sidecar into a validated dataset.
-
-    Errors name the sidecar or the data file. The sidecar's keys and their
-    types are checked before anything else is read.
-    """
-    path = Path(path)
-    sidecar = path.with_name(path.name + ".meta.json")
-    if not sidecar.exists():
-        raise DatasetError(f"missing sidecar {sidecar}")
-    meta = read_json(sidecar, DatasetError)
-    check_object(meta, _SIDECAR_KEYS, f"sidecar {sidecar}", DatasetError)
+    """The dataset in the archive at ``path``. Each entry's ndim and dtype
+    kind are checked here, everything else by ``GriddedDataset``; errors
+    name the file."""
+    z = read_npz(path, DatasetError)
+    for name, (ndim, kind, desc) in _DATASET_ENTRIES.items():
+        if z[name].ndim != ndim or z[name].dtype.kind != kind:
+            raise DatasetError(f"{path} entry {name!r} must be a {ndim}-D {desc} array, "
+                               f"not a {z[name].ndim}-D {z[name].dtype} array")
     try:
-        timestamps = np.array(meta["timestamps"], dtype="datetime64[us]")
-    except ValueError as e:
-        raise DatasetError(f"{sidecar}: bad timestamp: {e}") from None
-    data = _read_raw_tensor(path)
-    try:
-        return GriddedDataset(
-            grid=GridSpec(np.asarray(meta["lats"]), np.asarray(meta["lons"])),
-            variables=list(meta["variables"]),
-            timestamps=timestamps,
-            data=data,
-        )
+        return GriddedDataset(GridSpec(z["lats"], z["lons"]), z["variables"].tolist(),
+                              z["timestamps"], z["data"])
     except DatasetError as e:
         raise DatasetError(f"{path}: {e}") from None
 

@@ -37,14 +37,13 @@ from __future__ import annotations
 import functools
 import math
 import operator
-import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .dataset import (COUNT, POSITIVE, STEP_HOURS, GriddedDataset, SplitSpec, check_object,
-                      hours_delta, month_index, split_time_indices)
+                      hours_delta, month_index, read_npz, split_time_indices, write_npz)
 from .selection import SubsetSelection
 
 
@@ -379,8 +378,11 @@ def train(
     dataset, as ``SubsetSelection`` checks, and a learned kind refuses one
     past its end. A pair whose successor falls past the end of ``ds`` is
     dropped; training candidates (``experiment.training_candidates``) all
-    have theirs in the training split.
+    have theirs in the training split. Raises ForecastError for a negative
+    seed.
     """
+    if seed < 0:
+        raise ForecastError(f"seed {seed} is negative")
     return FORECASTERS[spec.kind].fit(ds, subset, split, spec.hyperparameters, seed)
 
 
@@ -593,43 +595,22 @@ def rollout(
 # Serialization: one ``<prefix>.npz`` of named arrays per forecast or forecaster
 # ---------------------------------------------------------------------------
 
-def _write_npz(prefix: str | Path, **entries) -> None:
-    path = Path(prefix).with_suffix(".npz")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez(path, **entries)
-
-
-class _Entries(dict):
-    """The arrays of one npz file by name; a missing one raises ForecastError."""
-
-    def __init__(self, path: Path, entries):
-        super().__init__(entries)
-        self.path = path
-
-    def __missing__(self, name):
-        raise ForecastError(f"{self.path} has no entry {name!r}")
-
-
-def _read_npz(prefix: str | Path) -> _Entries:
-    path = Path(prefix).with_suffix(".npz")
-    try:  # np.load leaves a file it opened unclosed when the zip does not parse
-        with open(path, "rb") as f, np.load(f, allow_pickle=False) as z:
-            return _Entries(path, z)
-    except (zipfile.BadZipFile, EOFError) as e:
-        raise ForecastError(f"{path} is not an npz file: {e}") from e
+def _npz_path(prefix: str | Path) -> Path:
+    """``<prefix>.npz``, or ``prefix`` itself when it already ends in ``.npz``."""
+    return Path(prefix if str(prefix).endswith(".npz") else f"{prefix}.npz")
 
 
 def save_forecast(fc: EnsembleForecast, prefix: str | Path) -> None:
     """Write ``<prefix>.npz``: float32 ``trajectories`` and ``init_indices``."""
-    _write_npz(
-        prefix,
+    write_npz(
+        _npz_path(prefix),
         trajectories=np.asarray(fc.trajectories, dtype=np.float32),
         init_indices=np.asarray(fc.init_indices, dtype=np.int64),
     )
 
 
 def load_forecast(prefix: str | Path) -> EnsembleForecast:
-    z = _read_npz(prefix)
+    z = read_npz(_npz_path(prefix), ForecastError)
     if not np.isfinite(z["trajectories"]).all():
         raise ForecastError("non-finite trajectory values")
     return EnsembleForecast(z["init_indices"].reshape(-1).tolist(), z["trajectories"])
@@ -640,11 +621,12 @@ def save_forecaster(model, prefix: str | Path) -> None:
     lists, losslessly."""
     if type(model) is not FORECASTERS.get(getattr(model, "kind", None)):
         raise ForecastError(f"cannot serialize {type(model).__name__}")
-    _write_npz(prefix, kind=model.kind, **{name: getattr(model, name) for name in model.arrays})
+    write_npz(_npz_path(prefix), kind=model.kind,
+              **{name: getattr(model, name) for name in model.arrays})
 
 
 def load_forecaster(prefix: str | Path):
-    z = _read_npz(prefix)
+    z = read_npz(_npz_path(prefix), ForecastError)
     kind = str(z.get("kind"))  # a file without one is an unknown kind
     if kind not in FORECASTERS:
         raise ForecastError(f"unknown serialized kind {kind!r}")

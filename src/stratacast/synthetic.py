@@ -52,7 +52,7 @@ class SyntheticConfig:
         return cls(grid=grid, **s)
 
 
-# The years that ``datetime`` and a sidecar's four-digit ISO 8601 timestamps hold.
+# The years that ``datetime`` holds.
 _LAST_YEAR = 9999
 _YEAR = Rule(lambda v: INTEGER.ok(v) and 1 <= v <= _LAST_YEAR, f"an integer in 1..{_LAST_YEAR}")
 # Every field but the grid, with the rule its value must pass and whether it

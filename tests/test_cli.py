@@ -2,7 +2,6 @@ import contextlib
 import dataclasses
 import io
 import json
-import shutil
 import subprocess
 import sys
 from datetime import timedelta
@@ -364,8 +363,7 @@ class TestDataErrors:
 
 class TestPipeline:
     def test_generate_writes_dataset(self, data_dir):
-        assert (data_dir / "synthetic.ften").is_file()
-        assert (data_dir / "synthetic.ften.meta.json").is_file()
+        assert sorted(p.name for p in data_dir.iterdir()) == ["synthetic.ften"]
 
     def test_generate_seed_flag_wins_over_the_config_seed(self, synth_config, tmp_path):
         """``--seed`` replaces the config's seed; without it the config's seed
@@ -676,7 +674,7 @@ class TestPipeline:
     @pytest.mark.parametrize("damage, message", [
         (lambda p: _rewrite_npz(p, drop="init_indices"), "has no entry 'init_indices'"),
         (lambda p: _rewrite_npz(p, drop="trajectories"), "has no entry 'trajectories'"),
-        (lambda p: p.write_bytes(p.read_bytes()[:200]), "not an npz file"),
+        (lambda p: p.write_bytes(p.read_bytes()[:200]), "not an npz archive"),
         (lambda p: _rewrite_npz(p, drop="init_indices", init_indices=np.arange(3)),
          "3 init indices for trajectories of shape"),
     ], ids=["no_inits", "no_trajectories", "truncated", "init_count"])
@@ -832,14 +830,13 @@ class TestPipeline:
 # One valid instance of each JSON document the CLI reads, as (a key it
 # requires, a key and a value of the wrong type, a key and a value of the
 # right type out of its range). Hyperparameters have no required key; a
-# selection file and a sidecar have no ranged key.
+# selection file has no ranged key.
 _DOCUMENTS = {
     "run_config": ("strategies", "fraction", "0.2", ("fraction", 2.0)),
     "synthetic_config": ("noise_std", "n_years", "2", ("start_year", 300000)),
     "hyperparameters": (None, "ridge_lambda", [1e-3], ("ridge_lambda", 0)),
     "selection": ("indices", "seed", "0", None),
     "records": ("crps", "lead_days", "5", ("lead_days", 0)),
-    "sidecar": ("lats", "variables", [5], None),
 }
 _CASES = [(doc, case) for doc in _DOCUMENTS
           for case in ("unparseable", "not_an_object", "missing_key", "unknown_key", "wrong_type",
@@ -856,7 +853,7 @@ class TestOutsideInput:
                      "--train-years", "2000:2000", "--out", str(out)]) == 0
         return out / "random_seed0.json"
 
-    def _valid(self, doc, data_dir, synth_config, selection):
+    def _valid(self, doc, synth_config, selection):
         return {
             "run_config": {"strategies": ["random"], "forecaster": {"kind": "persistence"},
                            "split": {"train_years": [2000, 2000]}, "dataset_path": "x.ften"},
@@ -865,14 +862,13 @@ class TestOutsideInput:
             "selection": json.loads(selection.read_text()),
             "records": [{"method": "random", "variable": "v", "lead_days": 5, "crps": 1.0,
                          "rmse": 2.0, "ssr": 0.5, "seed": 0}],
-            "sidecar": json.loads((data_dir / "synthetic.ften.meta.json").read_text()),
         }[doc]
 
     @pytest.mark.parametrize("doc, case", _CASES)
     def test_refused_with_exit_2_naming_the_file_or_key(self, data_dir, synth_config, selection,
                                                        tmp_path, doc, case):
         required, typed, bad, out_of_range = _DOCUMENTS[doc]
-        valid = self._valid(doc, data_dir, synth_config, selection)
+        valid = self._valid(doc, synth_config, selection)
         obj = valid[0] if doc == "records" else valid  # a records file is a list of them
         named = {"missing_key": required, "unknown_key": "extra", "wrong_type": typed,
                  "out_of_range": out_of_range and out_of_range[0]}.get(case)
@@ -897,12 +893,7 @@ class TestOutsideInput:
                                 "--forecaster", "stochastic_linear", "--hyper", text],
             "selection": [*train, "--selection", str(path), "--forecaster", "persistence"],
             "records": ["report", "--records", str(path), "--out", out],
-            "sidecar": ["select", "--data", str(tmp_path / "x.ften"), "--strategy", "random",
-                        "--train-years", "2000:2000", "--out", out],
         }[doc]
-        if doc == "sidecar":
-            shutil.copy(data, tmp_path / "x.ften")
-            path = path.rename(tmp_path / "x.ften.meta.json")
 
         # in process: an exception that escapes main fails the test, as it
         # would end the command in a traceback

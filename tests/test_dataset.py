@@ -1,6 +1,4 @@
-import json
 import re
-import struct
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -22,6 +20,7 @@ from stratacast.dataset import (
     standardize,
     valid_init_times,
 )
+from stratacast.forecast import ForecastError, load_forecast, load_forecaster
 
 
 def make_ds(values, start=datetime(2000, 1, 1), stride_hours=1, variables=None):
@@ -35,6 +34,14 @@ def make_ds(values, start=datetime(2000, 1, 1), stride_hours=1, variables=None):
         timestamps=ts,
         data=data,
     )
+
+
+def _rewrite_entries(path, drop=None, **put):
+    """Rewrite the archive at ``path`` without entry ``drop`` and with ``put``."""
+    with np.load(path) as z:
+        entries = {k: z[k] for k in z.files if k != drop}
+    with open(path, "wb") as f:
+        np.savez(f, **{**entries, **put})
 
 
 class TestFileFormat:
@@ -54,22 +61,24 @@ class TestFileFormat:
     def test_nan_payload_rejected_with_index(self, tmp_path):
         ds = make_ds(np.zeros((2, 1, 2, 2), dtype=np.float32))
         path = save_dataset(ds, tmp_path / "d.ften")
-        raw = bytearray(path.read_bytes())
-        raw[24 + 4 * 5 : 24 + 4 * 6] = struct.pack("<f", float("nan"))
-        path.write_bytes(bytes(raw))
+        data = ds.data.copy()
+        data[1, 0, 0, 1] = np.nan
+        _rewrite_entries(path, data=data)
         with pytest.raises(DatasetError, match="time index 1"):
             load_dataset(path)
 
-    def test_missing_sidecar(self, tmp_path):
+    def test_old_layout_file_is_refused_naming_it(self, tmp_path):
+        # the FTEN magic and header words of the former layout, without a sidecar
         (tmp_path / "x.ften").write_bytes(b"FTEN" + b"\0" * 20)
-        with pytest.raises(DatasetError, match="sidecar"):
+        with pytest.raises(DatasetError, match=re.escape(f"{tmp_path / 'x.ften'} is not an npz")):
             load_dataset(tmp_path / "x.ften")
 
     def test_dimension_mismatch(self, tmp_path):
         ds = make_ds(np.zeros((2, 1, 2, 2), dtype=np.float32))
         path = save_dataset(ds, tmp_path / "d.ften")
-        path.write_bytes(path.read_bytes()[:-4])
-        with pytest.raises(DatasetError, match="does not match header"):
+        _rewrite_entries(path, data=ds.data[:, :, :, :1])
+        with pytest.raises(DatasetError, match=re.escape(
+                "d.ften: data shape (2, 1, 2, 1) does not match (time=2, var=1, lat=2, lon=2)")):
             load_dataset(path)
 
     def test_sub_second_timestamps_round_trip(self, tmp_path):
@@ -77,37 +86,6 @@ class TestFileFormat:
         ds = make_ds(np.zeros((3, 1, 1, 1)), start=start, stride_hours=1.5)
         back = load_dataset(save_dataset(ds, tmp_path / "d.ften"))
         assert back.timestamps.tolist() == [start + timedelta(hours=1.5 * i) for i in range(3)]
-
-    def test_sidecar_timestamps_are_isoformat(self, tmp_path):
-        ds = make_ds(np.zeros((3, 1, 1, 1)), start=datetime(2000, 2, 28, 18), stride_hours=6)
-        path = save_dataset(ds, tmp_path / "d.ften")
-        meta = json.loads((tmp_path / "d.ften.meta.json").read_text())
-        assert meta["timestamps"] == [t.isoformat() for t in ds.timestamps.tolist()]
-        assert set(meta) == {"timestamps", "variables", "lats", "lons"}
-        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name, "d.ften.meta.json"]
-
-    def test_older_layout_with_static_key_loads(self, tmp_path):
-        # written byte for byte as the format's writer did when it still
-        # stored static fields: a "static" sidecar key naming an extra file
-        data = np.arange(24, dtype=np.float32).reshape(3, 2, 2, 2)
-        path = tmp_path / "old.ften"
-        path.write_bytes(b"FTEN" + struct.pack("<5I", 1, 3, 2, 2, 2) + data.astype("<f4").tobytes())
-        static = tmp_path / "old.static.orography.ften"
-        static.write_bytes(
-            b"FTEN" + struct.pack("<5I", 1, 1, 1, 2, 2) + np.full(4, 0.5, "<f4").tobytes()
-        )
-        meta = {
-            "timestamps": ["2000-01-01T00:00:00", "2000-01-01T06:00:00", "2000-01-01T12:00:00"],
-            "variables": ["synthetic_0", "synthetic_1"],
-            "lats": [-30.0, 30.0],
-            "lons": [0.0, 300.0],
-            "static": {"orography": static.name},
-        }
-        (tmp_path / "old.ften.meta.json").write_text(json.dumps(meta, indent=2))
-        back = load_dataset(path)
-        assert back.data.tobytes() == data.tobytes()
-        assert back.timestamps.tolist() == [datetime(2000, 1, 1, h) for h in (0, 6, 12)]
-        assert back.variables == ["synthetic_0", "synthetic_1"]
 
     @settings(max_examples=60, deadline=None)
     @given(n_times=st.integers(1, 4),
@@ -118,12 +96,13 @@ class TestFileFormat:
                               unique=True),
            lats=st.lists(st.floats(-90, 90), min_size=1, max_size=3, unique=True),
            lons=st.lists(st.floats(-180, 359.9), min_size=1, max_size=3, unique=True),
-           descending=st.booleans(), static=st.booleans(), seed=st.integers(0, 2**32 - 1))
+           descending=st.booleans(), seed=st.integers(0, 2**32 - 1))
     def test_save_load_round_trip(self, tmp_path_factory, n_times, start_us, stride_us,
-                                  variables, lats, lons, descending, static, seed):
+                                  variables, lats, lons, descending, seed):
         """What ``save_dataset`` writes, ``load_dataset`` accepts and reads back
-        equal: microsecond timestamps, negative longitudes, several variables,
-        and a sidecar with an old-style ``static`` key."""
+        equal: microsecond timestamps, negative longitudes and several
+        variables. The archive holds the float32 data and the
+        ``datetime64[us]`` timestamps as they are."""
         start = np.datetime64("1990-01-01", "us") + np.timedelta64(start_us, "us")
         ts = start + np.timedelta64(stride_us, "us") * np.arange(n_times)
         grid = GridSpec(sorted(lats, reverse=descending), sorted(lons))
@@ -131,26 +110,15 @@ class TestFileFormat:
             (n_times, len(variables), grid.n_lat, grid.n_lon)).astype(np.float32)
         ds = GriddedDataset(grid, variables, ts, data)
         path = save_dataset(ds, tmp_path_factory.mktemp("rt") / "d.ften")
-        if static:
-            sidecar = path.with_name(path.name + ".meta.json")
-            sidecar.write_text(json.dumps(dict(json.loads(sidecar.read_text()),
-                                               static={"orography": "d.static.ften"})))
         back = load_dataset(path)
         assert back.data.tobytes() == ds.data.tobytes()
         assert np.array_equal(back.timestamps, ds.timestamps)
         assert back.variables == ds.variables
         assert np.array_equal(back.grid.lats, grid.lats)
         assert np.array_equal(back.grid.lons, grid.lons)
-
-    def test_unparseable_timestamp_names_sidecar(self, tmp_path):
-        ds = make_ds(np.zeros((2, 1, 2, 2), dtype=np.float32))
-        path = save_dataset(ds, tmp_path / "d.ften")
-        sidecar = tmp_path / "d.ften.meta.json"
-        meta = json.loads(sidecar.read_text())
-        meta["timestamps"][1] = "2000-01-01T25:00:00"
-        sidecar.write_text(json.dumps(meta))
-        with pytest.raises(DatasetError, match="d.ften.meta.json"):
-            load_dataset(path)
+        with np.load(path) as z:
+            assert (z["data"].dtype, z["timestamps"].dtype) == (
+                np.float32, np.dtype("datetime64[us]"))
 
     def test_ws10_never_stored(self, tmp_path):
         ds = make_ds(np.zeros((2, 2, 2, 2), dtype=np.float32), variables=["u10", "v10"])
@@ -361,12 +329,17 @@ class TestTimeAxisRules:
         assert dsmod.month_index(times).tolist() == [t.month - 1 for t in times]
 
 
-def _with_header_word(tmp_path, offset, word):
-    """A saved dataset whose 4 header bytes at ``offset`` are ``word``."""
+def _file_of(tmp_path, raw):
+    """The path of a file ``d.ften`` holding the bytes ``raw``."""
+    path = tmp_path / "d.ften"
+    path.write_bytes(raw)
+    return path
+
+
+def _saved_with(tmp_path, drop=None, **put):
+    """The path of a saved dataset archive without entry ``drop`` and with ``put``."""
     path = save_dataset(make_ds(np.zeros((2, 1, 2, 2))), tmp_path / "d.ften")
-    raw = bytearray(path.read_bytes())
-    raw[offset:offset + 4] = word
-    path.write_bytes(bytes(raw))
+    _rewrite_entries(path, drop, **put)
     return path
 
 
@@ -374,9 +347,13 @@ _POINT = GridSpec(np.array([0.0]), np.array([0.0]))
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda tmp: load_dataset(_with_header_word(tmp, 0, b"FTEM")), "d.ften: bad magic bytes"),
-    (lambda tmp: load_dataset(_with_header_word(tmp, 4, struct.pack("<I", 2))),
-     "d.ften: unsupported format version 2"),
+    (lambda tmp: load_dataset(_file_of(tmp, b"PK\3\4 not a zip")),
+     "d.ften is not an npz archive of pickle-free arrays"),
+    (lambda tmp: load_dataset(_saved_with(tmp, drop="lons")), "d.ften has no entry 'lons'"),
+    (lambda tmp: load_dataset(_saved_with(tmp, timestamps=np.array([0, 6], dtype=np.int64))),
+     "d.ften entry 'timestamps' must be a 1-D datetime64 array, not a 1-D int64 array"),
+    (lambda tmp: load_dataset(_saved_with(tmp, data=np.zeros((2, 4), dtype=np.float32))),
+     "d.ften entry 'data' must be a 4-D float array, not a 2-D float32 array"),
     (lambda tmp: GridSpec(np.array([]), np.array([0.0])), "grid axes must be non-empty 1-D arrays"),
     (lambda tmp: GridSpec(np.array([90.5]), np.array([0.0])), "latitudes must lie in [-90, 90]"),
     (lambda tmp: GridSpec(np.array([0.0]), np.array([360.0])),
@@ -400,12 +377,35 @@ _POINT = GridSpec(np.array([0.0]), np.array([0.0]))
     (lambda tmp: make_ds(np.zeros((2, 1, 1, 1))).steps(1e300, "span"),
      "1e+300 h is past the datetime64[us] range"),
     (lambda tmp: dsmod.hours_delta(float("nan")), "nan h is past the datetime64[us] range"),
-], ids=["bad_magic", "format_version", "empty_axis", "latitude", "longitude", "lats_order",
+], ids=["not_an_archive", "missing_entry", "wrong_dtype", "wrong_ndim", "empty_axis", "latitude", "longitude", "lats_order",
         "lons_order", "data_shape", "nat_timestamp", "unknown_variable", "zero_std",
         "empty_training_split", "delta_past_int64", "steps_past_int64", "nan_hours"])
 def test_refusals(tmp_path, build, message):
     with pytest.raises(DatasetError, match=re.escape(message) + "$"):
         build(tmp_path)
+
+
+def _bare_npy(f):
+    np.save(f, np.zeros(3))
+
+
+def _object_entry(f):
+    np.savez(f, kind=np.array([{"kind": "persistence"}], dtype=object))
+
+
+@pytest.mark.parametrize("load, error", [(load_dataset, DatasetError),
+                                         (load_forecast, ForecastError),
+                                         (load_forecaster, ForecastError)],
+                         ids=["dataset", "forecast", "forecaster"])
+@pytest.mark.parametrize("write", [_bare_npy, lambda f: f.write(b"junk bytes"), _object_entry],
+                         ids=["bare_npy", "junk_bytes", "object_entry"])
+def test_a_file_that_is_not_an_npz_archive_is_refused_naming_it(tmp_path, load, error, write):
+    path = tmp_path / "m.npz"
+    with open(path, "wb") as f:
+        write(f)
+    message = f"{path} is not an npz archive of pickle-free arrays"
+    with pytest.raises(error, match=re.escape(message) + "$"):
+        load(path)
 
 
 class TestSplitSpec:

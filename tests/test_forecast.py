@@ -310,7 +310,7 @@ class TestRollout:
         save_forecast(rollout(PersistenceForecaster(), ds, [3, 9], 2, 4, seed=5), tmp_path / "f")
         path = tmp_path / "f.npz"
         path.write_bytes(path.read_bytes()[:size])
-        with pytest.raises(ForecastError, match="not an npz file"):
+        with pytest.raises(ForecastError, match="not an npz archive"):
             load_forecast(tmp_path / "f")
 
     def test_load_rejects_non_finite_trajectory(self, tmp_path):
@@ -656,6 +656,16 @@ class TestBatchedRollout:
         with pytest.raises(ForecastError, match=match):
             load_forecaster(tmp_path / kind)
 
+    def test_prefixes_that_differ_after_a_dot_name_two_files(self, trained_models, tmp_path):
+        """``<prefix>.npz`` keeps the whole prefix, and a prefix that ends in
+        ``.npz`` is the file name itself."""
+        models = trained_models[1]
+        save_forecaster(models["climatology"], tmp_path / "model.a")
+        save_forecaster(models["stochastic_linear"], tmp_path / "model.b")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.a.npz", "model.b.npz"]
+        assert type(load_forecaster(tmp_path / "model.a")) is type(models["climatology"])
+        assert type(load_forecaster(tmp_path / "model.b.npz")) is type(models["stochastic_linear"])
+
     @pytest.mark.parametrize(
         "kind", ["persistence", "climatology", "stochastic_linear", "toy_diffusion"]
     )
@@ -938,10 +948,16 @@ class _ForeignPersistence(PersistenceForecaster):
     (lambda ds, tmp: train(ForecasterSpec("toy_diffusion"), ds,
                            SubsetSelection("random", [3, 10, 4], 0.2, 0)),
      "subset index 10 is outside the dataset's 10 times"),
+    (lambda ds, tmp: train(ForecasterSpec("stochastic_linear"), ds,
+                           SubsetSelection("random", [1, 2, 3], 0.2, 0), seed=-1),
+     "seed -1 is negative"),
+    (lambda ds, tmp: train(ForecasterSpec("toy_diffusion"), ds,
+                           SubsetSelection("random", [1, 2, 3], 0.2, 0), seed=-1),
+     "seed -1 is negative"),
 ], ids=["linear_without_subset", "diffusion_without_subset", "climatology_without_split",
         "foreign_object", "foreign_subclass", "negative_init", "init_past_the_end",
         "init_at_the_end", "negative_seed", "linear_subset_past_the_end",
-        "diffusion_subset_at_the_end"])
+        "diffusion_subset_at_the_end", "linear_negative_seed", "diffusion_negative_seed"])
 def test_refusals(tmp_path, call, message):
     with pytest.raises(ForecastError, match=re.escape(message) + "$"):
         call(series_ds(np.arange(10.0)), tmp_path)

@@ -6,8 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import stratacast
-from stratacast.dataset import GridSpec, SplitSpec
+from stratacast.dataset import GriddedDataset, GridSpec, SplitSpec, save_dataset
 from stratacast.experiment import ExperimentConfig, run_experiment
 from stratacast.forecast import ForecasterSpec
 from stratacast.selection import STRATEGIES
@@ -128,6 +130,25 @@ def test_time_axis_is_answered_in_dataset_only():
             if path.name != "dataset.py"
             for n, line in enumerate(path.read_text().splitlines(), 1) if spelled.search(line)]
     assert hits == []
+
+
+def test_array_files_are_read_and_written_in_dataset_only(tmp_path):
+    """The container of every array file is decided in ``dataset.py``: no
+    other module spells ``np.savez``, ``np.load``, ``zipfile`` or ``struct``.
+    The file ``save_dataset`` writes opens with plain ``np.load`` and holds
+    exactly its five entries."""
+    spelled = re.compile(r"np\.savez|np\.load|\bzipfile\b|\bstruct\b")
+    hits = [f"{path.name}:{n}: {line.strip()}"
+            for path in sorted(Path(stratacast.__file__).parent.glob("*.py"))
+            if path.name != "dataset.py"
+            for n, line in enumerate(path.read_text().splitlines(), 1) if spelled.search(line)]
+    assert hits == []
+    ds = GriddedDataset(GridSpec([0.0], [0.0]), ["z500"],
+                        np.array(["2000-01-01"], "datetime64[us]"), np.zeros((1, 1, 1, 1)))
+    path = save_dataset(ds, tmp_path / "d.ften")
+    assert [p.name for p in tmp_path.iterdir()] == ["d.ften"]
+    with np.load(path, allow_pickle=False) as z:
+        assert sorted(z.files) == ["data", "lats", "lons", "timestamps", "variables"]
 
 
 def test_a_failing_property_test_does_not_stop_the_run(tmp_path):
