@@ -7,10 +7,10 @@ checked once, when a ``GriddedDataset`` is built; ``load_dataset``,
 ``synthetic.generate`` and ``standardize`` build one.
 
 Every array file the package writes is an npz archive, written by
-``write_npz`` and read back, without pickles, by ``read_npz``. A dataset file
-(conventionally named ``.ften``) holds five entries: ``data`` (float32,
-[time][var][lat][lon]), ``timestamps`` (``datetime64[us]``), ``variables``
-(strings), ``lats`` and ``lons`` (float64).
+``write_npz`` and read back, without pickles, by ``read_npz``. Each holder
+of arrays declares one entry table, and ``check_entries`` checks arrays
+against it, in a file or in memory. A dataset file (conventionally named
+``.ften``) holds the entries of ``DATASET_ENTRIES``.
 
 Every JSON document the package reads is parsed by ``read_json`` and its
 keys, value types and ranges are checked by ``check_object``, so each
@@ -34,6 +34,8 @@ KNOWN_VARIABLES = {"z500", "t850", "t2m", "u10", "v10", "ws10"}
 _SYNTH_RE = re.compile(r"^synthetic_\d+$")
 # One forecast step: training pairs, rollout steps and leads are this far apart.
 STEP_HOURS = 24.0
+# The dimensions of a state: (variable, lat, lon).
+STATE_DIMS = ("var", "lat", "lon")
 
 
 class DatasetError(ValueError):
@@ -168,9 +170,9 @@ class GridSpec:
         object.__setattr__(self, "lons", lons)
         if lats.ndim != 1 or lats.size < 1 or lons.ndim != 1 or lons.size < 1:
             raise DatasetError("grid axes must be non-empty 1-D arrays")
-        if np.any(np.abs(lats) > 90.0):
+        if not np.all(np.abs(lats) <= 90.0):  # written so that a NaN fails them
             raise DatasetError("latitudes must lie in [-90, 90]")
-        if np.any(lons >= 360.0) or np.any(lons < -180.0):
+        if not np.all((lons >= -180.0) & (lons < 360.0)):
             raise DatasetError("longitudes must lie in [0, 360) or [-180, 180)")
         for ax, name in ((lats, "lats"), (lons, "lons")):
             d = np.diff(ax)
@@ -197,8 +199,8 @@ class GriddedDataset:
     ``data`` has shape [time, variable, lat, lon] and finite float32 values.
     ``timestamps`` is stored as a ``datetime64[us]`` array (any sequence of
     datetimes is accepted) and strictly increases at a constant stride. Both
-    are checked here, once; instances are treated as immutable after
-    construction.
+    are checked here, once, the shapes against ``DATASET_ENTRIES``;
+    instances are treated as immutable after construction.
     """
 
     grid: GridSpec
@@ -209,16 +211,10 @@ class GriddedDataset:
     def __post_init__(self):
         self.timestamps = np.asarray(self.timestamps, dtype="datetime64[us]")
         self.data = np.asarray(self.data, dtype=np.float32)
-        if self.data.shape != self.timestamps.shape + (
-            len(self.variables),
-            self.grid.n_lat,
-            self.grid.n_lon,
-        ):
-            raise DatasetError(
-                f"data shape {self.data.shape} does not match "
-                f"(time={len(self.timestamps)}, var={len(self.variables)}, "
-                f"lat={self.grid.n_lat}, lon={self.grid.n_lon})"
-            )
+        check_entries(DATASET_ENTRIES, {"timestamps": self.timestamps,
+                                        "variables": np.array(self.variables, dtype=str),
+                                        "lats": self.grid.lats, "lons": self.grid.lons,
+                                        "data": self.data}, "dataset", DatasetError)
         for name in self.variables:
             validate_variable_name(name)
         if np.isnat(self.timestamps).any():
@@ -237,6 +233,13 @@ class GriddedDataset:
     @property
     def n_times(self) -> int:
         return len(self.timestamps)
+
+    def check_indices(self, indices, what: str, error: type[Exception]) -> None:
+        """Raise ``error`` naming the first of ``indices`` outside this dataset's times."""
+        idx = np.asarray(indices, dtype=np.int64)
+        outside = idx[(idx < 0) | (idx >= self.n_times)]
+        if outside.size:
+            raise error(f"{what} {outside[0]} is outside the dataset's {self.n_times} times")
 
     @property
     def stride(self) -> np.timedelta64:
@@ -326,21 +329,41 @@ def write_npz(path: str | Path, **arrays) -> None:
         np.savez(f, **arrays)
 
 
-class _Entries(dict):
-    """The arrays of one npz archive by name; a missing one raises the reader's error."""
-
-    def __init__(self, path: Path, error: type[Exception], arrays):
-        super().__init__(arrays)
-        self.path, self.error = path, error
-
-    def __missing__(self, name):
-        raise self.error(f"{self.path} has no entry {name!r}")
+_KINDS = {"f": "float", "i": "integer", "U": "string", "M": "datetime64"}
 
 
-def read_npz(path: str | Path, error: type[Exception]) -> _Entries:
-    """The arrays of the npz archive at exactly ``path``, read without pickles;
-    raises ``error`` naming the file when it is not such an archive (a bare
-    ``.npy`` array, other bytes, an entry of Python objects)."""
+def check_entries(table: dict, arrays, where: str, error: type[Exception],
+                  sizes: dict | None = None) -> None:
+    """Raise ``error`` naming ``where`` and the entry unless ``arrays`` holds every
+    entry of ``table`` with its dtype kind, ndim and sizes; no values are read.
+    ``table`` maps a name to ``(kind, dims)``: a ``_KINDS`` kind and, per dimension,
+    a fixed int, a name for a size that every entry having it shares (the one in
+    ``sizes``, else the first entry's in table order) or a function of the named sizes."""
+    sizes, shapes = dict(sizes or {}), {}
+    for name, (kind, dims) in table.items():
+        if name not in arrays:
+            raise error(f"{where} has no entry {name!r}")
+        a = np.asarray(arrays[name])
+        if a.dtype.kind != kind or a.ndim != len(dims):
+            raise error(f"{where} entry {name!r} must be a {len(dims)}-D {_KINDS[kind]} array, "
+                        f"not a {a.ndim}-D {a.dtype} array")
+        shapes[name] = a.shape
+        for d, n in zip(dims, a.shape):
+            if isinstance(d, str):
+                sizes.setdefault(d, n)
+    for name, (_, dims) in table.items():
+        want = tuple(sizes[d] if isinstance(d, str) else d(sizes) if callable(d) else d
+                     for d in dims)
+        if shapes[name] != want:
+            listing = ", ".join(f"{n} {shape}" for n, shape in shapes.items())
+            raise error(f"{where} entry {name!r} has shape {shapes[name]}, not {want} "
+                        f"(entry shapes: {listing})")
+
+
+def read_npz(path: str | Path, error: type[Exception], table: dict) -> dict:
+    """The arrays of the npz archive at exactly ``path``, read without pickles and
+    checked against ``table``; raises ``error`` naming the file when it is not such
+    an archive (a bare ``.npy`` array, other bytes, an object entry) or an entry does not fit."""
     path = Path(path)
     try:  # np.load leaves a file it opened unclosed when the zip does not parse
         with open(path, "rb") as f:
@@ -348,15 +371,17 @@ def read_npz(path: str | Path, error: type[Exception]) -> _Entries:
             if isinstance(z, np.ndarray):
                 raise ValueError("a bare .npy array")
             with z:
-                return _Entries(path, error, z)
+                arrays = dict(z)
     except (ValueError, EOFError, zipfile.BadZipFile):
         raise error(f"{path} is not an npz archive of pickle-free arrays") from None
+    check_entries(table, arrays, str(path), error)
+    return arrays
 
 
-# A dataset file's entries: ndim, dtype kind and the name of that kind.
-_DATASET_ENTRIES = {"data": (4, "f", "float"), "timestamps": (1, "M", "datetime64"),
-                    "variables": (1, "U", "string"), "lats": (1, "f", "float"),
-                    "lons": (1, "f", "float")}
+# A dataset's entries: the axes first, so that ``data`` is named when it does not fit them.
+DATASET_ENTRIES = {"timestamps": ("M", ("time",)), "variables": ("U", ("var",)),
+                   "lats": ("f", ("lat",)), "lons": ("f", ("lon",)),
+                   "data": ("f", ("time", *STATE_DIMS))}
 
 
 def save_dataset(ds: GriddedDataset, path: str | Path) -> Path:
@@ -370,14 +395,8 @@ def save_dataset(ds: GriddedDataset, path: str | Path) -> Path:
 
 
 def load_dataset(path: str | Path) -> GriddedDataset:
-    """The dataset in the archive at ``path``. Each entry's ndim and dtype
-    kind are checked here, everything else by ``GriddedDataset``; errors
-    name the file."""
-    z = read_npz(path, DatasetError)
-    for name, (ndim, kind, desc) in _DATASET_ENTRIES.items():
-        if z[name].ndim != ndim or z[name].dtype.kind != kind:
-            raise DatasetError(f"{path} entry {name!r} must be a {ndim}-D {desc} array, "
-                               f"not a {z[name].ndim}-D {z[name].dtype} array")
+    """The dataset in the archive at ``path``; errors name the file."""
+    z = read_npz(path, DatasetError, DATASET_ENTRIES)
     try:
         return GriddedDataset(GridSpec(z["lats"], z["lons"]), z["variables"].tolist(),
                               z["timestamps"], z["data"])

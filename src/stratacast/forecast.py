@@ -42,8 +42,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import (COUNT, POSITIVE, STEP_HOURS, GriddedDataset, SplitSpec, check_object,
-                      hours_delta, month_index, read_npz, split_time_indices, write_npz)
+from .dataset import (COUNT, POSITIVE, STATE_DIMS, STEP_HOURS, GriddedDataset, SplitSpec,
+                      check_entries, check_object, hours_delta, month_index, read_npz,
+                      split_time_indices, write_npz)
 from .selection import SubsetSelection
 
 
@@ -78,9 +79,9 @@ class ForecasterSpec:
 class EnsembleForecast:
     """M-member rollout trajectories, one step per day.
 
-    ``trajectories`` has shape [init, member, step, variable, lat, lon];
-    step k is lead (k+1) * lead_stride_hours. Its values are finite:
-    ``rollout`` checks every step and ``load_forecast`` checks the file.
+    ``trajectories`` has shape [init, member, step, variable, lat, lon], as
+    ``FORECAST_ENTRIES`` lists; step k is lead (k+1) * lead_stride_hours. Its
+    values are finite: ``rollout`` checks every step and ``load_forecast`` the file.
     """
 
     lead_stride_hours = STEP_HOURS  # training pairs are one step apart
@@ -89,9 +90,9 @@ class EnsembleForecast:
     trajectories: np.ndarray
 
     def __post_init__(self):
-        if self.trajectories.ndim != 6 or len(self.trajectories) != len(self.init_indices):
-            raise ForecastError(f"{len(self.init_indices)} init indices for trajectories of shape "
-                                f"{self.trajectories.shape}; need 6-D, one init per index")
+        check_entries(FORECAST_ENTRIES, {"init_indices": np.asarray(self.init_indices, np.int64),
+                                         "trajectories": self.trajectories},
+                      "forecast", ForecastError)
 
     @property
     def n_members(self) -> int:
@@ -102,15 +103,19 @@ class EnsembleForecast:
         return self.trajectories.shape[2]
 
 
+# A forecast's entries, and the entry of a forecaster file that names its kind.
+FORECAST_ENTRIES = {"init_indices": ("i", ("init",)),
+                    "trajectories": ("f", ("init", "member", "step", *STATE_DIMS))}
+KIND_ENTRY = {"kind": ("U", ())}
+
+
 def _pairs_from_subset(ds: GriddedDataset, subset: SubsetSelection) -> tuple[np.ndarray, int]:
     """The subset's indices that have a successor ``off`` (one forecast step)
     later in ``ds``, and off; raises on an index past the end of ``ds``, and
     unless at least two are left."""
     if subset is None:
         raise ForecastError("a learned forecaster needs a training subset")
-    outside = next((i for i in subset.indices if i >= ds.n_times), None)
-    if outside is not None:
-        raise ForecastError(f"subset index {outside} is outside the dataset's {ds.n_times} times")
+    ds.check_indices(subset.indices, "subset index", ForecastError)
     off = ds.steps(STEP_HOURS, f"the {STEP_HOURS:g} h forecast step")
     idx = np.asarray(subset.indices, dtype=np.int64)
     pair_idx = idx[idx + off < ds.n_times]
@@ -120,15 +125,10 @@ def _pairs_from_subset(ds: GriddedDataset, subset: SubsetSelection) -> tuple[np.
     return pair_idx, off
 
 
-# The dimensions of a state: (variable, lat, lon).
-STATE_DIMS = ("var", "lat", "lon")
-
-
 # A forecaster class declares its kind: ``hyperparameters`` (key -> (rule,
 # default)), ``fit(ds, subset, split, hp, seed)`` with every key in ``hp``, and
-# ``arrays``, the constructor arguments its file holds and their dimensions: an
-# int is a fixed size, a name one shared by every entry having it, and a
-# function one computed from the named sizes.
+# ``arrays``, the entry table of the float constructor arguments its file
+# holds, whose ``var``, ``lat``, ``lon`` and ``values`` are the data's in a rollout.
 class PersistenceForecaster:
     kind = "persistence"
     hyperparameters = {}
@@ -147,7 +147,7 @@ class ClimatologyForecaster:
 
     kind = "climatology"
     hyperparameters = {}
-    arrays = {"monthly_means": (12, *STATE_DIMS)}
+    arrays = {"monthly_means": ("f", (12, *STATE_DIMS))}
 
     def __init__(self, monthly_means: np.ndarray):
         self.monthly_means = monthly_means  # [12, var, lat, lon]
@@ -175,7 +175,7 @@ class StochasticLinearForecaster:
 
     kind = "stochastic_linear"
     hyperparameters = {"ridge_lambda": (POSITIVE, 1e-3)}
-    arrays = {"a": STATE_DIMS, "b": STATE_DIMS, "resid_std": STATE_DIMS}
+    arrays = {"a": ("f", STATE_DIMS), "b": ("f", STATE_DIMS), "resid_std": ("f", STATE_DIMS)}
 
     def __init__(self, a: np.ndarray, b: np.ndarray, resid_std: np.ndarray):
         self.a = a
@@ -257,8 +257,9 @@ class ToyDiffusionForecaster:
                        "n_epochs": (COUNT, 150), "batch_size": (COUNT, 64),
                        "sigma_min": (POSITIVE, 0.02), "sigma_max": (POSITIVE, 3.0)}
     # "values" is the flattened state size; w1 takes [state, noisy state, log sigma]
-    arrays = {"w1": (lambda sizes: 2 * sizes["values"] + 1, "hidden"), "b1": ("hidden",),
-              "w2": ("hidden", "values"), "b2": ("values",), "sample_sigmas": ("levels",)}
+    arrays = {"w1": ("f", (lambda sizes: 2 * sizes["values"] + 1, "hidden")),
+              "b1": ("f", ("hidden",)), "w2": ("f", ("hidden", "values")),
+              "b2": ("f", ("values",)), "sample_sigmas": ("f", ("levels",))}
 
     def __init__(self, w1, b1, w2, b2, sample_sigmas):
         self.w1, self.b1, self.w2, self.b2 = w1, b1, w2, b2
@@ -557,14 +558,12 @@ def rollout(
     a negative seed.
     """
     init_indices = [int(i) for i in init_indices]
-    outside = next((i for i in init_indices if not 0 <= i < ds.n_times), None)
-    if outside is not None:
-        raise ForecastError(f"init index {outside} is outside the dataset's {ds.n_times} times")
+    ds.check_indices(init_indices, "init index", ForecastError)
     if seed < 0:
         raise ForecastError(f"seed {seed} is negative")
     shape = ds.data.shape[1:]
-    _check_shapes(getattr(forecaster, "arrays", {}), vars(forecaster), "forecaster",
-                  dict(zip(STATE_DIMS, shape), values=math.prod(shape)))
+    check_entries(getattr(forecaster, "arrays", {}), vars(forecaster), "forecaster",
+                  ForecastError, dict(zip(STATE_DIMS, shape), values=math.prod(shape)))
     traj = np.empty(
         (len(init_indices), n_members, n_steps) + shape, dtype=np.float32
     )
@@ -610,10 +609,11 @@ def save_forecast(fc: EnsembleForecast, prefix: str | Path) -> None:
 
 
 def load_forecast(prefix: str | Path) -> EnsembleForecast:
-    z = read_npz(_npz_path(prefix), ForecastError)
+    path = _npz_path(prefix)
+    z = read_npz(path, ForecastError, FORECAST_ENTRIES)
     if not np.isfinite(z["trajectories"]).all():
-        raise ForecastError("non-finite trajectory values")
-    return EnsembleForecast(z["init_indices"].reshape(-1).tolist(), z["trajectories"])
+        raise ForecastError(f"{path} entry 'trajectories' holds non-finite values")
+    return EnsembleForecast(z["init_indices"].tolist(), z["trajectories"])
 
 
 def save_forecaster(model, prefix: str | Path) -> None:
@@ -626,36 +626,11 @@ def save_forecaster(model, prefix: str | Path) -> None:
 
 
 def load_forecaster(prefix: str | Path):
-    z = read_npz(_npz_path(prefix), ForecastError)
-    kind = str(z.get("kind"))  # a file without one is an unknown kind
+    path = _npz_path(prefix)
+    z = read_npz(path, ForecastError, KIND_ENTRY)
+    kind = str(z["kind"])
     if kind not in FORECASTERS:
-        raise ForecastError(f"unknown serialized kind {kind!r}")
+        raise ForecastError(f"{path} holds the unknown serialized kind {kind!r}")
     cls = FORECASTERS[kind]
-    _check_shapes(cls.arrays, z, str(z.path))
+    check_entries(cls.arrays, z, str(path), ForecastError)
     return cls(*(z[name] for name in cls.arrays))
-
-
-def _check_shapes(dims: dict, arrays, where: str, sizes: dict | None = None) -> None:
-    """Raises ForecastError naming the first of a forecaster's ``arrays``
-    whose shape does not fit the ``dims`` its class lists, with the shapes of
-    all. A named dimension has its size in ``sizes`` or, failing that, in the
-    first entry that has it."""
-    shapes = {name: np.shape(arrays[name]) for name in dims}
-    sizes = dict(sizes or {})
-
-    def refuse(name, want):
-        listing = ", ".join(f"{n} {shape}" for n, shape in shapes.items())
-        raise ForecastError(f"{where} entry {name!r} has shape {shapes[name]}, not {want} "
-                            f"(entry shapes: {listing})")
-
-    for name, spec in dims.items():
-        if len(shapes[name]) != len(spec):
-            refuse(name, f"{len(spec)}-D")
-        for d, n in zip(spec, shapes[name]):
-            if isinstance(d, str):
-                sizes.setdefault(d, n)
-    for name, spec in dims.items():
-        want = tuple(sizes[d] if isinstance(d, str) else d(sizes) if callable(d) else d
-                     for d in spec)
-        if shapes[name] != want:
-            refuse(name, want)

@@ -15,8 +15,10 @@ from typing import Iterable
 
 import numpy as np
 
-from .dataset import (INTEGER, NUMBER, STEP_HOURS, STRING, DatasetError, GriddedDataset,
-                      GridSpec, at_least, check_object, or_null, read_json)
+from .dataset import (INTEGER, NUMBER, STATE_DIMS, STEP_HOURS, STRING, DatasetError,
+                      GriddedDataset, GridSpec, at_least, check_entries, check_object, or_null,
+                      read_json)
+from .forecast import FORECAST_ENTRIES
 
 
 class MetricError(ValueError):
@@ -160,27 +162,28 @@ def evaluate_forecast(
     method: str = "",
     seed: int | None = None,
 ) -> list[MetricRecord]:
-    """One MetricRecord per (variable, lead); a lead listed twice, or past
-    the forecast's steps, raises MetricError, and one whose truth is off the
-    time grid or past its end raises DatasetError.
+    """One MetricRecord per (variable, lead). A forecast whose state shape is
+    not the truth's, an init index outside the truth and a lead listed twice,
+    or past the forecast's steps, raise MetricError; a lead whose truth is
+    off the time grid or past its end raises DatasetError.
 
     CRPS is the weighted mean of pointwise fair CRPS over all cases and grid
     cells. Degenerate cases (deterministic ensemble or zero error) record
     ssr = 0.0 instead of raising.
     """
-    state, truth_state = forecast.trajectories.shape[3:], truth.data.shape[1:]
-    if state != truth_state:
-        raise MetricError(f"forecast state shape (variable, lat, lon) {state} does not match "
-                          f"the truth dataset's {truth_state}")
+    inits = np.asarray(forecast.init_indices, dtype=np.int64)
+    check_entries(FORECAST_ENTRIES, {"init_indices": inits, "trajectories": forecast.trajectories},
+                  "forecast", MetricError, dict(zip(STATE_DIMS, truth.data.shape[1:])))
+    check_leads(leads_days, forecast.n_steps, MetricError)
+    offsets = [truth.steps(lead * STEP_HOURS, f"lead {lead}d") for lead in leads_days]
+    truth.check_indices(inits, "init index", MetricError)
     if w is None:
         w = np.ones((truth.grid.n_lat, truth.grid.n_lon))
-    check_leads(leads_days, forecast.n_steps, MetricError)
-    inits = np.asarray(forecast.init_indices, dtype=np.int64)
     records = []
-    for lead in leads_days:
+    for lead, off in zip(leads_days, offsets):
         step = int(lead) - 1  # rollouts step one day at a time
-        truth_idx = inits + truth.steps(lead * STEP_HOURS, f"lead {lead}d")
-        bad = (inits < 0) | (truth_idx >= truth.n_times)
+        truth_idx = inits + off
+        bad = truth_idx >= truth.n_times
         if bad.any():
             target = truth.timestamps[0] + truth_idx[bad.argmax()] * truth.stride
             raise DatasetError(f"timestamp {target.item()} not in dataset")

@@ -92,7 +92,7 @@ class SubsetSelection:
 
 
 # Selection keys, in file order: what each must be and whether a file must hold it.
-_KEYS = {"strategy": (STRING, True), "seed": (INTEGER, True),
+_KEYS = {"strategy": (STRING, True), "seed": (at_least(INTEGER, 0), True),
          "fraction": (NUMBER._replace(store=float), True),
          "indices": (list_of(at_least(INTEGER, 0), "a list of integers >= 0", store=list), True),
          "metadata": (OBJECT, False)}
@@ -499,9 +499,11 @@ def run_strategy(
 ) -> SubsetSelection:
     """Select from ``candidate_times`` with the strategy ``name``; the
     result is named ``name`` and records the budget fraction (1.0 for the
-    full-data baseline)."""
+    full-data baseline). A negative seed is refused for every strategy."""
     if name not in STRATEGIES:
         raise SelectionError(f"unknown strategy {name!r}")
+    if seed < 0:
+        raise SelectionError(f"seed {seed} is negative")
     cand = np.asarray(candidate_times, dtype=np.int64)
     if cand.size == 0:
         raise SelectionError("no candidate times")

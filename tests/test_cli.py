@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import re
 import subprocess
 import sys
 from datetime import timedelta
@@ -13,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stratacast import dataset as dsmod
+from stratacast import forecast as forecast_mod
 from stratacast.cli import main
 from stratacast.experiment import eval_init_times, load_standardized
 from stratacast.forecast import VALID_KINDS
@@ -514,7 +516,7 @@ class TestPipeline:
     @pytest.mark.parametrize("change, message", [
         (lambda d: d.pop("indices"), "missing selection file {sel} key 'indices'"),
         (lambda d: d.update(seed=None),
-         "selection file {sel} key 'seed' must be an integer, not None"),
+         "selection file {sel} key 'seed' must be an integer >= 0, not None"),
         (lambda d: d.update(indices=[i + 0.9 for i in d["indices"]]),
          "selection file {sel} key 'indices' must be a list of integers >= 0, not ["),
         (lambda d: d.update(indices=[str(i) for i in d["indices"]]),
@@ -524,7 +526,7 @@ class TestPipeline:
         (lambda d: d.update(indices=[-1, *d["indices"][1:]]),
          "selection file {sel} key 'indices' must be a list of integers >= 0, not [-1, "),
         (lambda d: d.update(seed=0.0),
-         "selection file {sel} key 'seed' must be an integer, not 0.0"),
+         "selection file {sel} key 'seed' must be an integer >= 0, not 0.0"),
         (lambda d: d.update(fraction="0.2"),
          "selection file {sel} key 'fraction' must be a finite number, not '0.2'"),
         (lambda d: d.update(strategy=7),
@@ -606,8 +608,8 @@ class TestPipeline:
                     "--forecast", str(tmp_path / "forecast"),
                     "--train-years", "2000:2000", "--out", str(tmp_path / "scores"))
         assert r.returncode == 2
-        assert ("forecast state shape (variable, lat, lon) (1, 3, 4) does not match "
-                "the truth dataset's (1, 2, 4)") in r.stderr
+        assert re.search(r"forecast entry 'trajectories' has shape \(\d+, 2, 10, 1, 3, 4\), "
+                         r"not \(\d+, 2, 10, 1, 2, 4\)", r.stderr)
         assert "Traceback" not in r.stderr
         assert not (tmp_path / "scores").exists()
 
@@ -648,7 +650,7 @@ class TestPipeline:
         assert not (tmp_path / "scores").exists()
 
     @pytest.mark.parametrize("kind, entry, message", [
-        ("persistence", "kind", "unknown serialized kind 'None'"),
+        ("persistence", "kind", "has no entry 'kind'"),
         ("climatology", "monthly_means", "has no entry 'monthly_means'"),
         ("stochastic_linear", "resid_std", "has no entry 'resid_std'"),
         ("toy_diffusion", "sample_sigmas", "has no entry 'sample_sigmas'"),
@@ -676,7 +678,7 @@ class TestPipeline:
         (lambda p: _rewrite_npz(p, drop="trajectories"), "has no entry 'trajectories'"),
         (lambda p: p.write_bytes(p.read_bytes()[:200]), "not an npz archive"),
         (lambda p: _rewrite_npz(p, drop="init_indices", init_indices=np.arange(3)),
-         "3 init indices for trajectories of shape"),
+         "forecast.npz entry 'trajectories' has shape"),
     ], ids=["no_inits", "no_trajectories", "truncated", "init_count"])
     def test_bad_forecast_file_exits_2(self, data_dir, tmp_path, damage, message):
         data = str(data_dir / "synthetic.ften")
@@ -835,7 +837,7 @@ _DOCUMENTS = {
     "run_config": ("strategies", "fraction", "0.2", ("fraction", 2.0)),
     "synthetic_config": ("noise_std", "n_years", "2", ("start_year", 300000)),
     "hyperparameters": (None, "ridge_lambda", [1e-3], ("ridge_lambda", 0)),
-    "selection": ("indices", "seed", "0", None),
+    "selection": ("indices", "seed", "0", ("seed", -1)),
     "records": ("crps", "lead_days", "5", ("lead_days", 0)),
 }
 _CASES = [(doc, case) for doc in _DOCUMENTS
@@ -924,3 +926,143 @@ class TestOutsideInput:
         path = tmp_path_factory.mktemp("records") / "records.json"
         path.write_text(json.dumps([dataclasses.asdict(r) for r in records], indent=2))
         assert read_records(path) == records
+
+
+# Every array file kind and its entry table: a new forecaster kind is covered
+# by its ``arrays`` table.
+_FILE_TABLES = {"dataset": dsmod.DATASET_ENTRIES, "forecast": forecast_mod.FORECAST_ENTRIES,
+                **{kind: {**forecast_mod.KIND_ENTRY, **cls.arrays}
+                   for kind, cls in forecast_mod.FORECASTERS.items()}}
+
+
+def _pinned_axis(table, entry):
+    """The first axis of ``entry`` whose size its file pins: a fixed or
+    computed size, or a name another entry of ``table`` shares; else None."""
+    for axis, d in enumerate(table[entry][1]):
+        if not isinstance(d, str) or any(d in dims for name, (_, dims) in table.items()
+                                         if name != entry):
+            return axis
+    return None
+
+
+def _entries(path):
+    """The arrays of the npz file at ``path`` by name."""
+    with np.load(path) as z:
+        return {k: z[k] for k in z.files}
+
+
+def _save(path, entries):
+    """Write ``entries`` as an npz archive at exactly ``path``."""
+    with open(path, "wb") as f:
+        np.savez(f, **entries)
+
+
+# A dtype of another kind for each kind a table asks for.
+_OTHER_KIND = {"f": "U1", "i": np.float64, "U": np.int64, "M": np.int64}
+_ENTRY_CASES = [(file, entry, change) for file, table in _FILE_TABLES.items() for entry in table
+                for change in ("drop", "kind", "ndim", "size")
+                if change != "size" or _pinned_axis(table, entry) is not None]
+
+
+class TestEntryTables:
+    @pytest.fixture(scope="class")
+    def files(self, data_dir, tmp_path_factory):
+        """A dataset, a trained forecaster of every kind and a forecast, by file kind."""
+        out = tmp_path_factory.mktemp("files")
+        data = str(data_dir / "synthetic.ften")
+        assert main(["select", "--data", data, "--strategy", "random",
+                     "--train-years", "2000:2000", "--out", str(out)]) == 0
+        for kind in forecast_mod.FORECASTERS:
+            hyper = {"n_epochs": 1, "hidden_width": 4} if kind == "toy_diffusion" else {}
+            assert main(["train", "--data", data, "--selection", str(out / "random_seed0.json"),
+                         "--forecaster", kind, "--hyper", json.dumps(hyper),
+                         "--train-years", "2000:2000", "--out", str(out)]) == 0
+        assert main(["rollout", "--data", data, "--model", str(out / "persistence"),
+                     "--members", "2", "--train-years", "2000:2000",
+                     "--test-years", "2001:2001", "--out", str(out)]) == 0
+        return {"dataset": data_dir / "synthetic.ften", "forecast": out / "forecast.npz",
+                **{kind: out / f"{kind}.npz" for kind in forecast_mod.FORECASTERS}}
+
+    def _refused(self, files, file, path, tmp_path):
+        """The exit code and error output of the command that reads ``path``
+        as a file of kind ``file``, in process."""
+        data, out = str(files["dataset"]), str(tmp_path / "out")
+        argv = {"dataset": ["select", "--data", str(path), "--strategy", "random",
+                            "--train-years", "2000:2000"],
+                "forecast": ["evaluate", "--data", data, "--forecast", str(path),
+                             "--train-years", "2000:2000"]}.get(
+            file, ["rollout", "--data", data, "--model", str(path), "--train-years", "2000:2000",
+                   "--test-years", "2001:2001"])
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([*argv, "--out", out])
+        assert not (tmp_path / "out").exists()
+        return code, err.getvalue()
+
+    @pytest.mark.parametrize("file, entry, change", _ENTRY_CASES,
+                             ids=[f"{f}-{e}-{c}" for f, e, c in _ENTRY_CASES])
+    def test_each_entry_is_checked_against_its_table(self, files, tmp_path, file, entry, change):
+        """Dropping an entry, or giving it another dtype kind, ndim or pinned
+        size, is refused with exit 2 naming the file and the entry."""
+        kind, dims = _FILE_TABLES[file][entry]
+        path = tmp_path / files[file].name
+        entries = _entries(files[file])
+        a = entries.pop(entry)
+        if change == "kind":
+            entries[entry] = np.zeros(a.shape, dtype=_OTHER_KIND[kind])
+        elif change == "ndim":
+            entries[entry] = a[None]
+        elif change == "size":  # one more slice along the pinned axis
+            axis = _pinned_axis(_FILE_TABLES[file], entry)
+            entries[entry] = np.concatenate([a, a.take([0], axis=axis)], axis=axis)
+        _save(path, entries)
+        code, err = self._refused(files, file, path, tmp_path)
+        assert code == 2
+        assert str(path) in err
+        if change == "drop":
+            assert f"has no entry {entry!r}" in err
+        elif change == "size":
+            assert "has shape" in err
+            assert f"{entry} {entries[entry].shape}" in err
+        else:
+            assert f"entry {entry!r} must be a {len(dims)}-D " in err
+
+    @pytest.mark.parametrize("file, entry, damage", [
+        ("forecast", "trajectories", lambda a: a.astype(str)),
+        ("forecast", "init_indices", lambda a: a + 0.5),
+        ("forecast", "init_indices", lambda a: a[:, None]),
+        ("stochastic_linear", "a", lambda a: np.zeros(a.shape, "datetime64[us]")),
+        ("stochastic_linear", "a", lambda a: a.astype(str)),
+    ], ids=["string_trajectories", "float_init_indices", "2d_init_indices",
+            "datetime_forecaster_entry", "string_forecaster_entry"])
+    def test_an_entry_of_the_wrong_kind_or_ndim_is_refused(self, files, tmp_path, file, entry,
+                                                           damage):
+        path = tmp_path / files[file].name
+        entries = _entries(files[file])
+        entries[entry] = damage(entries[entry])
+        _save(path, entries)
+        code, err = self._refused(files, file, path, tmp_path)
+        assert code == 2
+        assert f"{path} entry {entry!r} must be a " in err
+
+    def test_an_init_index_outside_the_truth_is_named(self, files, tmp_path):
+        path = tmp_path / "forecast.npz"
+        entries = _entries(files["forecast"])
+        entries["init_indices"][0] = -1
+        _save(path, entries)
+        code, err = self._refused(files, "forecast", path, tmp_path)
+        assert code == 2
+        n_times = dsmod.load_dataset(files["dataset"]).n_times
+        assert f"init index -1 is outside the dataset's {n_times} times" in err
+
+    @pytest.mark.parametrize("axis", ["lats", "lons"])
+    def test_a_nan_grid_axis_is_refused(self, files, tmp_path, axis):
+        """A one-point axis of NaN fails the range check, naming the file."""
+        path = tmp_path / "d.ften"
+        entries = _entries(files["dataset"])
+        entries[axis] = np.array([np.nan])
+        entries["data"] = entries["data"][:, :, :1] if axis == "lats" else entries["data"][..., :1]
+        _save(path, entries)
+        code, err = self._refused(files, "dataset", path, tmp_path)
+        assert code == 2
+        assert f"{path}: {'latitudes' if axis == 'lats' else 'longitudes'} must lie in" in err

@@ -78,7 +78,8 @@ class TestFileFormat:
         path = save_dataset(ds, tmp_path / "d.ften")
         _rewrite_entries(path, data=ds.data[:, :, :, :1])
         with pytest.raises(DatasetError, match=re.escape(
-                "d.ften: data shape (2, 1, 2, 1) does not match (time=2, var=1, lat=2, lon=2)")):
+                "d.ften entry 'data' has shape (2, 1, 2, 1), not (2, 1, 2, 2) (entry shapes: "
+                "timestamps (2,), variables (1,), lats (2,), lons (2,), data (2, 1, 2, 1))")):
             load_dataset(path)
 
     def test_sub_second_timestamps_round_trip(self, tmp_path):
@@ -358,12 +359,16 @@ _POINT = GridSpec(np.array([0.0]), np.array([0.0]))
     (lambda tmp: GridSpec(np.array([90.5]), np.array([0.0])), "latitudes must lie in [-90, 90]"),
     (lambda tmp: GridSpec(np.array([0.0]), np.array([360.0])),
      "longitudes must lie in [0, 360) or [-180, 180)"),
+    (lambda tmp: GridSpec(np.array([np.nan]), np.array([0.0])), "latitudes must lie in [-90, 90]"),
+    (lambda tmp: GridSpec(np.array([0.0]), np.array([np.nan])),
+     "longitudes must lie in [0, 360) or [-180, 180)"),
     (lambda tmp: GridSpec(np.array([0.0, 10.0, 5.0]), np.array([0.0])),
      "lats must be strictly monotone"),
     (lambda tmp: GridSpec(np.array([0.0]), np.array([0.0, 0.0])), "lons must be strictly monotone"),
     (lambda tmp: GriddedDataset(_POINT, ["synthetic_0"], [datetime(2000, 1, 1)],
                                 np.zeros((1, 1, 1, 2))),
-     "data shape (1, 1, 1, 2) does not match (time=1, var=1, lat=1, lon=1)"),
+     "dataset entry 'data' has shape (1, 1, 1, 2), not (1, 1, 1, 1) (entry shapes: "
+     "timestamps (1,), variables (1,), lats (1,), lons (1,), data (1, 1, 1, 2))"),
     (lambda tmp: GriddedDataset(_POINT, ["synthetic_0"], np.array(["NaT"], "datetime64[us]"),
                                 np.zeros((1, 1, 1, 1))),
      "timestamps must not be NaT"),
@@ -377,7 +382,8 @@ _POINT = GridSpec(np.array([0.0]), np.array([0.0]))
     (lambda tmp: make_ds(np.zeros((2, 1, 1, 1))).steps(1e300, "span"),
      "1e+300 h is past the datetime64[us] range"),
     (lambda tmp: dsmod.hours_delta(float("nan")), "nan h is past the datetime64[us] range"),
-], ids=["not_an_archive", "missing_entry", "wrong_dtype", "wrong_ndim", "empty_axis", "latitude", "longitude", "lats_order",
+], ids=["not_an_archive", "missing_entry", "wrong_dtype", "wrong_ndim", "empty_axis", "latitude",
+        "longitude", "nan_latitude", "nan_longitude", "lats_order",
         "lons_order", "data_shape", "nat_timestamp", "unknown_variable", "zero_std",
         "empty_training_split", "delta_past_int64", "steps_past_int64", "nan_hours"])
 def test_refusals(tmp_path, build, message):

@@ -295,7 +295,7 @@ class TestRollout:
         ds = series_ds(np.random.default_rng(11).normal(size=300))
         fc = rollout(PersistenceForecaster(), ds, [3, 9], n_members=2, n_steps=4, seed=5)
         np.savez(tmp_path / "f.npz", trajectories=fc.trajectories, init_indices=np.array(inits))
-        with pytest.raises(ForecastError, match=rf"^{len(inits)} init indices for trajectories"):
+        with pytest.raises(ForecastError, match=r"f\.npz entry 'trajectories' has shape \(2, "):
             load_forecast(tmp_path / "f")
         with pytest.raises(ForecastError, match="6-D"):
             EnsembleForecast([3, 9], fc.trajectories[:, 0])
@@ -645,15 +645,14 @@ class TestBatchedRollout:
         ds = series_ds(np.random.default_rng(11).normal(size=300))
         fc = rollout(PersistenceForecaster(), ds, [3, 9], n_members=2, n_steps=4, seed=5)
         save_forecast(fc, tmp_path / "f")
-        with pytest.raises(ForecastError, match="unknown serialized kind"):
+        with pytest.raises(ForecastError, match="f.npz has no entry 'kind'"):
             load_forecaster(tmp_path / "f")
 
     @pytest.mark.parametrize("kind, entry", FORECASTER_ENTRIES)
     def test_load_forecaster_names_missing_entry(self, trained_models, kind, entry, tmp_path):
         save_forecaster(trained_models[1][kind], tmp_path / kind)
         _drop_entry(tmp_path / f"{kind}.npz", entry)
-        match = "unknown serialized kind 'None'" if entry == "kind" else f"has no entry {entry!r}"
-        with pytest.raises(ForecastError, match=match):
+        with pytest.raises(ForecastError, match=f"has no entry {entry!r}"):
             load_forecaster(tmp_path / kind)
 
     def test_prefixes_that_differ_after_a_dot_name_two_files(self, trained_models, tmp_path):
@@ -710,10 +709,15 @@ class TestForecasterShapes:
         model = trained_models[1][kind]
         save_forecaster(model, tmp_path / kind)
         _reshape_entry(tmp_path / f"{kind}.npz", entry, change)
-        with pytest.raises(ForecastError, match="has shape") as err:
+        ndim, damaged = getattr(model, entry).ndim, change(getattr(model, entry))
+        with pytest.raises(ForecastError) as err:
             load_forecaster(tmp_path / kind)
-        # the message lists the damaged entry with its shape
-        assert f"{entry} {change(getattr(model, entry)).shape}" in str(err.value)
+        if damaged.ndim == ndim:
+            # the message lists the damaged entry with its shape
+            assert "has shape" in str(err.value)
+            assert f"{entry} {damaged.shape}" in str(err.value)
+        else:
+            assert f"entry {entry!r} must be a {ndim}-D float array" in str(err.value)
 
     @pytest.mark.parametrize("kind", ["climatology", "stochastic_linear", "toy_diffusion"])
     def test_load_accepts_every_trained_file(self, trained_models, tmp_path, kind):

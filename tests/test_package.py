@@ -132,17 +132,39 @@ def test_time_axis_is_answered_in_dataset_only():
     assert hits == []
 
 
+def _is_dtype_kind_or_ndim(node) -> bool:
+    return isinstance(node, ast.Attribute) and (node.attr == "ndim" or (
+        node.attr == "kind" and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "dtype"))
+
+
 def test_array_files_are_read_and_written_in_dataset_only(tmp_path):
     """The container of every array file is decided in ``dataset.py``: no
     other module spells ``np.savez``, ``np.load``, ``zipfile`` or ``struct``.
-    The file ``save_dataset`` writes opens with plain ``np.load`` and holds
-    exactly its five entries."""
+    Every ``read_npz`` call passes an entry table, and no module but
+    ``dataset.py`` (``check_entries``) compares an array's ``.ndim`` or
+    ``.dtype.kind``. The file ``save_dataset`` writes opens with plain
+    ``np.load`` and holds exactly its five entries."""
     spelled = re.compile(r"np\.savez|np\.load|\bzipfile\b|\bstruct\b")
-    hits = [f"{path.name}:{n}: {line.strip()}"
-            for path in sorted(Path(stratacast.__file__).parent.glob("*.py"))
-            if path.name != "dataset.py"
-            for n, line in enumerate(path.read_text().splitlines(), 1) if spelled.search(line)]
+    hits, untabled, compared, readers = [], [], [], 0
+    for path in sorted(Path(stratacast.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        for node in ast.walk(ast.parse(text)):
+            func = getattr(node, "func", None)
+            if isinstance(node, ast.Call) and "read_npz" in (getattr(func, "id", None),
+                                                             getattr(func, "attr", None)):
+                readers += 1
+                if len(node.args) < 3 and "table" not in [k.arg for k in node.keywords]:
+                    untabled.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.Compare) and path.name != "dataset.py" and any(
+                    map(_is_dtype_kind_or_ndim, [node.left, *node.comparators])):
+                compared.append(f"{path.name}:{node.lineno}")
+        if path.name != "dataset.py":
+            hits += [f"{path.name}:{n}: {line.strip()}"
+                     for n, line in enumerate(text.splitlines(), 1) if spelled.search(line)]
     assert hits == []
+    assert readers > 0 and untabled == []
+    assert compared == []
     ds = GriddedDataset(GridSpec([0.0], [0.0]), ["z500"],
                         np.array(["2000-01-01"], "datetime64[us]"), np.zeros((1, 1, 1, 1)))
     path = save_dataset(ds, tmp_path / "d.ften")

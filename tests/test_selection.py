@@ -151,8 +151,10 @@ class TestQuotas:
      "selection key 'indices' must be a list of integers >= 0, not [-1]"),
     (lambda ds: SubsetSelection("random", [0, 1], "0.2", 0),
      "selection key 'fraction' must be a finite number, not '0.2'"),
+    (lambda ds: SubsetSelection("random", [0, 1], 0.2, -1),
+     "selection key 'seed' must be an integer >= 0, not -1"),
 ], ids=["unknown_strategy", "no_candidates", "k_past_points", "unknown_init", "repeated_index",
-        "negative_index", "string_fraction"])
+        "negative_index", "string_fraction", "negative_seed"])
 def test_refusals(call, message):
     with pytest.raises(SelectionError, match=re.escape(message) + "$"):
         call(scalar_series(range(4)))
@@ -184,6 +186,13 @@ def test_count_uniqueness_range_determinism(std_toy, name):
     assert sel1.to_json() == sel2.to_json()
 
 
+@pytest.mark.parametrize("name", sorted(STRATEGIES))
+def test_negative_seed_is_refused(std_toy, name):
+    """Every strategy refuses a negative seed before it draws or selects."""
+    with pytest.raises(SelectionError, match="^seed -1 is negative$"):
+        run_strategy(name, std_toy, list(range(40, 140)), SelectionBudget(0.2), seed=-1)
+
+
 @pytest.mark.parametrize("name", sorted(set(STRATEGIES) - {"full"}))
 def test_different_seed_allowed_to_differ(std_toy, name):
     # deterministic strategies may coincide; the call must at least not fail
@@ -212,7 +221,7 @@ _JSON_VALUES = st.recursive(
 
 @settings(max_examples=80, deadline=None)
 @given(strategy=st.text(), indices=st.lists(st.integers(0, 2**40), unique=True),
-       seed=st.integers(), fraction=st.floats(0.0, 1.0, exclude_min=True),
+       seed=st.integers(0), fraction=st.floats(0.0, 1.0, exclude_min=True),
        metadata=st.dictionaries(st.text(), _JSON_VALUES, max_size=4))
 def test_selection_file_round_trip_property(tmp_path_factory, strategy, indices, seed, fraction,
                                             metadata):
