@@ -150,6 +150,27 @@ def month_index(times) -> np.ndarray:
     return np.asarray(times, dtype="datetime64[M]").astype(np.int64) % 12
 
 
+def check_integer(value, what: str, error: type[Exception], least: int = 0) -> int:
+    """``value`` as an int; raises ``error`` naming ``what`` unless it is a
+    Python or numpy int (not a bool) of at least ``least``: ``seed 2.5 is not
+    an integer``, ``seed -1 is negative``, ``n_steps 0 is below 1``."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+        raise error(f"{what} {value!r} is not an integer")
+    if value < least:
+        raise error(f"{what} {value} is " + ("negative" if least == 0 else f"below {least}"))
+    return int(value)
+
+
+def integer_array(values, what: str, error: type[Exception]) -> np.ndarray:
+    """``values`` as an int64 array; raises ``error`` naming the first list (or 1-D array) item,
+    typed one by one, that is not a Python or numpy int: a float, a bool, a string or a list."""
+    items = values.tolist() if isinstance(values, np.ndarray) else values
+    bad = [t for t in set(map(type, items)) if not issubclass(t, (int, np.integer)) or t is bool]
+    if bad:
+        raise error(f"{what} {next(v for v in items if type(v) in bad)!r} is not an integer")
+    return np.asarray(values, dtype=np.int64)
+
+
 def validate_variable_name(name: str) -> str:
     if name in KNOWN_VARIABLES or _SYNTH_RE.match(name):
         return name
@@ -234,12 +255,16 @@ class GriddedDataset:
     def n_times(self) -> int:
         return len(self.timestamps)
 
-    def check_indices(self, indices, what: str, error: type[Exception]) -> None:
-        """Raise ``error`` naming the first of ``indices`` outside this dataset's times."""
-        idx = np.asarray(indices, dtype=np.int64)
+    def check_indices(self, indices, what: str, error: type[Exception]) -> np.ndarray:
+        """``indices`` as ``integer_array`` checks them, the int64 array every
+        stage reads; raises ``error`` naming the first one outside this
+        dataset's times: ``init index -1 is outside the dataset's 10 times``.
+        An empty list passes."""
+        idx = integer_array(indices, what, error)
         outside = idx[(idx < 0) | (idx >= self.n_times)]
         if outside.size:
             raise error(f"{what} {outside[0]} is outside the dataset's {self.n_times} times")
+        return idx
 
     @property
     def stride(self) -> np.timedelta64:

@@ -36,11 +36,10 @@ class PcaModel:
 
 def flatten_samples(ds: GriddedDataset, times) -> np.ndarray:
     """Row per time index: variable-major concatenation of grid values."""
-    times = np.asarray(times, dtype=np.int64)
+    times = ds.check_indices(times, "time index", FeatureError)
     if times.size == 0:
         raise FeatureError("empty time index list")
-    n = times.size
-    return ds.data[times].reshape(n, -1).astype(np.float64)
+    return ds.data[times].reshape(times.size, -1).astype(np.float64)
 
 
 def _fix_signs(axes: np.ndarray, tol: float = 1e-12) -> np.ndarray:
@@ -107,7 +106,6 @@ def pca_transform(model: PcaModel, x: np.ndarray) -> np.ndarray:
 
 def spatial_mean_matrix(ds: GriddedDataset, times) -> np.ndarray:
     """Per-variable spatial mean (unweighted), one row per time index."""
-    times = np.asarray(times, dtype=np.int64)
     return ds.data[times].astype(np.float64).mean(axis=(2, 3))
 
 

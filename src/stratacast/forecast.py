@@ -36,15 +36,14 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .dataset import (COUNT, POSITIVE, STATE_DIMS, STEP_HOURS, GriddedDataset, SplitSpec,
-                      check_entries, check_object, hours_delta, month_index, read_npz,
-                      split_time_indices, write_npz)
+                      check_entries, check_integer, check_object, hours_delta, integer_array,
+                      month_index, read_npz, split_time_indices, write_npz)
 from .selection import SubsetSelection
 
 
@@ -90,9 +89,8 @@ class EnsembleForecast:
     trajectories: np.ndarray
 
     def __post_init__(self):
-        check_entries(FORECAST_ENTRIES, {"init_indices": np.asarray(self.init_indices, np.int64),
-                                         "trajectories": self.trajectories},
-                      "forecast", ForecastError)
+        check_entries(TRAJECTORY_ENTRY, vars(self), "forecast", ForecastError,
+                      {"init": len(self.init_indices)})
 
     @property
     def n_members(self) -> int:
@@ -103,9 +101,9 @@ class EnsembleForecast:
         return self.trajectories.shape[2]
 
 
-# A forecast's entries, and the entry of a forecaster file that names its kind.
-FORECAST_ENTRIES = {"init_indices": ("i", ("init",)),
-                    "trajectories": ("f", ("init", "member", "step", *STATE_DIMS))}
+# A forecast's trajectories, its entries, and the entry of a forecaster file that names its kind.
+TRAJECTORY_ENTRY = {"trajectories": ("f", ("init", "member", "step", *STATE_DIMS))}
+FORECAST_ENTRIES = {"init_indices": ("i", ("init",)), **TRAJECTORY_ENTRY}
 KIND_ENTRY = {"kind": ("U", ())}
 
 
@@ -115,9 +113,8 @@ def _pairs_from_subset(ds: GriddedDataset, subset: SubsetSelection) -> tuple[np.
     unless at least two are left."""
     if subset is None:
         raise ForecastError("a learned forecaster needs a training subset")
-    ds.check_indices(subset.indices, "subset index", ForecastError)
+    idx = ds.check_indices(subset.indices, "subset index", ForecastError)
     off = ds.steps(STEP_HOURS, f"the {STEP_HOURS:g} h forecast step")
-    idx = np.asarray(subset.indices, dtype=np.int64)
     pair_idx = idx[idx + off < ds.n_times]
     if pair_idx.size < 2:
         raise ForecastError(f"only {pair_idx.size} usable training pairs in the "
@@ -379,11 +376,10 @@ def train(
     dataset, as ``SubsetSelection`` checks, and a learned kind refuses one
     past its end. A pair whose successor falls past the end of ``ds`` is
     dropped; training candidates (``experiment.training_candidates``) all
-    have theirs in the training split. Raises ForecastError for a negative
-    seed.
+    have theirs in the training split. Raises ForecastError for a seed that
+    is not an integer >= 0 (a bool or a float is refused, a numpy int taken).
     """
-    if seed < 0:
-        raise ForecastError(f"seed {seed} is negative")
+    seed = check_integer(seed, "seed", ForecastError)
     return FORECASTERS[spec.kind].fit(ds, subset, split, spec.hyperparameters, seed)
 
 
@@ -452,17 +448,13 @@ def _pool_state(entropy: np.ndarray) -> np.ndarray:
 
 
 def _row_seed_states(seed: int, n_members: int, init_indices) -> np.ndarray:
-    """[init x member, 4] uint64 PCG64 seeding words, init-major: row
-    (i, m) equals ``np.random.SeedSequence([seed, m, init_indices[i]])
-    .generate_state(4, np.uint64)``."""
-    seed = operator.index(seed)
-    inits = np.asarray(init_indices, dtype=np.int64).reshape(-1)
-    if seed < 0 or (inits < 0).any() or (inits > _MASK32).any():
-        raise ValueError("seed must be non-negative and init indices in [0, 2**32)")
-    rows = inits.size * n_members
+    """[init x member, 4] uint64 PCG64 seeding words, init-major: row (i, m) equals
+    ``np.random.SeedSequence([seed, m, init_indices[i]]).generate_state(4, np.uint64)``
+    for the seed >= 0 and the indices below 2**32 that ``rollout`` checked."""
+    rows = len(init_indices) * n_members
     cols = [np.full(rows, w, dtype=np.uint32) for w in _uint32_words(seed)]
-    cols.append(np.tile(np.arange(n_members, dtype=np.uint32), inits.size))
-    cols.append(np.repeat(inits.astype(np.uint32), n_members))
+    cols.append(np.tile(np.arange(n_members, dtype=np.uint32), len(init_indices)))
+    cols.append(np.repeat(np.asarray(init_indices, dtype=np.uint32), n_members))
     return _pool_state(np.stack(cols, axis=1))
 
 
@@ -533,7 +525,7 @@ def _inits_per_block(state_values: int, n_members: int) -> int:
     """Inits per rollout block: about ``_BLOCK_VALUES`` state values, at most
     ``_BLOCK_MAX_ROWS`` rows, and never fewer than one init's members."""
     rows = min(_BLOCK_MAX_ROWS, _BLOCK_VALUES // max(state_values, 1))
-    return max(rows // max(n_members, 1), 1)
+    return max(rows // n_members, 1)
 
 
 def rollout(
@@ -553,14 +545,16 @@ def rollout(
     per block and step. A block holds about 2**16 state values and at most
     512 rows, but always at least one init's members: 512 rows on a
     32-value state, 64 rows on a 1,024-value state, one init on a very
-    large state. A forecaster whose state dimensions are not the data's is
-    refused, naming the entry, and so are an init index outside ``ds`` and
-    a negative seed.
+    large state. Before any work, ForecastError names an init index that is
+    not an integer (a float, 3.0 included, or a bool) or lies outside
+    ``ds``, a seed that is not an integer >= 0, an ``n_members`` or
+    ``n_steps`` that is not an integer >= 1 and a forecaster whose state
+    dimensions are not the data's. An empty init list gives an empty forecast.
     """
-    init_indices = [int(i) for i in init_indices]
-    ds.check_indices(init_indices, "init index", ForecastError)
-    if seed < 0:
-        raise ForecastError(f"seed {seed} is negative")
+    init_indices = ds.check_indices(init_indices, "init index", ForecastError)
+    seed = check_integer(seed, "seed", ForecastError)
+    n_members = check_integer(n_members, "n_members", ForecastError, 1)
+    n_steps = check_integer(n_steps, "n_steps", ForecastError, 1)
     shape = ds.data.shape[1:]
     check_entries(getattr(forecaster, "arrays", {}), vars(forecaster), "forecaster",
                   ForecastError, dict(zip(STATE_DIMS, shape), values=math.prod(shape)))
@@ -587,7 +581,7 @@ def rollout(
                     f"non-finite state at init {inits[ii]}, member {m}, step {k}"
                 )
             out[:, :, k] = states.reshape((len(inits), n_members) + shape)
-    return EnsembleForecast(init_indices, traj)
+    return EnsembleForecast(init_indices.tolist(), traj)
 
 
 # ---------------------------------------------------------------------------
@@ -600,11 +594,11 @@ def _npz_path(prefix: str | Path) -> Path:
 
 
 def save_forecast(fc: EnsembleForecast, prefix: str | Path) -> None:
-    """Write ``<prefix>.npz``: float32 ``trajectories`` and ``init_indices``."""
+    """Write ``<prefix>.npz``: float32 ``trajectories`` and int64 ``init_indices``."""
     write_npz(
         _npz_path(prefix),
         trajectories=np.asarray(fc.trajectories, dtype=np.float32),
-        init_indices=np.asarray(fc.init_indices, dtype=np.int64),
+        init_indices=integer_array(fc.init_indices, "init index", ForecastError),
     )
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from .dataset import (INTEGER, NUMBER, STATE_DIMS, STEP_HOURS, STRING, DatasetError,
                       GriddedDataset, GridSpec, at_least, check_entries, check_object, or_null,
                       read_json)
-from .forecast import FORECAST_ENTRIES
+from .forecast import TRAJECTORY_ENTRY
 
 
 class MetricError(ValueError):
@@ -162,21 +162,25 @@ def evaluate_forecast(
     method: str = "",
     seed: int | None = None,
 ) -> list[MetricRecord]:
-    """One MetricRecord per (variable, lead). A forecast whose state shape is
-    not the truth's, an init index outside the truth and a lead listed twice,
-    or past the forecast's steps, raise MetricError; a lead whose truth is
-    off the time grid or past its end raises DatasetError.
+    """One MetricRecord per (variable, lead). Raises, in this order,
+    MetricError for a forecast with no inits or whose state shape is not the
+    truth's and for a lead listed twice or past the forecast's steps,
+    DatasetError for a lead off the truth's time grid, MetricError for an
+    init index that is not an integer (a float, 3.0 included, or a bool) or
+    lies outside the truth, and DatasetError for a lead whose truth is past
+    its end.
 
     CRPS is the weighted mean of pointwise fair CRPS over all cases and grid
     cells. Degenerate cases (deterministic ensemble or zero error) record
     ssr = 0.0 instead of raising.
     """
-    inits = np.asarray(forecast.init_indices, dtype=np.int64)
-    check_entries(FORECAST_ENTRIES, {"init_indices": inits, "trajectories": forecast.trajectories},
-                  "forecast", MetricError, dict(zip(STATE_DIMS, truth.data.shape[1:])))
+    if not len(forecast.init_indices):
+        raise MetricError("forecast has no inits to score")
+    check_entries(TRAJECTORY_ENTRY, vars(forecast), "forecast", MetricError,
+                  dict(zip(STATE_DIMS, truth.data.shape[1:]), init=len(forecast.init_indices)))
     check_leads(leads_days, forecast.n_steps, MetricError)
     offsets = [truth.steps(lead * STEP_HOURS, f"lead {lead}d") for lead in leads_days]
-    truth.check_indices(inits, "init index", MetricError)
+    inits = truth.check_indices(forecast.init_indices, "init index", MetricError)
     if w is None:
         w = np.ones((truth.grid.n_lat, truth.grid.n_lon))
     records = []

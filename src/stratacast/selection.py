@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import (FRACTION, INTEGER, NUMBER, OBJECT, STEP_HOURS, STRING, GriddedDataset,
-                      at_least, check_object, list_of, month_index, read_json)
+                      at_least, check_integer, check_object, list_of, month_index, read_json)
 from .features import (
     _svd_pca,
     flatten_samples,
@@ -499,12 +499,14 @@ def run_strategy(
 ) -> SubsetSelection:
     """Select from ``candidate_times`` with the strategy ``name``; the
     result is named ``name`` and records the budget fraction (1.0 for the
-    full-data baseline). A negative seed is refused for every strategy."""
+    full-data baseline). For every strategy, SelectionError names a seed
+    that is not an integer >= 0 (a numpy int is taken) and a candidate that
+    is not an integer (a float, 3.0 included, or a bool) or lies outside
+    ``ds``."""
     if name not in STRATEGIES:
         raise SelectionError(f"unknown strategy {name!r}")
-    if seed < 0:
-        raise SelectionError(f"seed {seed} is negative")
-    cand = np.asarray(candidate_times, dtype=np.int64)
+    seed = check_integer(seed, "seed", SelectionError)
+    cand = ds.check_indices(candidate_times, "candidate time", SelectionError)
     if cand.size == 0:
         raise SelectionError("no candidate times")
     if name == FULL:

@@ -1055,6 +1055,14 @@ class TestEntryTables:
         n_times = dsmod.load_dataset(files["dataset"]).n_times
         assert f"init index -1 is outside the dataset's {n_times} times" in err
 
+    def test_a_forecast_with_no_inits_is_refused(self, files, tmp_path):
+        path = tmp_path / "forecast.npz"
+        entries = _entries(files["forecast"])
+        _save(path, {name: a[:0] for name, a in entries.items()})
+        code, err = self._refused(files, "forecast", path, tmp_path)
+        assert code == 2
+        assert err.strip() == "error: forecast has no inits to score"
+
     @pytest.mark.parametrize("axis", ["lats", "lons"])
     def test_a_nan_grid_axis_is_refused(self, files, tmp_path, axis):
         """A one-point axis of NaN fails the range check, naming the file."""

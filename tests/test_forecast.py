@@ -27,7 +27,7 @@ from stratacast.forecast import (
     save_forecaster,
     train,
 )
-from stratacast.metrics import evaluate_forecast
+from stratacast.metrics import MetricError, evaluate_forecast
 from stratacast.selection import SelectionBudget, SelectionError, SubsetSelection, run_strategy
 from stratacast.synthetic import SyntheticConfig, generate
 
@@ -830,11 +830,90 @@ class TestRowSeeds:
 
     @pytest.mark.parametrize("seed, inits", [(-1, [0, 1]), (0, [3, -1]), (0, [2**32])])
     def test_negative_seed_or_out_of_range_init_raises(self, seed, inits):
-        with pytest.raises(ValueError):
-            forecast_mod._row_seed_states(seed, 2, inits)
+        """``_row_seed_states`` hashes what ``rollout`` checked: a seed or an
+        init that one uint32 word cannot hold is refused before it is reached."""
         ds = series_ds(np.zeros(20))
-        with pytest.raises(ValueError):
+        with mock.patch.object(forecast_mod, "_row_seed_states") as row_seeds, \
+                pytest.raises(ForecastError):
             rollout(PersistenceForecaster(), ds, inits, n_members=2, n_steps=2, seed=seed)
+        row_seeds.assert_not_called()
+
+
+# Every stage entry reads its indices through ``GriddedDataset.check_indices``.
+_N_TIMES = 30
+_INDEX_DS = series_ds(np.random.default_rng(3).normal(size=_N_TIMES))
+_INDEX_MODEL = train(ForecasterSpec("stochastic_linear"), _INDEX_DS, full_selection(_INDEX_DS))
+
+
+def _select_entry(indices):
+    return run_strategy("random", _INDEX_DS, indices, SelectionBudget(0.5), seed=1).indices
+
+
+def _train_entry(indices):
+    subset = SubsetSelection("random", [], 1.0, 0)
+    subset.indices = indices  # past the subset's own check, so train's is the one that reads them
+    model = train(ForecasterSpec("stochastic_linear"), _INDEX_DS, subset)
+    return model.a.tobytes(), model.b.tobytes(), model.resid_std.tobytes()
+
+
+def _rollout_entry(indices):
+    fc = rollout(_INDEX_MODEL, _INDEX_DS, indices, n_members=2, n_steps=3, seed=4)
+    return fc.init_indices, fc.trajectories.tobytes()
+
+
+def _evaluate_entry(indices):
+    traj = np.linspace(-1, 1, len(indices) * 6, dtype=np.float32).reshape(-1, 2, 3, 1, 1, 1)
+    records = evaluate_forecast(EnsembleForecast(indices, traj), _INDEX_DS, leads_days=(1, 3))
+    return np.array([(r.crps, r.rmse, r.ssr) for r in records]).tobytes()
+
+
+_INDEX_ENTRIES = {"run_strategy": (_select_entry, SelectionError, "candidate time"),
+                  "train": (_train_entry, ForecastError, "subset index"),
+                  "rollout": (_rollout_entry, ForecastError, "init index"),
+                  "evaluate_forecast": (_evaluate_entry, MetricError, "init index")}
+_IN_RANGE = st.integers(0, _N_TIMES - 1)
+_VALID_INDEX = _IN_RANGE | _IN_RANGE.map(np.int64)
+# half the lists hold only valid indices, so that every stage also accepts some
+_INDEX_LISTS = st.lists(_VALID_INDEX, max_size=6) | st.lists(st.one_of(
+    _VALID_INDEX, st.integers(-3, -1), st.integers(_N_TIMES, _N_TIMES + 3),
+    _IN_RANGE.map(float), st.floats(0.5, _N_TIMES - 1.5).filter(lambda x: x != int(x)),
+    st.booleans()), max_size=5)
+
+
+def _outcome(entry, indices):
+    """What ``entry`` returns, or the type and message of the error it raises."""
+    try:
+        return entry(indices)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(stage=st.sampled_from(sorted(_INDEX_ENTRIES)), items=_INDEX_LISTS)
+def test_each_stage_reads_its_indices_as_checked_int64(stage, items):
+    """A list of ints and numpy ints inside the dataset (or an empty list)
+    does at every stage what its int64 array does, bitwise. Any other list
+    is refused with the stage's error, naming its first float or bool, else
+    its first index outside the dataset."""
+    entry, error, what = _INDEX_ENTRIES[stage]
+    not_int = [v for v in items if isinstance(v, (bool, float))]
+    outside = [v for v in items if not 0 <= v < _N_TIMES]
+    if not (not_int or outside):
+        assert _outcome(entry, items) == _outcome(entry, np.array(items, dtype=np.int64))
+        return
+    message = (f"{what} {not_int[0]!r} is not an integer" if not_int
+               else f"{what} {outside[0]} is outside the dataset's {_N_TIMES} times")
+    with pytest.raises(error, match=re.escape(message) + "$"):
+        entry(items)
+
+
+def test_a_numpy_int_seed_is_taken_by_train_and_rollout():
+    spec = ForecasterSpec("toy_diffusion", {"n_epochs": 1, "hidden_width": 4})
+    subset = full_selection(_INDEX_DS)
+    assert (train(spec, _INDEX_DS, subset, seed=np.int64(2)).w1.tobytes()
+            == train(spec, _INDEX_DS, subset, seed=2).w1.tobytes())
+    assert (rollout(_INDEX_MODEL, _INDEX_DS, [3], 2, 3, seed=np.uint8(4)).trajectories.tobytes()
+            == rollout(_INDEX_MODEL, _INDEX_DS, [3], 2, 3, seed=4).trajectories.tobytes())
 
 
 class TestRowStreamsPrefetch:
@@ -958,10 +1037,39 @@ class _ForeignPersistence(PersistenceForecaster):
     (lambda ds, tmp: train(ForecasterSpec("toy_diffusion"), ds,
                            SubsetSelection("random", [1, 2, 3], 0.2, 0), seed=-1),
      "seed -1 is negative"),
+    (lambda ds, tmp: rollout(PersistenceForecaster(), ds, [3.7], 2, 5),
+     "init index 3.7 is not an integer"),
+    (lambda ds, tmp: rollout(PersistenceForecaster(), ds, [1, 3.0], 2, 5),
+     "init index 3.0 is not an integer"),
+    (lambda ds, tmp: rollout(PersistenceForecaster(), ds, [0, True], 2, 5),
+     "init index True is not an integer"),
+    (lambda ds, tmp: rollout(PersistenceForecaster(), ds, [[1, 2]], 2, 5),
+     "init index [1, 2] is not an integer"),
+    (lambda ds, tmp: rollout(PersistenceForecaster(), ds, [1], 2, 5, seed=True),
+     "seed True is not an integer"),
+    (lambda ds, tmp: rollout(PersistenceForecaster(), ds, [1], 2, 5, seed=2.0),
+     "seed 2.0 is not an integer"),
+    (lambda ds, tmp: train(ForecasterSpec("stochastic_linear"), ds,
+                           SubsetSelection("random", [1, 2, 3], 0.2, 0), seed=2.5),
+     "seed 2.5 is not an integer"),
+    (lambda ds, tmp: rollout(PersistenceForecaster(), ds, [1], n_members=0),
+     "n_members 0 is below 1"),
+    (lambda ds, tmp: rollout(PersistenceForecaster(), ds, [1], n_members=-1),
+     "n_members -1 is below 1"),
+    (lambda ds, tmp: rollout(PersistenceForecaster(), ds, [1], n_members=2.0),
+     "n_members 2.0 is not an integer"),
+    (lambda ds, tmp: rollout(PersistenceForecaster(), ds, [1], n_members=2, n_steps=0),
+     "n_steps 0 is below 1"),
+    (lambda ds, tmp: save_forecast(EnsembleForecast([3.7], np.zeros((1, 2, 3, 1, 1, 1),
+                                                                   np.float32)), tmp / "f"),
+     "init index 3.7 is not an integer"),
 ], ids=["linear_without_subset", "diffusion_without_subset", "climatology_without_split",
         "foreign_object", "foreign_subclass", "negative_init", "init_past_the_end",
         "init_at_the_end", "negative_seed", "linear_subset_past_the_end",
-        "diffusion_subset_at_the_end", "linear_negative_seed", "diffusion_negative_seed"])
+        "diffusion_subset_at_the_end", "linear_negative_seed", "diffusion_negative_seed",
+        "float_init", "integral_float_init", "bool_init", "2d_inits", "bool_seed",
+        "float_seed", "train_float_seed", "no_members", "negative_members", "float_members",
+        "no_steps", "save_float_init"])
 def test_refusals(tmp_path, call, message):
     with pytest.raises(ForecastError, match=re.escape(message) + "$"):
         call(series_ds(np.arange(10.0)), tmp_path)

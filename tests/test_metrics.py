@@ -314,3 +314,23 @@ class TestOneStepTruth:
         )
         with pytest.raises(DatasetError, match="stride undefined for a single-timestep dataset"):
             evaluate_forecast(fc, truth, leads_days=(5,))
+
+
+class TestInitIndices:
+    """``evaluate_forecast`` reads a forecast's inits as integers of the truth."""
+
+    truth = GriddedDataset(
+        grid=GridSpec(np.array([0.0, 10.0]), np.array([0.0])), variables=["synthetic_0"],
+        timestamps=[datetime(2001, 3, 1) + timedelta(days=i) for i in range(10)],
+        data=np.arange(20.0).reshape(10, 1, 2, 1))
+
+    @pytest.mark.parametrize("inits, shown", [([3.7], "3.7"), ([3.0], "3.0"), ([True], "True")])
+    def test_an_init_that_is_not_an_integer_is_named(self, inits, shown):
+        fc = EnsembleForecast(inits, np.zeros((1, 2, 5, 1, 2, 1), dtype=np.float32))
+        with pytest.raises(MetricError, match=f"^init index {shown} is not an integer$"):
+            evaluate_forecast(fc, self.truth, leads_days=(1,))
+
+    def test_a_forecast_without_inits_is_refused(self):
+        fc = EnsembleForecast([], np.zeros((0, 2, 5, 1, 2, 1), dtype=np.float32))
+        with pytest.raises(MetricError, match="^forecast has no inits to score$"):
+            evaluate_forecast(fc, self.truth, leads_days=(1,))

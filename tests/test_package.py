@@ -132,6 +132,28 @@ def test_time_axis_is_answered_in_dataset_only():
     assert hits == []
 
 
+def test_indices_and_seeds_are_checked_in_dataset_only():
+    """Every call under ``src/stratacast/`` to ``check_indices``,
+    ``integer_array`` or ``check_integer`` uses the value it returns, so no
+    stage checks an index list or a seed and then reads its own cast of it.
+    No module but ``dataset.py`` spells a seed sign check."""
+    checks = {"check_indices", "integer_array", "check_integer"}
+    discarded, sign_checks = [], []
+    for path in sorted(Path(stratacast.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        for node in ast.walk(ast.parse(text)):
+            func = getattr(getattr(node, "value", None), "func", None)
+            if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call) and checks & {
+                    getattr(func, "id", None), getattr(func, "attr", None)}:
+                discarded.append(f"{path.name}:{node.lineno}")
+        if path.name != "dataset.py":
+            sign_checks += [f"{path.name}:{n}: {line.strip()}"
+                            for n, line in enumerate(text.splitlines(), 1)
+                            if re.search(r"\bseed\s*<\s*0", line)]
+    assert discarded == []
+    assert sign_checks == []
+
+
 def _is_dtype_kind_or_ndim(node) -> bool:
     return isinstance(node, ast.Attribute) and (node.attr == "ndim" or (
         node.attr == "kind" and isinstance(node.value, ast.Attribute)

@@ -193,6 +193,32 @@ def test_negative_seed_is_refused(std_toy, name):
         run_strategy(name, std_toy, list(range(40, 140)), SelectionBudget(0.2), seed=-1)
 
 
+@pytest.mark.parametrize("name", ["full", "random", "stratified_time", "herding"])
+def test_a_seed_that_is_not_an_integer_is_refused_and_a_numpy_seed_taken(std_toy, name):
+    """Every strategy names a float or bool seed, and a numpy int seed
+    selects as the int it holds."""
+    cand, budget = list(range(40, 140)), SelectionBudget(0.2)
+    for seed in (2.5, 2.0, True):
+        with pytest.raises(SelectionError, match=f"^seed {seed!r} is not an integer$"):
+            run_strategy(name, std_toy, cand, budget, seed=seed)
+    assert (run_strategy(name, std_toy, cand, budget, np.int64(3))
+            == run_strategy(name, std_toy, cand, budget, 3))
+
+
+@pytest.mark.parametrize("name", ["random", "kmeans"])
+@pytest.mark.parametrize("cand, message", [
+    ([41.5, 42.7, 43.2], "candidate time 41.5 is not an integer"),
+    ([40, 41.0, 42], "candidate time 41.0 is not an integer"),
+    ([40, True, 42], "candidate time True is not an integer"),
+    ([40, 41, 10**6], "candidate time 1000000 is outside the dataset's {n} times"),
+], ids=["floats", "integral_float", "bool", "past_the_end"])
+def test_candidates_are_integers_inside_the_dataset(std_toy, name, cand, message):
+    """A candidate is refused, naming it, rather than truncated, selected or
+    read past the end of the data."""
+    with pytest.raises(SelectionError, match=re.escape(message.format(n=std_toy.n_times)) + "$"):
+        run_strategy(name, std_toy, cand, SelectionBudget(0.5), seed=0)
+
+
 @pytest.mark.parametrize("name", sorted(set(STRATEGIES) - {"full"}))
 def test_different_seed_allowed_to_differ(std_toy, name):
     # deterministic strategies may coincide; the call must at least not fail
