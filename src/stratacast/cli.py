@@ -136,7 +136,7 @@ def cmd_generate_data(args) -> int:
         cfg = {"seed": 0, **cfg} if args.seed is None else {**cfg, "seed": args.seed}
     ds = synthetic.generate(synthetic.SyntheticConfig.from_dict(cfg))
     path = dsmod.save_dataset(ds, Path(args.out) / "synthetic.ften")
-    log.info("wrote %s (%d steps)", path, ds.n_times)
+    log.info("wrote dataset: path=%s n_times=%d", path, ds.n_times)
     return 0
 
 

@@ -163,12 +163,21 @@ def check_integer(value, what: str, error: type[Exception], least: int = 0) -> i
 
 def integer_array(values, what: str, error: type[Exception]) -> np.ndarray:
     """``values`` as an int64 array; raises ``error`` naming the first list (or 1-D array) item,
-    typed one by one, that is not a Python or numpy int: a float, a bool, a string or a list."""
+    typed one by one, that is not a Python or numpy int (a float, a bool, a string) or past int64."""
     items = values.tolist() if isinstance(values, np.ndarray) else values
     bad = [t for t in set(map(type, items)) if not issubclass(t, (int, np.integer)) or t is bool]
     if bad:
         raise error(f"{what} {next(v for v in items if type(v) in bad)!r} is not an integer")
+    if len(items) and not (-2**63 <= min(items) and max(items) < 2**63):
+        wide = next(v for v in items if not -2**63 <= v < 2**63)
+        raise error(f"{what} {wide} is outside the 64-bit integer range")
     return np.asarray(values, dtype=np.int64)
+
+
+def first_repeat(items):
+    """The first item of ``items`` equal to an earlier one, or None."""
+    seen = set()
+    return next((item for item in items if item in seen or seen.add(item)), None)
 
 
 def validate_variable_name(name: str) -> str:

@@ -1,9 +1,10 @@
 """End-to-end experiment orchestration: select -> train -> rollout -> evaluate.
 
 A config describes a dataset (file path or synthetic generator), a list of
-selection strategies, a forecaster and seed/ensemble settings. Every
-(strategy, seed) cell selects first; then the cells train, roll out and
-evaluate one after another. The full-data baseline is always included.
+selection strategies, a forecaster and seed/ensemble settings. Each
+(strategy, seed) cell in turn selects, saves its selection, trains, rolls
+out and evaluates; a failing cell stops the run and leaves the earlier
+cells' selection files on disk. The full-data baseline is always included.
 Unknown config keys are refused; the retired ``jobs`` is accepted and ignored.
 Records and per-variable report tables are written under the output directory.
 """
@@ -26,7 +27,7 @@ from .dataset import (ANY, BOOLEAN, COUNT, FRACTION, INTEGERS, OBJECT, POSITIVE,
 from .forecast import ForecasterSpec, rollout, train
 from .metrics import (METRICS, MetricRecord, area_weights, check_leads, evaluate_forecast,
                       records_to_csv, write_records)
-from .selection import FULL, STRATEGIES, SelectionBudget, SubsetSelection, run_strategy
+from .selection import FULL, STRATEGIES, SelectionBudget, run_strategy
 
 log = logging.getLogger("stratacast")
 
@@ -151,41 +152,23 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> list[MetricRec
     (out_dir / "selections").mkdir(parents=True, exist_ok=True)
     w = area_weights(ds.grid, flat=cfg.flat_grid)
 
-    strategies = list(cfg.strategies)
-    if FULL not in strategies:
-        strategies.insert(0, FULL)
+    strategies = cfg.strategies if FULL in cfg.strategies else [FULL, *cfg.strategies]
     budget = SelectionBudget(cfg.fraction)
 
-    # Every cell selects before any cell trains, so the PCA transient of
-    # the feature-space strategies lands on the heap as set-up left it, not
-    # on the one that fits, rollouts and evaluations have grown. One function
-    # per stage frees a cell's model and forecast before the next cell.
-    def select(strategy: str, seed: int) -> SubsetSelection:
-        log.info("cell select: strategy=%s seed=%d", strategy, seed)
-        sel = run_strategy(strategy, ds, candidates, budget, seed)
-        sel.save(out_dir / "selections" / f"{strategy}_seed{seed}.json")
-        return sel
-
-    def score(strategy: str, seed: int, sel: SubsetSelection) -> list[MetricRecord]:
-        log.info("cell start: strategy=%s seed=%d", strategy, seed)
-        model = train(cfg.forecaster, ds, sel, seed=seed, split=cfg.split)
-        fc = rollout(model, ds, eval_inits, cfg.n_members, n_steps=cfg.n_steps, seed=seed)
-        return evaluate_forecast(
-            fc, ds, leads_days=cfg.leads_days, w=w, method=strategy, seed=seed
-        )
-
-    def in_cell(stage, strategy: str, seed: int, *args):
-        try:
-            return stage(strategy, seed, *args)
-        except Exception as e:  # tag the failing cell for the caller
-            raise ExperimentError(f"cell ({strategy}, seed {seed}) failed: {e}") from e
-
-    cells = [(strategy, seed) for strategy in strategies
-             for seed in range(cfg.base_seed, cfg.base_seed + cfg.n_seeds)]
-    selections = [in_cell(select, *cell) for cell in cells]
     per_seed: list[MetricRecord] = []
-    for cell, sel in zip(cells, selections):
-        per_seed.extend(in_cell(score, *cell, sel))
+    for strategy in strategies:
+        for seed in range(cfg.base_seed, cfg.base_seed + cfg.n_seeds):
+            log.info("cell: strategy=%s seed=%d", strategy, seed)
+            try:
+                sel = run_strategy(strategy, ds, candidates, budget, seed)
+                sel.save(out_dir / "selections" / f"{strategy}_seed{seed}.json")
+                model = train(cfg.forecaster, ds, sel, seed=seed, split=cfg.split)
+                fc = rollout(model, ds, eval_inits, cfg.n_members, n_steps=cfg.n_steps, seed=seed)
+                per_seed.extend(evaluate_forecast(fc, ds, leads_days=cfg.leads_days, w=w,
+                                                  method=strategy, seed=seed))
+                del model, fc  # else they stay resident through the next cell's peak
+            except Exception as e:  # tag the failing cell for the caller
+                raise ExperimentError(f"cell ({strategy}, seed {seed}) failed: {e}") from e
     per_seed.sort(key=lambda r: (r.method, r.variable, r.lead_days, r.seed))
     means = aggregate_means(per_seed)
 

@@ -27,7 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import (FRACTION, INTEGER, NUMBER, OBJECT, STEP_HOURS, STRING, GriddedDataset,
-                      at_least, check_integer, check_object, list_of, month_index, read_json)
+                      at_least, check_integer, check_object, first_repeat, list_of, month_index,
+                      read_json)
 from .features import (
     _svd_pca,
     flatten_samples,
@@ -69,8 +70,8 @@ class SubsetSelection:
 
     def __post_init__(self):
         vars(self).update(check_object(vars(self), _KEYS, "selection", SelectionError))
-        if len(set(self.indices)) < len(self.indices):
-            repeat = next(i for n, i in enumerate(self.indices) if i in self.indices[:n])
+        repeat = first_repeat(self.indices)
+        if repeat is not None:
             raise SelectionError(f"index {repeat} is listed more than once in the "
                                  f"{self.strategy} subset")
 
@@ -501,14 +502,17 @@ def run_strategy(
     result is named ``name`` and records the budget fraction (1.0 for the
     full-data baseline). For every strategy, SelectionError names a seed
     that is not an integer >= 0 (a numpy int is taken) and a candidate that
-    is not an integer (a float, 3.0 included, or a bool) or lies outside
-    ``ds``."""
+    is not an integer (a float, 3.0 included, or a bool), lies outside
+    ``ds`` or repeats an earlier one."""
     if name not in STRATEGIES:
         raise SelectionError(f"unknown strategy {name!r}")
     seed = check_integer(seed, "seed", SelectionError)
     cand = ds.check_indices(candidate_times, "candidate time", SelectionError)
     if cand.size == 0:
         raise SelectionError("no candidate times")
+    repeat = first_repeat(cand.tolist())
+    if repeat is not None:
+        raise SelectionError(f"candidate time {repeat} is listed more than once")
     if name == FULL:
         budget = SelectionBudget(1.0)
     chosen, metadata = STRATEGIES[name](ds, cand, budget.target_count(cand.size), seed)

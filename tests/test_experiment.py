@@ -1,5 +1,6 @@
 import json
 import re
+import weakref
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -141,8 +142,8 @@ class TestRunExperiment:
             assert r.crps == pytest.approx(0.0, abs=1e-10)
             assert r.rmse == pytest.approx(0.0, abs=1e-10)
 
-    def test_every_cell_selects_before_any_cell_trains(self, small_grid, tmp_path,
-                                                       monkeypatch):
+    def test_each_cell_selects_fits_rolls_out_and_scores_in_turn(self, small_grid, tmp_path,
+                                                                 monkeypatch):
         calls = []
         for name in ("run_strategy", "train", "rollout", "evaluate_forecast"):
             fn = getattr(experiment, name)
@@ -150,7 +151,44 @@ class TestRunExperiment:
                                 lambda *a, _n=name, _f=fn, **k: calls.append(_n) or _f(*a, **k))
         run_experiment(base_config(small_grid), tmp_path)
         cells = 3 * 2  # full, random and stratified_time; two seeds
-        assert calls == ["run_strategy"] * cells + ["train", "rollout", "evaluate_forecast"] * cells
+        assert calls == ["run_strategy", "train", "rollout", "evaluate_forecast"] * cells
+
+    def test_a_cell_frees_its_model_and_forecast_before_the_next_cell(self, small_grid, tmp_path,
+                                                                      monkeypatch):
+        made, alive_at_select, run_strategy = [], [], experiment.run_strategy
+
+        def tracked(fn):
+            def call(*a, **k):
+                result = fn(*a, **k)
+                made.append(weakref.ref(result))
+                return result
+            return call
+
+        def select(*a, **k):
+            alive_at_select.extend(ref() is not None for ref in made)
+            return run_strategy(*a, **k)
+
+        monkeypatch.setattr(experiment, "train", tracked(experiment.train))
+        monkeypatch.setattr(experiment, "rollout", tracked(experiment.rollout))
+        monkeypatch.setattr(experiment, "run_strategy", select)
+        run_experiment(base_config(small_grid), tmp_path)
+        assert len(made) == 2 * 6 and alive_at_select and not any(alive_at_select)
+
+    def test_failed_fit_keeps_earlier_selection_files(self, small_grid, tmp_path, monkeypatch):
+        fits, fit = [], experiment.train
+
+        def train(*a, **k):
+            fits.append(k["seed"])
+            if len(fits) == 3:  # the third cell: (random, seed 7)
+                raise RuntimeError("fit broke")
+            return fit(*a, **k)
+
+        monkeypatch.setattr(experiment, "train", train)
+        with pytest.raises(ExperimentError, match=r"^cell \(random, seed 7\) failed: fit broke$"):
+            run_experiment(base_config(small_grid), tmp_path)
+        assert sorted(p.name for p in (tmp_path / "selections").iterdir()) == [
+            "full_seed7.json", "full_seed8.json", "random_seed7.json"]
+        assert not (tmp_path / "records.json").exists()
 
     def test_failed_selection_names_its_cell(self, small_grid, tmp_path):
         cfg = base_config(small_grid, strategies=["random"], fraction=1e-6)

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stratacast import forecast as forecast_mod
@@ -27,7 +27,7 @@ from stratacast.forecast import (
     save_forecaster,
     train,
 )
-from stratacast.metrics import MetricError, evaluate_forecast
+from stratacast.metrics import MetricError, crps_ensemble, evaluate_forecast
 from stratacast.selection import SelectionBudget, SelectionError, SubsetSelection, run_strategy
 from stratacast.synthetic import SyntheticConfig, generate
 
@@ -877,7 +877,7 @@ _VALID_INDEX = _IN_RANGE | _IN_RANGE.map(np.int64)
 _INDEX_LISTS = st.lists(_VALID_INDEX, max_size=6) | st.lists(st.one_of(
     _VALID_INDEX, st.integers(-3, -1), st.integers(_N_TIMES, _N_TIMES + 3),
     _IN_RANGE.map(float), st.floats(0.5, _N_TIMES - 1.5).filter(lambda x: x != int(x)),
-    st.booleans()), max_size=5)
+    st.booleans(), st.sampled_from([2**63, 2**70, -2**63 - 1])), max_size=5)
 
 
 def _outcome(entry, indices):
@@ -890,18 +890,24 @@ def _outcome(entry, indices):
 
 @settings(max_examples=200, deadline=None)
 @given(stage=st.sampled_from(sorted(_INDEX_ENTRIES)), items=_INDEX_LISTS)
+@example(stage="run_strategy", items=[3, 2**70])
+@example(stage="train", items=[2**63])
+@example(stage="rollout", items=[3, 40, 2**70])
+@example(stage="evaluate_forecast", items=[-2**63 - 1])
 def test_each_stage_reads_its_indices_as_checked_int64(stage, items):
     """A list of ints and numpy ints inside the dataset (or an empty list)
     does at every stage what its int64 array does, bitwise. Any other list
     is refused with the stage's error, naming its first float or bool, else
-    its first index outside the dataset."""
+    its first int past int64, else its first index outside the dataset."""
     entry, error, what = _INDEX_ENTRIES[stage]
     not_int = [v for v in items if isinstance(v, (bool, float))]
+    wide = [v for v in items if not -2**63 <= v < 2**63]
     outside = [v for v in items if not 0 <= v < _N_TIMES]
     if not (not_int or outside):
         assert _outcome(entry, items) == _outcome(entry, np.array(items, dtype=np.int64))
         return
     message = (f"{what} {not_int[0]!r} is not an integer" if not_int
+               else f"{what} {wide[0]} is outside the 64-bit integer range" if wide
                else f"{what} {outside[0]} is outside the dataset's {_N_TIMES} times")
     with pytest.raises(error, match=re.escape(message) + "$"):
         entry(items)
@@ -1001,6 +1007,49 @@ class TestEvaluateForecast:
         with pytest.raises(DatasetError,
                            match="lead 5d is not a whole number of the dataset's 48 h strides"):
             evaluate_forecast(fc, ds, leads_days=(5,))
+
+
+def _gaussian_crps(mean, sd, y):
+    """CRPS of N(mean, sd**2) at ``y`` in closed form (Gneiting et al., MWR 133:1098, 2005)."""
+    z = (y - mean) / sd
+    cdf = 0.5 * (1.0 + np.frompyfunc(math.erf, 1, 1)(z / math.sqrt(2.0)).astype(np.float64))
+    pdf = np.exp(-0.5 * z**2) / math.sqrt(2.0 * math.pi)
+    return sd * (z * (2.0 * cdf - 1.0) + 2.0 * pdf - 1.0 / math.sqrt(math.pi))
+
+
+class TestClosedFormRollout:
+    """Rollouts of forecasters whose lead-L law is known: the ensemble scores
+    match the law's own scores."""
+
+    ds = series_ds(np.random.default_rng(21).normal(size=(160, 1, 2, 3)))
+    inits = list(range(150))
+
+    def test_stochastic_linear_fair_crps_matches_the_gaussian_closed_form(self):
+        # a = 1 and a < 0 included: the law needs no division by 1 - a
+        a = np.array([[[1.0, 0.5, -0.8], [0.0, 0.9, 1.1]]])
+        b = np.array([[[0.0, 0.3, -0.2], [1.0, 0.0, 0.1]]])
+        sigma = np.array([[[0.5, 1.0, 0.2], [0.7, 0.05, 0.3]]])
+        fc = rollout(StochasticLinearForecaster(a, b, sigma), self.ds, self.inits,
+                     n_members=64, n_steps=5, seed=8)
+        x0 = self.ds.data[self.inits, 0].astype(np.float64)
+        mean, var = x0, np.zeros_like(x0)
+        for lead in range(1, 6):
+            mean, var = a[0] * mean + b[0], a[0] ** 2 * var + sigma[0] ** 2
+            y = self.ds.data[np.add(self.inits, lead), 0].astype(np.float64)
+            exact = _gaussian_crps(mean, np.sqrt(var), y)
+            members = fc.trajectories[:, :, lead - 1, 0].transpose(1, 0, 2, 3)
+            gap = crps_ensemble(members, y) - exact
+            se = gap.std(ddof=1) / math.sqrt(gap.size)
+            (record,) = evaluate_forecast(fc, self.ds, leads_days=(lead,))
+            assert abs(record.crps - exact.mean()) < 4.0 * se, lead
+
+    def test_persistence_scores_exactly_the_absolute_error(self):
+        fc = rollout(PersistenceForecaster(), self.ds, self.inits, n_members=4, n_steps=5, seed=0)
+        x0 = self.ds.data[self.inits, 0].astype(np.float64)
+        for lead in range(1, 6):
+            y = self.ds.data[np.add(self.inits, lead), 0].astype(np.float64)
+            (record,) = evaluate_forecast(fc, self.ds, leads_days=(lead,))
+            assert record.crps == np.mean(np.abs(x0 - y))
 
 
 class _ForeignPersistence(PersistenceForecaster):

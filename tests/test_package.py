@@ -118,6 +118,24 @@ def test_no_orphaned_private_names():
     assert orphans == []
 
 
+def test_log_messages_are_key_value_pairs():
+    """Every ``log.<level>`` call under ``src/stratacast/`` passes a literal
+    message of an event name and key=value pairs, each value one %-field:
+    ``"cell: strategy=%s seed=%d"``."""
+    shape = re.compile(r"[a-z][a-z ]*:( [a-z_]+=%[a-z])+")
+    calls, bad = 0, []
+    for path in sorted(Path(stratacast.__file__).parent.glob("*.py")):
+        for n in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                    and isinstance(n.func.value, ast.Name) and n.func.value.id == "log"):
+                calls += 1
+                msg = n.args[0] if n.args else None
+                if not (isinstance(msg, ast.Constant) and isinstance(msg.value, str)
+                        and shape.fullmatch(msg.value)):
+                    bad.append(f"{path.name}:{n.lineno}")
+    assert calls and bad == []
+
+
 def test_time_axis_is_answered_in_dataset_only():
     """The forecast step (``STEP_HOURS``), the hours-to-strides rule
     (``GriddedDataset.steps``) and the month of a time (``month_index``) are

@@ -211,12 +211,21 @@ def test_a_seed_that_is_not_an_integer_is_refused_and_a_numpy_seed_taken(std_toy
     ([40, 41.0, 42], "candidate time 41.0 is not an integer"),
     ([40, True, 42], "candidate time True is not an integer"),
     ([40, 41, 10**6], "candidate time 1000000 is outside the dataset's {n} times"),
-], ids=["floats", "integral_float", "bool", "past_the_end"])
+    ([40, 2**70], f"candidate time {2**70} is outside the 64-bit integer range"),
+], ids=["floats", "integral_float", "bool", "past_the_end", "past_int64"])
 def test_candidates_are_integers_inside_the_dataset(std_toy, name, cand, message):
     """A candidate is refused, naming it, rather than truncated, selected or
     read past the end of the data."""
     with pytest.raises(SelectionError, match=re.escape(message.format(n=std_toy.n_times)) + "$"):
         run_strategy(name, std_toy, cand, SelectionBudget(0.5), seed=0)
+
+
+@pytest.mark.parametrize("name", sorted(STRATEGIES))
+def test_repeated_candidates_are_refused_naming_the_first_repeat(std_toy, name):
+    """A candidate list that repeats an index is the caller's fault, refused
+    before the strategy could select the repeat twice."""
+    with pytest.raises(SelectionError, match="^candidate time 14 is listed more than once$"):
+        run_strategy(name, std_toy, [14, 14, 15, 16, 15], SelectionBudget(0.5), seed=0)
 
 
 @pytest.mark.parametrize("name", sorted(set(STRATEGIES) - {"full"}))
