@@ -10,7 +10,6 @@ from .dataset import (
     GriddedDataset,
     GridSpec,
     SplitSpec,
-    StandardizationStats,
     fit_standardization,
     load_dataset,
     save_dataset,
@@ -26,7 +25,7 @@ from .synthetic import SyntheticConfig, generate
 __version__ = "0.1.0"
 
 __all__ = [
-    "GriddedDataset", "GridSpec", "SplitSpec", "StandardizationStats",
+    "GriddedDataset", "GridSpec", "SplitSpec",
     "fit_standardization", "load_dataset", "save_dataset", "standardize",
     "valid_init_times",
     "PcaModel", "cosine_distance", "flatten_samples", "pca_fit", "pca_transform",

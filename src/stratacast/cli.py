@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import logging
 import os
 import sys
@@ -162,10 +161,7 @@ def cmd_train(args) -> int:
         if i not in candidates:
             raise SelectionError(f"{args.selection}: index {i} is not a training candidate of "
                                  f"{args.data} for train years {'%d:%d' % args.train_years}")
-    try:
-        hyper = json.loads(args.hyper)
-    except ValueError as e:
-        raise ForecastError(f"--hyper is not JSON: {e}") from None
+    hyper = dsmod.parse_json(args.hyper, "--hyper is not JSON", ForecastError)
     spec = ForecasterSpec(args.forecaster, hyper)
     model = train(spec, ds, sel, seed=args.seed, split=split)
     save_forecaster(model, Path(args.out) / args.forecaster)

@@ -12,9 +12,9 @@ of arrays declares one entry table, and ``check_entries`` checks arrays
 against it, in a file or in memory. A dataset file (conventionally named
 ``.ften``) holds the entries of ``DATASET_ENTRIES``.
 
-Every JSON document the package reads is parsed by ``read_json`` and its
-keys, value types and ranges are checked by ``check_object``, so each
-refusal names the file or the key in one form.
+Every JSON document the package reads is parsed by ``parse_json`` (a file's
+by ``read_json``) and its keys, value types and ranges are checked by
+``check_object``, so each refusal names the file or the key in one form.
 """
 
 from __future__ import annotations
@@ -46,13 +46,20 @@ class DatasetError(ValueError):
 # JSON input
 # ---------------------------------------------------------------------------
 
+def parse_json(text: str | bytes, refusal: str, error: type[Exception]):
+    """The JSON document ``text`` (bytes are read as UTF-8); raises ``error`` as
+    ``<refusal>: <reason>`` when it is not UTF-8, does not parse or nests past
+    the recursion limit."""
+    try:
+        return json.loads(text.decode() if isinstance(text, bytes) else text)
+    except (ValueError, RecursionError) as e:
+        raise error(f"{refusal}: {e}") from None
+
+
 def read_json(path: str | Path, error: type[Exception]):
     """The JSON document in the file at ``path``; raises ``error`` naming the
     file when it does not parse."""
-    try:
-        return json.loads(Path(path).read_text())
-    except ValueError as e:  # JSONDecodeError, or bytes that are not UTF-8
-        raise error(f"{path} is not a JSON file: {e}") from None
+    return parse_json(Path(path).read_bytes(), f"{path} is not a JSON file", error)
 
 
 class Rule(NamedTuple):
@@ -247,6 +254,9 @@ class GriddedDataset:
                                         "data": self.data}, "dataset", DatasetError)
         for name in self.variables:
             validate_variable_name(name)
+        repeat = first_repeat(self.variables)
+        if repeat is not None:
+            raise DatasetError(f"variable {repeat!r} is listed more than once")
         if np.isnat(self.timestamps).any():
             raise DatasetError("timestamps must not be NaT")
         d = np.diff(self.timestamps)
@@ -297,19 +307,6 @@ class GriddedDataset:
     def months(self) -> np.ndarray:
         """Calendar month (1..12) of every timestamp."""
         return month_index(self.timestamps) + 1
-
-
-@dataclass(frozen=True)
-class StandardizationStats:
-    """Per-variable training-split mean and population standard deviation."""
-
-    means: dict[str, float]
-    stds: dict[str, float]
-
-    def __post_init__(self):
-        for v, s in self.stds.items():
-            if not s > 0:
-                raise DatasetError(f"non-positive std for variable {v!r}")
 
 
 # Split keys: each year range is stored as a tuple, so a split from JSON is hashable.
@@ -442,39 +439,35 @@ def load_dataset(path: str | Path) -> GriddedDataset:
 # Preprocessing
 # ---------------------------------------------------------------------------
 
-def fit_standardization(ds: GriddedDataset, split: SplitSpec) -> StandardizationStats:
-    """Per-variable mean and population std over the training split only."""
+def fit_standardization(ds: GriddedDataset, split: SplitSpec) -> tuple[list[float], list[float]]:
+    """Each variable's mean and population std over the training split only,
+    as two lists in variable order."""
     idx = split_time_indices(ds, split.train_years)
     if idx.size == 0:
         raise DatasetError("training split is empty")
-    means, stds = {}, {}
+    means, stds = [], []
     for v, name in enumerate(ds.variables):
         vals = ds.data[idx, v].astype(np.float64)
-        mu = float(vals.mean())
         sigma = float(vals.std())  # population (divide-by-N)
         if sigma == 0.0:
             raise DatasetError(f"variable {name!r} has zero std over the training split")
-        means[name], stds[name] = mu, sigma
-    return StandardizationStats(means=means, stds=stds)
+        means.append(float(vals.mean()))
+        stds.append(sigma)
+    return means, stds
 
 
-def standardize(ds: GriddedDataset, stats: StandardizationStats) -> GriddedDataset:
-    """(x - mean) / std per variable.
+def standardize(ds: GriddedDataset, split: SplitSpec) -> GriddedDataset:
+    """``ds`` with each variable as (x - mean) / std, in float32, by the
+    split's training-year moments that ``fit_standardization`` finds.
 
     The result is re-checked: a finite value far from a tiny training std
     can overflow to inf here.
     """
+    means, stds = fit_standardization(ds, split)
     out = np.empty_like(ds.data)
-    for v, name in enumerate(ds.variables):
-        if name not in stats.means:
-            raise DatasetError(f"no standardization stats for variable {name!r}")
-        out[:, v] = (ds.data[:, v] - stats.means[name]) / stats.stds[name]
-    return GriddedDataset(
-        grid=ds.grid,
-        variables=list(ds.variables),
-        timestamps=ds.timestamps,
-        data=out,
-    )
+    for v, (mean, std) in enumerate(zip(means, stds)):
+        out[:, v] = (ds.data[:, v] - mean) / std
+    return GriddedDataset(ds.grid, list(ds.variables), ds.timestamps, out)
 
 
 def valid_init_times(

@@ -117,7 +117,7 @@ def load_standardized(
         raw = synthetic.generate(source)
     else:
         raw = dsmod.load_dataset(source)
-    return dsmod.standardize(raw, dsmod.fit_standardization(raw, split))
+    return dsmod.standardize(raw, split)
 
 
 def training_candidates(ds: GriddedDataset, split: SplitSpec) -> list[int]:

@@ -259,6 +259,8 @@ class ToyDiffusionForecaster:
               "b2": ("f", ("values",)), "sample_sigmas": ("f", ("levels",))}
 
     def __init__(self, w1, b1, w2, b2, sample_sigmas):
+        if not (sample_sigmas.size and ((sample_sigmas > 0) & (sample_sigmas < np.inf)).all()):
+            raise ForecastError("entry 'sample_sigmas' must hold positive finite noise levels")
         self.w1, self.b1, self.w2, self.b2 = w1, b1, w2, b2
         self.sample_sigmas = sample_sigmas  # noise levels of ``sample``, high to low
         self.training_losses: list[float] = []
@@ -627,4 +629,7 @@ def load_forecaster(prefix: str | Path):
         raise ForecastError(f"{path} holds the unknown serialized kind {kind!r}")
     cls = FORECASTERS[kind]
     check_entries(cls.arrays, z, str(path), ForecastError)
-    return cls(*(z[name] for name in cls.arrays))
+    try:
+        return cls(*(z[name] for name in cls.arrays))
+    except ForecastError as e:
+        raise ForecastError(f"{path} {e}") from None

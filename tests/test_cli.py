@@ -362,6 +362,20 @@ class TestDataErrors:
         assert "invalid year range 2001-2000" in r.stderr
         assert not (tmp_path / "out").exists()
 
+    def test_repeated_variable_name_exits_2_naming_the_file(self, data_dir, tmp_path):
+        with np.load(data_dir / "synthetic.ften") as z:
+            entries = dict(z, data=np.repeat(z["data"], 2, axis=1),
+                           variables=np.array(["synthetic_0"] * 2))
+        path = tmp_path / "twice.ften"
+        with open(path, "wb") as f:
+            np.savez(f, **entries)
+        r = run_cli("select", "--data", str(path), "--strategy", "random",
+                    "--train-years", "2000:2000", "--out", str(tmp_path / "out"))
+        assert r.returncode == 2
+        assert f"error: {path}: variable 'synthetic_0' is listed more than once" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not (tmp_path / "out").exists()
+
 
 class TestPipeline:
     def test_generate_writes_dataset(self, data_dir):
@@ -673,6 +687,29 @@ class TestPipeline:
         assert "Traceback" not in r.stderr
         assert not (tmp_path / "fc").exists()
 
+    @pytest.mark.parametrize("sigmas", [lambda s: s[:0], lambda s: -s, lambda s: s * np.nan],
+                             ids=["empty", "negative", "nan"])
+    def test_forecaster_file_with_bad_noise_levels_exits_2(self, data_dir, tmp_path, sigmas):
+        data = str(data_dir / "synthetic.ften")
+        assert main(["select", "--data", data, "--strategy", "random",
+                     "--train-years", "2000:2000", "--out", str(tmp_path)]) == 0
+        assert main(["train", "--data", data, "--selection", str(tmp_path / "random_seed0.json"),
+                     "--forecaster", "toy_diffusion",
+                     "--hyper", json.dumps({"n_epochs": 1, "hidden_width": 4}),
+                     "--train-years", "2000:2000", "--out", str(tmp_path)]) == 0
+        model = tmp_path / "toy_diffusion.npz"
+        with np.load(model) as z:
+            bad = sigmas(z["sample_sigmas"])
+        _rewrite_npz(model, drop="sample_sigmas", sample_sigmas=bad)
+        r = run_cli("rollout", "--data", data, "--model", str(tmp_path / "toy_diffusion"),
+                    "--train-years", "2000:2000", "--test-years", "2001:2001",
+                    "--out", str(tmp_path / "fc"))
+        assert r.returncode == 2
+        assert (f"error: {model} entry 'sample_sigmas' must hold positive finite noise levels"
+                in r.stderr)
+        assert "Traceback" not in r.stderr
+        assert not (tmp_path / "fc").exists()
+
     @pytest.mark.parametrize("damage, message", [
         (lambda p: _rewrite_npz(p, drop="init_indices"), "has no entry 'init_indices'"),
         (lambda p: _rewrite_npz(p, drop="trajectories"), "has no entry 'trajectories'"),
@@ -841,8 +878,8 @@ _DOCUMENTS = {
     "records": ("crps", "lead_days", "5", ("lead_days", 0)),
 }
 _CASES = [(doc, case) for doc in _DOCUMENTS
-          for case in ("unparseable", "not_an_object", "missing_key", "unknown_key", "wrong_type",
-                       "out_of_range")
+          for case in ("unparseable", "too_deep", "not_an_object", "missing_key", "unknown_key",
+                       "wrong_type", "out_of_range")
           if (case != "missing_key" or _DOCUMENTS[doc][0])
           and (case != "out_of_range" or _DOCUMENTS[doc][3])]
 
@@ -882,7 +919,8 @@ class TestOutsideInput:
             obj[typed] = bad
         elif case == "out_of_range":
             obj.update([out_of_range])
-        text = {"unparseable": "{", "not_an_object": "[1, 2]"}.get(case, json.dumps(valid))
+        text = {"unparseable": "{", "too_deep": "[" * 100_000 + "]" * 100_000,
+                "not_an_object": "[1, 2]"}.get(case, json.dumps(valid))
 
         data, out = str(data_dir / "synthetic.ften"), str(tmp_path / "out")
         path = tmp_path / "doc.json"
@@ -903,8 +941,9 @@ class TestOutsideInput:
         with contextlib.redirect_stderr(err):
             assert main(argv) == 2
         assert "Traceback" not in err.getvalue()
-        if case == "unparseable":
-            assert ("--hyper" if doc == "hyperparameters" else str(path)) in err.getvalue()
+        if case in ("unparseable", "too_deep"):
+            assert ("--hyper is not JSON" if doc == "hyperparameters"
+                    else f"{path} is not a JSON file") in err.getvalue()
         elif case == "not_an_object":
             assert "must be an object" in err.getvalue()
         elif case == "out_of_range":  # a range refusal takes the type refusal's form

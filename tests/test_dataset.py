@@ -12,7 +12,6 @@ from stratacast.dataset import (
     GriddedDataset,
     GridSpec,
     SplitSpec,
-    StandardizationStats,
     fit_standardization,
     load_dataset,
     save_dataset,
@@ -132,9 +131,9 @@ class TestStandardization:
     def test_hand_mean_std(self):
         vals = np.array([1.0, 2.0, 3.0]).reshape(3, 1, 1, 1)
         ds = make_ds(vals)
-        stats = fit_standardization(ds, SplitSpec((2000, 2000)))
-        assert stats.means["synthetic_0"] == pytest.approx(2.0)
-        assert stats.stds["synthetic_0"] == pytest.approx(np.sqrt(2.0 / 3.0), abs=1e-6)
+        means, stds = fit_standardization(ds, SplitSpec((2000, 2000)))
+        assert means == [pytest.approx(2.0)]
+        assert stds == [pytest.approx(np.sqrt(2.0 / 3.0), abs=1e-6)]
 
     def test_constant_field_rejected(self):
         ds = make_ds(np.full((3, 1, 1, 1), 5.0))
@@ -150,39 +149,30 @@ class TestStandardization:
         mutated[test_times] += 100.0
         ds2 = make_ds(mutated, stride_hours=24 * 30)
         split = SplitSpec((2000, 2000), None, (2001, 2003))
-        s1 = fit_standardization(ds1, split)
-        s2 = fit_standardization(ds2, split)
-        assert s1 == s2
+        assert fit_standardization(ds1, split) == fit_standardization(ds2, split)
+        train = split_time_indices(ds1, split.train_years)
+        np.testing.assert_array_equal(standardize(ds1, split).data[train],
+                                      standardize(ds2, split).data[train])
 
     def test_standardize_hand_values(self):
         ds = make_ds(np.array([1.0, 2.0, 3.0]).reshape(3, 1, 1, 1))
-        stats = fit_standardization(ds, SplitSpec((2000, 2000)))
-        out = standardize(ds, stats)
+        out = standardize(ds, SplitSpec((2000, 2000)))
         np.testing.assert_allclose(
             out.data.ravel(), [-1.2247449, 0.0, 1.2247449], atol=1e-5
         )
 
-    def test_identity_stats(self):
-        from stratacast.dataset import StandardizationStats
-
-        ds = make_ds(np.array([1.0, 2.0, 3.0]).reshape(3, 1, 1, 1))
-        out = standardize(ds, StandardizationStats({"synthetic_0": 0.0}, {"synthetic_0": 1.0}))
-        np.testing.assert_array_equal(out.data, ds.data)
-
     def test_round_trip_invert(self, toy_dataset):
         split = SplitSpec((2000, 2001))
-        stats = fit_standardization(toy_dataset, split)
-        out = standardize(toy_dataset, stats)
-        for v, name in enumerate(toy_dataset.variables):
-            back = out.data[:, v].astype(np.float64) * stats.stds[name] + stats.means[name]
+        means, stds = fit_standardization(toy_dataset, split)
+        out = standardize(toy_dataset, split)
+        for v in range(len(toy_dataset.variables)):
+            back = out.data[:, v].astype(np.float64) * stds[v] + means[v]
             np.testing.assert_allclose(
                 back, toy_dataset.data[:, v], rtol=1e-5, atol=1e-4
             )
 
     def test_standardized_train_moments(self, toy_dataset):
-        split = SplitSpec((2000, 2001))
-        stats = fit_standardization(toy_dataset, split)
-        out = standardize(toy_dataset, stats)
+        out = standardize(toy_dataset, SplitSpec((2000, 2001)))
         for v in range(len(out.variables)):
             vals = out.data[:, v].astype(np.float64)
             assert abs(vals.mean()) < 1e-5
@@ -193,17 +183,10 @@ class TestStandardization:
         # past the float32 range: the one place checked data turns non-finite
         vals = np.array([1.0, 1.0000001, 1.0, 1.0000001, 1.0, 3e38]).reshape(6, 1, 1, 1)
         ds = make_ds(vals, stride_hours=24 * 100)
-        stats = fit_standardization(ds, SplitSpec((2000, 2000)))
-        assert stats.stds["synthetic_0"] < 1e-7
+        split = SplitSpec((2000, 2000))
+        assert fit_standardization(ds, split)[1][0] < 1e-7
         with np.errstate(over="ignore"), pytest.raises(DatasetError, match="time index 5"):
-            standardize(ds, stats)
-
-    def test_missing_variable_in_stats(self, toy_dataset):
-        from stratacast.dataset import StandardizationStats
-
-        stats = StandardizationStats({"synthetic_0": 0.0}, {"synthetic_0": 1.0})
-        with pytest.raises(DatasetError, match="synthetic_1"):
-            standardize(toy_dataset, stats)
+            standardize(ds, split)
 
 
 class TestValidInitTimes:
@@ -374,8 +357,11 @@ _POINT = GridSpec(np.array([0.0]), np.array([0.0]))
      "timestamps must not be NaT"),
     (lambda tmp: make_ds(np.zeros((1, 1, 1, 1)), variables=["z501"]),
      "unknown variable name: 'z501'"),
-    (lambda tmp: StandardizationStats({"z500": 0.0}, {"z500": 0.0}),
-     "non-positive std for variable 'z500'"),
+    (lambda tmp: make_ds(np.zeros((1, 2, 1, 1)), variables=["synthetic_0", "synthetic_0"]),
+     "variable 'synthetic_0' is listed more than once"),
+    (lambda tmp: load_dataset(_saved_with(tmp, variables=np.array(["synthetic_0", "synthetic_0"]),
+                                          data=np.zeros((2, 2, 2, 2), np.float32))),
+     "d.ften: variable 'synthetic_0' is listed more than once"),
     (lambda tmp: fit_standardization(make_ds(np.zeros((2, 1, 1, 1))), SplitSpec((2001, 2001))),
      "training split is empty"),
     (lambda tmp: dsmod.hours_delta(10**15), "1e+15 h is past the datetime64[us] range"),
@@ -384,7 +370,8 @@ _POINT = GridSpec(np.array([0.0]), np.array([0.0]))
     (lambda tmp: dsmod.hours_delta(float("nan")), "nan h is past the datetime64[us] range"),
 ], ids=["not_an_archive", "missing_entry", "wrong_dtype", "wrong_ndim", "empty_axis", "latitude",
         "longitude", "nan_latitude", "nan_longitude", "lats_order",
-        "lons_order", "data_shape", "nat_timestamp", "unknown_variable", "zero_std",
+        "lons_order", "data_shape", "nat_timestamp", "unknown_variable", "repeated_variable",
+        "repeated_variable_in_file",
         "empty_training_split", "delta_past_int64", "steps_past_int64", "nan_hours"])
 def test_refusals(tmp_path, build, message):
     with pytest.raises(DatasetError, match=re.escape(message) + "$"):

@@ -172,6 +172,25 @@ def test_indices_and_seeds_are_checked_in_dataset_only():
     assert sign_checks == []
 
 
+def test_json_is_parsed_in_dataset_only():
+    """Every JSON text the package reads, a file or ``--hyper``, is parsed by
+    ``dataset.parse_json``, which refuses it with the caller's error: no
+    other module calls ``json.loads`` or ``json.load`` or imports them."""
+    parsers = {"load", "loads"}
+    calls = []
+    for path in sorted(Path(stratacast.__file__).parent.glob("*.py")):
+        if path.name == "dataset.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            func = getattr(node, "func", None)
+            if (isinstance(node, ast.Call) and getattr(func, "attr", None) in parsers
+                    and getattr(func.value, "id", None) == "json") or (
+                    isinstance(node, ast.ImportFrom) and node.module == "json"
+                    and parsers & {alias.name for alias in node.names}):
+                calls.append(f"{path.name}:{node.lineno}")
+    assert calls == []
+
+
 def _is_dtype_kind_or_ndim(node) -> bool:
     return isinstance(node, ast.Attribute) and (node.attr == "ndim" or (
         node.attr == "kind" and isinstance(node.value, ast.Attribute)

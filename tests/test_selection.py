@@ -166,10 +166,9 @@ def test_refusals(call, message):
 
 @pytest.fixture(scope="module")
 def std_toy(toy_dataset):
-    from stratacast.dataset import SplitSpec, fit_standardization, standardize
+    from stratacast.dataset import SplitSpec, standardize
 
-    stats = fit_standardization(toy_dataset, SplitSpec((2000, 2001)))
-    return standardize(toy_dataset, stats)
+    return standardize(toy_dataset, SplitSpec((2000, 2001)))
 
 
 @pytest.mark.parametrize("name", sorted(STRATEGIES))
