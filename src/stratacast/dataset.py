@@ -233,11 +233,11 @@ class GridSpec:
 class GriddedDataset:
     """Time-indexed multi-variable fields on a lat-lon grid.
 
-    ``data`` has shape [time, variable, lat, lon] and finite float32 values.
-    ``timestamps`` is stored as a ``datetime64[us]`` array (any sequence of
-    datetimes is accepted) and strictly increases at a constant stride. Both
-    are checked here, once, the shapes against ``DATASET_ENTRIES``;
-    instances are treated as immutable after construction.
+    ``data`` has shape [time, variable, lat, lon], at least one variable and
+    finite float32 values. ``timestamps`` is stored as a ``datetime64[us]``
+    array (any sequence of datetimes is accepted) and strictly increases at a
+    constant stride. Both are checked here, once, the shapes against
+    ``DATASET_ENTRIES``; instances are treated as immutable after construction.
     """
 
     grid: GridSpec
@@ -252,6 +252,8 @@ class GriddedDataset:
                                         "variables": np.array(self.variables, dtype=str),
                                         "lats": self.grid.lats, "lons": self.grid.lons,
                                         "data": self.data}, "dataset", DatasetError)
+        if not self.variables:
+            raise DatasetError("dataset has no variables")
         for name in self.variables:
             validate_variable_name(name)
         repeat = first_repeat(self.variables)

@@ -43,12 +43,11 @@ def flatten_samples(ds: GriddedDataset, times) -> np.ndarray:
 
 
 def _fix_signs(axes: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    out = axes.copy()
-    for i, row in enumerate(out):
-        nz = np.nonzero(np.abs(row) > tol)[0]
-        if nz.size and row[nz[0]] < 0:
-            out[i] = -row
-    return out
+    """``axes`` with each row negated whose first entry above ``tol`` in size
+    is negative. A row with no such entry leads with an entry no larger than
+    ``tol`` in size, which is never below ``-tol``, so it is kept."""
+    lead = axes[np.arange(axes.shape[0]), (np.abs(axes) > tol).argmax(axis=1)]
+    return np.where((lead < -tol)[:, None], -axes, axes)
 
 
 def _svd_pca(x: np.ndarray, max_m: int) -> tuple[PcaModel | None, int]:
@@ -106,6 +105,7 @@ def pca_transform(model: PcaModel, x: np.ndarray) -> np.ndarray:
 
 def spatial_mean_matrix(ds: GriddedDataset, times) -> np.ndarray:
     """Per-variable spatial mean (unweighted), one row per time index."""
+    times = ds.check_indices(times, "time index", FeatureError)
     return ds.data[times].astype(np.float64).mean(axis=(2, 3))
 
 

@@ -27,9 +27,10 @@ one init's members), so a state of 1,024 values steps 64 rows at a time, a
 smaller state more rows and a larger one fewer.
 
 Row streams equal ``np.random.default_rng([seed, member, init])``. The
-SeedSequence hash of every row is computed in one vectorized pass per
-rollout, and small draws are prefetched several at a time per row; neither
-changes the values drawn.
+SeedSequence words of every row are computed in one vectorized pass per
+rollout, and each block has one ``_RowStreams`` that builds its rows'
+Generators from those words and prefetches small draws several at a time
+per row; neither changes the values drawn.
 """
 
 from __future__ import annotations
@@ -404,18 +405,18 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _MASK32 = 0xFFFFFFFF
 
 
-def _uint32_words(n: int) -> list[int]:
-    """Little-endian 32-bit words of a non-negative int, as SeedSequence splits it."""
-    words = [n & _MASK32]
-    while n > _MASK32:
-        n >>= 32
-        words.append(n & _MASK32)
-    return words
-
-
-def _pool_state(entropy: np.ndarray) -> np.ndarray:
-    """``SeedSequence(row).generate_state(4, np.uint64)`` for every row of a
-    [R, L] uint32 entropy array, as one pass of uint32 array arithmetic."""
+def _row_seed_states(seed: int, n_members: int, init_indices) -> np.ndarray:
+    """[init x member, 4] uint64 row seeding words, init-major: row (i, m) equals
+    ``np.random.SeedSequence([seed, m, init_indices[i]]).generate_state(4, np.uint64)``
+    for the seed >= 0 and the indices below 2**32 that ``rollout`` checked, as one
+    pass of uint32 array arithmetic. The seed enters as numpy splits it: its
+    little-endian 32-bit words, one zero word for 0."""
+    rows = len(init_indices) * n_members
+    seed_words = np.frombuffer(seed.to_bytes(4 * max(-(-seed.bit_length() // 32), 1), "little"),
+                               "<u4")
+    entropy = [*(np.full(rows, w, dtype=np.uint32) for w in seed_words),
+               np.tile(np.arange(n_members, dtype=np.uint32), len(init_indices)),
+               np.repeat(np.asarray(init_indices, dtype=np.uint32), n_members)]
     h = _INIT_A
 
     def hashmix(v):
@@ -429,15 +430,15 @@ def _pool_state(entropy: np.ndarray) -> np.ndarray:
         r = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
         return r ^ (r >> np.uint32(16))
 
-    zero = np.zeros(entropy.shape[0], dtype=np.uint32)
-    pool = [hashmix(entropy[:, i] if i < entropy.shape[1] else zero) for i in range(4)]
+    entropy += [np.zeros(rows, dtype=np.uint32)] * (4 - len(entropy))
+    pool = [hashmix(v) for v in entropy[:4]]
     for src in range(4):
         for dst in range(4):
             if src != dst:
                 pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for src in range(4, entropy.shape[1]):
+    for v in entropy[4:]:
         for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(entropy[:, src]))
+            pool[dst] = mix(pool[dst], hashmix(v))
     h = _INIT_B
     state = []
     for i in range(8):
@@ -445,19 +446,8 @@ def _pool_state(entropy: np.ndarray) -> np.ndarray:
         h = (h * _MULT_B) & _MASK32
         v = v * np.uint32(h)
         state.append((v ^ (v >> np.uint32(16))).astype(np.uint64))
-    words = [lo | (hi << np.uint64(32)) for lo, hi in zip(state[::2], state[1::2])]
-    return np.stack(words, axis=1)
-
-
-def _row_seed_states(seed: int, n_members: int, init_indices) -> np.ndarray:
-    """[init x member, 4] uint64 PCG64 seeding words, init-major: row (i, m) equals
-    ``np.random.SeedSequence([seed, m, init_indices[i]]).generate_state(4, np.uint64)``
-    for the seed >= 0 and the indices below 2**32 that ``rollout`` checked."""
-    rows = len(init_indices) * n_members
-    cols = [np.full(rows, w, dtype=np.uint32) for w in _uint32_words(seed)]
-    cols.append(np.tile(np.arange(n_members, dtype=np.uint32), len(init_indices)))
-    cols.append(np.repeat(np.asarray(init_indices, dtype=np.uint32), n_members))
-    return _pool_state(np.stack(cols, axis=1))
+    return np.stack([lo | (hi << np.uint64(32)) for lo, hi in zip(state[::2], state[1::2])],
+                    axis=1)
 
 
 @functools.cache
@@ -481,16 +471,11 @@ def _state_words_type() -> type:
     return StateWords
 
 
-def _row_generators(words: np.ndarray) -> list[np.random.Generator]:
-    """One PCG64 Generator per row of ``_row_seed_states`` words."""
-    state_words = _state_words_type()
-    return [np.random.Generator(np.random.PCG64(state_words(w))) for w in words]
-
-
 class _RowStreams:
     """Noise source for a block of rollout rows: row b of every draw comes
-    from ``gens[b]``, so each row's stream is drawn in the same order as in a
-    one-row rollout.
+    from its own PCG64 Generator, seeded with ``words[b]`` of
+    ``_row_seed_states``, so each row's stream is drawn in the same order as
+    in a one-row rollout.
 
     A Generator's float64 normals do not depend on how the draws are split
     into calls, so each row refills a buffer with several draws at once (at
@@ -498,10 +483,11 @@ class _RowStreams:
     the next draws as views into it.
     """
 
-    def __init__(self, gens: list[np.random.Generator], n_steps: int):
-        self.gens = gens
+    def __init__(self, words: np.ndarray, n_steps: int):
+        state_words = _state_words_type()
+        self.gens = [np.random.Generator(np.random.PCG64(state_words(w))) for w in words]
         self.n_steps = n_steps
-        self.buf = np.empty((len(gens), 0))
+        self.buf = np.empty((len(self.gens), 0))
         self.pos = 0
 
     def standard_normal(self, shape) -> np.ndarray:
@@ -568,8 +554,7 @@ def rollout(
     per_block = _inits_per_block(math.prod(shape), n_members)
     for start in range(0, len(init_indices), per_block):
         inits = init_indices[start : start + per_block]
-        gens = _row_generators(words[start * n_members : (start + len(inits)) * n_members])
-        rng = _RowStreams(gens, n_steps)
+        rng = _RowStreams(words[start * n_members : (start + len(inits)) * n_members], n_steps)
         states = np.repeat(ds.data[inits].astype(np.float64), n_members, axis=0)
         times = np.repeat(ds.timestamps[inits], n_members)
         out = traj[start : start + len(inits)]
@@ -577,7 +562,7 @@ def rollout(
             times = times + step_dt
             states = forecaster.step(states, rng, times)
             if not np.isfinite(states).all():
-                bad = np.isfinite(states.reshape(len(gens), -1)).all(axis=1).argmin()
+                bad = np.isfinite(states.reshape(states.shape[0], -1)).all(axis=1).argmin()
                 ii, m = divmod(int(bad), n_members)
                 raise ForecastError(
                     f"non-finite state at init {inits[ii]}, member {m}, step {k}"
@@ -604,11 +589,18 @@ def save_forecast(fc: EnsembleForecast, prefix: str | Path) -> None:
     )
 
 
+def _check_finite(path: Path, arrays: dict, table: dict) -> None:
+    """Raise ForecastError naming the file and the first float entry of
+    ``table`` whose values in ``arrays`` are not all finite."""
+    for name, (kind, _) in table.items():
+        if kind == "f" and not np.isfinite(arrays[name]).all():
+            raise ForecastError(f"{path} entry {name!r} holds non-finite values")
+
+
 def load_forecast(prefix: str | Path) -> EnsembleForecast:
     path = _npz_path(prefix)
     z = read_npz(path, ForecastError, FORECAST_ENTRIES)
-    if not np.isfinite(z["trajectories"]).all():
-        raise ForecastError(f"{path} entry 'trajectories' holds non-finite values")
+    _check_finite(path, z, FORECAST_ENTRIES)
     return EnsembleForecast(z["init_indices"].tolist(), z["trajectories"])
 
 
@@ -630,6 +622,8 @@ def load_forecaster(prefix: str | Path):
     cls = FORECASTERS[kind]
     check_entries(cls.arrays, z, str(path), ForecastError)
     try:
-        return cls(*(z[name] for name in cls.arrays))
+        model = cls(*(z[name] for name in cls.arrays))
     except ForecastError as e:
         raise ForecastError(f"{path} {e}") from None
+    _check_finite(path, z, cls.arrays)  # after the class's own, more specific refusals
+    return model

@@ -37,6 +37,14 @@ def _rewrite_npz(path, drop=None, **put):
     np.savez(path, **entries, **put)
 
 
+def _put_nan(path, entry):
+    """Rewrite the npz file at ``path`` with NaN as the first value of ``entry``."""
+    with np.load(path) as z:
+        bad = z[entry].copy()
+    bad.flat[0] = np.nan
+    _rewrite_npz(path, drop=entry, **{entry: bad})
+
+
 @pytest.fixture(scope="module")
 def synth_config(tmp_path_factory):
     p = tmp_path_factory.mktemp("cfg") / "synth.json"
@@ -376,6 +384,23 @@ class TestDataErrors:
         assert "Traceback" not in r.stderr
         assert not (tmp_path / "out").exists()
 
+    def test_dataset_with_no_variables_exits_2_before_any_output(self, data_dir, tmp_path):
+        with np.load(data_dir / "synthetic.ften") as z:
+            entries = dict(z, data=z["data"][:, :0], variables=np.array([], dtype=str))
+        path = tmp_path / "empty.ften"
+        with open(path, "wb") as f:
+            np.savez(f, **entries)
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({
+            "strategies": ["random"], "forecaster": {"kind": "persistence"},
+            "split": {"train_years": [2000, 2000], "test_years": [2001, 2001]},
+            "dataset_path": str(path), "n_members": 2, "n_seeds": 1}))
+        r = run_cli("run", "--config", str(cfg), "--out", str(tmp_path / "out"))
+        assert r.returncode == 2
+        assert f"error: {path}: dataset has no variables" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not (tmp_path / "out").exists()
+
 
 class TestPipeline:
     def test_generate_writes_dataset(self, data_dir):
@@ -710,13 +735,38 @@ class TestPipeline:
         assert "Traceback" not in r.stderr
         assert not (tmp_path / "fc").exists()
 
+    @pytest.mark.parametrize("kind, entry", [
+        ("climatology", "monthly_means"), ("stochastic_linear", "a"),
+        ("stochastic_linear", "resid_std"), ("toy_diffusion", "w1"), ("toy_diffusion", "b2"),
+    ])
+    def test_forecaster_file_with_non_finite_values_exits_2(self, data_dir, tmp_path, kind,
+                                                            entry):
+        data = str(data_dir / "synthetic.ften")
+        assert main(["select", "--data", data, "--strategy", "random",
+                     "--train-years", "2000:2000", "--out", str(tmp_path)]) == 0
+        hyper = {"n_epochs": 1, "hidden_width": 4} if kind == "toy_diffusion" else {}
+        assert main(["train", "--data", data, "--selection", str(tmp_path / "random_seed0.json"),
+                     "--forecaster", kind, "--hyper", json.dumps(hyper),
+                     "--train-years", "2000:2000", "--out", str(tmp_path)]) == 0
+        model = tmp_path / f"{kind}.npz"
+        _put_nan(model, entry)
+        r = run_cli("rollout", "--data", data, "--model", str(tmp_path / kind),
+                    "--train-years", "2000:2000", "--test-years", "2001:2001",
+                    "--out", str(tmp_path / "fc"))
+        assert r.returncode == 2
+        assert f"error: {model} entry '{entry}' holds non-finite values" in r.stderr
+        assert "Traceback" not in r.stderr
+        assert not (tmp_path / "fc").exists()
+
     @pytest.mark.parametrize("damage, message", [
         (lambda p: _rewrite_npz(p, drop="init_indices"), "has no entry 'init_indices'"),
         (lambda p: _rewrite_npz(p, drop="trajectories"), "has no entry 'trajectories'"),
         (lambda p: p.write_bytes(p.read_bytes()[:200]), "not an npz archive"),
         (lambda p: _rewrite_npz(p, drop="init_indices", init_indices=np.arange(3)),
          "forecast.npz entry 'trajectories' has shape"),
-    ], ids=["no_inits", "no_trajectories", "truncated", "init_count"])
+        (lambda p: _put_nan(p, "trajectories"),
+         "forecast.npz entry 'trajectories' holds non-finite values"),
+    ], ids=["no_inits", "no_trajectories", "truncated", "init_count", "nan_trajectories"])
     def test_bad_forecast_file_exits_2(self, data_dir, tmp_path, damage, message):
         data = str(data_dir / "synthetic.ften")
         assert main(["select", "--data", data, "--strategy", "random",

@@ -362,6 +362,11 @@ _POINT = GridSpec(np.array([0.0]), np.array([0.0]))
     (lambda tmp: load_dataset(_saved_with(tmp, variables=np.array(["synthetic_0", "synthetic_0"]),
                                           data=np.zeros((2, 2, 2, 2), np.float32))),
      "d.ften: variable 'synthetic_0' is listed more than once"),
+    (lambda tmp: GriddedDataset(_POINT, [], [datetime(2000, 1, 1)], np.zeros((1, 0, 1, 1))),
+     "dataset has no variables"),
+    (lambda tmp: load_dataset(_saved_with(tmp, variables=np.array([], dtype=str),
+                                          data=np.zeros((2, 0, 2, 2), np.float32))),
+     "d.ften: dataset has no variables"),
     (lambda tmp: fit_standardization(make_ds(np.zeros((2, 1, 1, 1))), SplitSpec((2001, 2001))),
      "training split is empty"),
     (lambda tmp: dsmod.hours_delta(10**15), "1e+15 h is past the datetime64[us] range"),
@@ -371,7 +376,7 @@ _POINT = GridSpec(np.array([0.0]), np.array([0.0]))
 ], ids=["not_an_archive", "missing_entry", "wrong_dtype", "wrong_ndim", "empty_axis", "latitude",
         "longitude", "nan_latitude", "nan_longitude", "lats_order",
         "lons_order", "data_shape", "nat_timestamp", "unknown_variable", "repeated_variable",
-        "repeated_variable_in_file",
+        "repeated_variable_in_file", "no_variables", "no_variables_in_file",
         "empty_training_split", "delta_past_int64", "steps_past_int64", "nan_hours"])
 def test_refusals(tmp_path, build, message):
     with pytest.raises(DatasetError, match=re.escape(message) + "$"):

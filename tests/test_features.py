@@ -115,6 +115,31 @@ class TestPca:
             pca_fit(x, 5)
 
 
+def loop_fix_signs(axes, tol=1e-12):
+    """Reference: negate each row whose first entry above ``tol`` in size is negative."""
+    out = axes.copy()
+    for i, row in enumerate(out):
+        nz = np.nonzero(np.abs(row) > tol)[0]
+        if nz.size and row[nz[0]] < 0:
+            out[i] = -row
+    return out
+
+
+def test_fix_signs_equals_the_row_loop():
+    """Random axes, axes at or below the tolerance in size (zeros of both
+    signs included) and rows that lead with such entries give the loop's bytes."""
+    rng = np.random.default_rng(11)
+    tiny = [1e-12, -1e-12, 5e-13, -5e-13, 0.0, -0.0, 2e-12, -2e-12]
+    for case in range(600):
+        m, d = rng.integers(1, 6), rng.integers(1, 8)
+        axes = rng.normal(size=(m, d))
+        if case % 3 == 1:
+            axes *= rng.choice(tiny, size=(m, d))
+        elif case % 3 == 2:
+            axes[:, : rng.integers(0, d + 1)] = rng.choice(tiny, size=(m, 1))
+        assert _fix_signs(axes).tobytes() == loop_fix_signs(axes).tobytes()
+
+
 class TestPcaTransform:
     def test_center_maps_to_zero(self):
         rng = np.random.default_rng(7)

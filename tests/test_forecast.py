@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from stratacast import forecast as forecast_mod
 from stratacast.dataset import DatasetError, GriddedDataset, GridSpec, SplitSpec
+from stratacast.features import FeatureError, spatial_mean_matrix
 from stratacast.forecast import (
     ClimatologyForecaster,
     EnsembleForecast,
@@ -813,9 +814,9 @@ class TestRowSeeds:
 
     def test_generator_equals_default_rng(self):
         words = forecast_mod._row_seed_states(100, 3, [4, 9])
-        gen = forecast_mod._row_generators(words)[5]
+        row = forecast_mod._RowStreams(words, 50).standard_normal((6, 50))[5]
         ref = np.random.default_rng([100, 2, 9])
-        assert gen.standard_normal(50).tobytes() == ref.standard_normal(50).tobytes()
+        assert row.tobytes() == ref.standard_normal(50).tobytes()
 
     def test_state_words_type_is_a_real_subclass(self):
         # a class registered with the ABC misses its isinstance cache, and
@@ -867,7 +868,12 @@ def _evaluate_entry(indices):
     return np.array([(r.crps, r.rmse, r.ssr) for r in records]).tobytes()
 
 
+def _spatial_mean_entry(indices):
+    return spatial_mean_matrix(_INDEX_DS, indices).tobytes()
+
+
 _INDEX_ENTRIES = {"run_strategy": (_select_entry, SelectionError, "candidate time"),
+                  "spatial_mean_matrix": (_spatial_mean_entry, FeatureError, "time index"),
                   "train": (_train_entry, ForecastError, "subset index"),
                   "rollout": (_rollout_entry, ForecastError, "init index"),
                   "evaluate_forecast": (_evaluate_entry, MetricError, "init index")}
@@ -894,6 +900,7 @@ def _outcome(entry, indices):
 @example(stage="train", items=[2**63])
 @example(stage="rollout", items=[3, 40, 2**70])
 @example(stage="evaluate_forecast", items=[-2**63 - 1])
+@example(stage="spatial_mean_matrix", items=[3, -1])
 def test_each_stage_reads_its_indices_as_checked_int64(stage, items):
     """A list of ints and numpy ints inside the dataset (or an empty list)
     does at every stage what its int64 array does, bitwise. Any other list

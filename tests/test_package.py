@@ -248,3 +248,25 @@ def test_a_failing_property_test_does_not_stop_the_run(tmp_path):
                        cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert "INTERNALERROR" not in r.stdout + r.stderr
     assert "1 failed, 1 passed" in r.stdout
+
+
+def test_row_generators_are_built_in_row_streams_only():
+    """The rollout's noise policy has one owner: no module but ``forecast.py``
+    spells ``PCG64`` or ``ISeedSequence``, and in it only ``_RowStreams``
+    (which seeds each row's Generator) and ``_state_words_type`` (the seed
+    sequence type that hands PCG64 its words) do."""
+    spelled = re.compile(r"PCG64|ISeedSequence")
+    owners = {"_RowStreams", "_state_words_type"}
+    hits = []
+    for path in sorted(Path(stratacast.__file__).parent.glob("*.py")):
+        text = path.read_text()
+        owned = set()
+        if path.name == "forecast.py":
+            for node in ast.parse(text).body:
+                if getattr(node, "name", None) in owners:
+                    first = min([node.lineno, *(d.lineno for d in node.decorator_list)])
+                    owned.update(range(first, node.end_lineno + 1))
+        hits += [f"{path.name}:{n}: {line.strip()}"
+                 for n, line in enumerate(text.splitlines(), 1)
+                 if spelled.search(line) and n not in owned]
+    assert hits == []
