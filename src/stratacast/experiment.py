@@ -1,18 +1,23 @@
 """End-to-end experiment orchestration: select -> train -> rollout -> evaluate.
 
 A config describes a dataset (file path or synthetic generator), a list of
-selection strategies, a forecaster and seed/ensemble settings. Each
-(strategy, seed) cell in turn selects, saves its selection, trains, rolls
-out and evaluates; a failing cell stops the run and leaves the earlier
-cells' selection files on disk. The full-data baseline is always included.
+selection strategies, a forecaster and seed/ensemble settings. Each seed in
+turn selects, saves its selection and trains for every strategy, rolls the
+seed's models out together (``forecast.rollout_leads``: they share each
+block's noise draw, and only the scored leads are kept), then evaluates each
+(strategy, seed) cell and frees its models and forecasts before the next
+seed. A failing cell stops the run and leaves the selection files written
+before it on disk. The full-data baseline is always included.
 Unknown config keys are refused; the retired ``jobs`` is accepted and ignored.
 Records and per-variable report tables are written under the output directory.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
+import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -24,7 +29,7 @@ from . import synthetic
 from .dataset import (ANY, BOOLEAN, COUNT, FRACTION, INTEGERS, OBJECT, POSITIVE, SEED,
                       SPLIT_KEYS, STEP_HOURS, STRING, STRINGS, GriddedDataset, Rule, SplitSpec,
                       check_object, or_null)
-from .forecast import ForecasterSpec, rollout, train
+from .forecast import FORECASTERS, ForecasterSpec, RolloutError, rollout_leads, train
 from .metrics import (METRICS, MetricRecord, area_weights, check_leads, evaluate_forecast,
                       records_to_csv, write_records)
 from .selection import FULL, STRATEGIES, SelectionBudget, run_strategy
@@ -142,6 +147,15 @@ def eval_init_times(
     return inits[::ds.steps(eval_stride_hours, f"eval_stride_hours {eval_stride_hours:g}")]
 
 
+@contextlib.contextmanager
+def _tagged(strategy: str, seed: int):
+    """Tag an error raised inside with its (strategy, seed) cell, for the caller."""
+    try:
+        yield
+    except Exception as e:
+        raise ExperimentError(f"cell ({strategy}, seed {seed}) failed: {e}") from e
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> list[MetricRecord]:
     """Run all (strategy, seed) cells; returns per-seed records plus mean rows."""
     source = cfg.synthetic if cfg.dataset_path is None else cfg.dataset_path
@@ -155,20 +169,30 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> list[MetricRec
     strategies = cfg.strategies if FULL in cfg.strategies else [FULL, *cfg.strategies]
     budget = SelectionBudget(cfg.fraction)
 
+    shared_noise = bool(FORECASTERS[cfg.forecaster.kind].draws_per_step)  # a draw to share
     per_seed: list[MetricRecord] = []
-    for strategy in strategies:
-        for seed in range(cfg.base_seed, cfg.base_seed + cfg.n_seeds):
+    for seed in range(cfg.base_seed, cfg.base_seed + cfg.n_seeds):
+        models = {}
+        for strategy in strategies:
             log.info("cell: strategy=%s seed=%d", strategy, seed)
-            try:
+            with _tagged(strategy, seed):
                 sel = run_strategy(strategy, ds, candidates, budget, seed)
                 sel.save(out_dir / "selections" / f"{strategy}_seed{seed}.json")
-                model = train(cfg.forecaster, ds, sel, seed=seed, split=cfg.split)
-                fc = rollout(model, ds, eval_inits, cfg.n_members, n_steps=cfg.n_steps, seed=seed)
+                models[strategy] = train(cfg.forecaster, ds, sel, seed=seed, split=cfg.split)
+        t0 = time.perf_counter()
+        try:
+            forecasts = rollout_leads(models, ds, eval_inits, cfg.n_members, cfg.n_steps, seed,
+                                      cfg.leads_days)
+        except RolloutError as e:
+            raise ExperimentError(f"cell ({e.key}, seed {seed}) failed: {e}") from e.__cause__
+        log.info("seed: seed=%d cells=%d shared_noise=%s rollout_s=%f", seed, len(models),
+                 str(shared_noise).lower(), time.perf_counter() - t0)
+        del models  # else they stay resident through the next seed's peak
+        for strategy, fc in forecasts.items():
+            with _tagged(strategy, seed):
                 per_seed.extend(evaluate_forecast(fc, ds, leads_days=cfg.leads_days, w=w,
                                                   method=strategy, seed=seed))
-                del model, fc  # else they stay resident through the next cell's peak
-            except Exception as e:  # tag the failing cell for the caller
-                raise ExperimentError(f"cell ({strategy}, seed {seed}) failed: {e}") from e
+        del forecasts, fc
     per_seed.sort(key=lambda r: (r.method, r.variable, r.lead_days, r.seed))
     means = aggregate_means(per_seed)
 

@@ -31,6 +31,13 @@ SeedSequence words of every row are computed in one vectorized pass per
 rollout, and each block has one ``_RowStreams`` that builds its rows'
 Generators from those words and prefetches small draws several at a time
 per row; neither changes the values drawn.
+
+``rollout_leads`` rolls several models out with one seed, as ``run`` does
+for a seed's strategies, and keeps only the scored leads. A kind that
+declares ``draws_per_step`` has each block's noise drawn once from the row
+streams and shared by every model of that kind; ``toy_diffusion`` keeps its
+own streams. Each model's forecast is bitwise the lead steps of its own
+``rollout``.
 """
 
 from __future__ import annotations
@@ -82,16 +89,21 @@ class EnsembleForecast:
     ``trajectories`` has shape [init, member, step, variable, lat, lon], as
     ``FORECAST_ENTRIES`` lists; step k is lead (k+1) * lead_stride_hours. Its
     values are finite: ``rollout`` checks every step and ``load_forecast`` the file.
+    A leads-only forecast (``rollout_leads``) sets ``lead_days``: step k is
+    then lead ``lead_days[k]`` days, and the other steps are not kept.
     """
 
     lead_stride_hours = STEP_HOURS  # training pairs are one step apart
 
     init_indices: list[int]
     trajectories: np.ndarray
+    lead_days: tuple | None = None
 
     def __post_init__(self):
-        check_entries(TRAJECTORY_ENTRY, vars(self), "forecast", ForecastError,
-                      {"init": len(self.init_indices)})
+        sizes = {"init": len(self.init_indices)}
+        if self.lead_days is not None:
+            sizes["step"] = len(self.lead_days)
+        check_entries(TRAJECTORY_ENTRY, vars(self), "forecast", ForecastError, sizes)
 
     @property
     def n_members(self) -> int:
@@ -106,6 +118,8 @@ class EnsembleForecast:
 TRAJECTORY_ENTRY = {"trajectories": ("f", ("init", "member", "step", *STATE_DIMS))}
 FORECAST_ENTRIES = {"init_indices": ("i", ("init",)), **TRAJECTORY_ENTRY}
 KIND_ENTRY = {"kind": ("U", ())}
+# The noise a rollout may be given: each init x member row's draws, in order.
+NOISE_ENTRY = {"noise": ("f", ("row", "draw"))}
 
 
 def _pairs_from_subset(ds: GriddedDataset, subset: SubsetSelection) -> tuple[np.ndarray, int]:
@@ -124,13 +138,17 @@ def _pairs_from_subset(ds: GriddedDataset, subset: SubsetSelection) -> tuple[np.
 
 
 # A forecaster class declares its kind: ``hyperparameters`` (key -> (rule,
-# default)), ``fit(ds, subset, split, hp, seed)`` with every key in ``hp``, and
+# default)), ``fit(ds, subset, split, hp, seed)`` with every key in ``hp``,
 # ``arrays``, the entry table of the float constructor arguments its file
-# holds, whose ``var``, ``lat``, ``lon`` and ``values`` are the data's in a rollout.
+# holds, whose ``var``, ``lat``, ``lon`` and ``values`` are the data's in a
+# rollout, and ``draws_per_step``: the state-shaped normals its step draws,
+# or None when its draws are too many to hold a block's worth at once, so
+# that ``rollout_leads`` leaves the kind to its own row streams.
 class PersistenceForecaster:
     kind = "persistence"
     hyperparameters = {}
     arrays = {}
+    draws_per_step = 0
 
     @classmethod
     def fit(cls, ds, subset, split, hp, seed):
@@ -146,6 +164,7 @@ class ClimatologyForecaster:
     kind = "climatology"
     hyperparameters = {}
     arrays = {"monthly_means": ("f", (12, *STATE_DIMS))}
+    draws_per_step = 0
 
     def __init__(self, monthly_means: np.ndarray):
         self.monthly_means = monthly_means  # [12, var, lat, lon]
@@ -174,6 +193,7 @@ class StochasticLinearForecaster:
     kind = "stochastic_linear"
     hyperparameters = {"ridge_lambda": (POSITIVE, 1e-3)}
     arrays = {"a": ("f", STATE_DIMS), "b": ("f", STATE_DIMS), "resid_std": ("f", STATE_DIMS)}
+    draws_per_step = 1
 
     def __init__(self, a: np.ndarray, b: np.ndarray, resid_std: np.ndarray):
         self.a = a
@@ -186,13 +206,11 @@ class StochasticLinearForecaster:
                                       float(hp["ridge_lambda"]))
 
     def step(self, states, rng, valid_times):
-        # (a * x + b) + resid_std * z, as three operations on one new array;
-        # the draw z is scratch and takes the noise term
+        # (a * x + b) + resid_std * z on one new array; the draw z may be
+        # shared with other forecasters, so it is read, never written
         out = np.multiply(self.a, states)
         out += self.b
-        noise = rng.standard_normal(states.shape)
-        noise *= self.resid_std
-        out += noise
+        out += rng.standard_normal(states.shape) * self.resid_std
         return out
 
 
@@ -258,6 +276,9 @@ class ToyDiffusionForecaster:
     arrays = {"w1": ("f", (lambda sizes: 2 * sizes["values"] + 1, "hidden")),
               "b1": ("f", ("hidden",)), "w2": ("f", ("hidden", "values")),
               "b2": ("f", ("values",)), "sample_sigmas": ("f", ("levels",))}
+    # n_sample_steps draws per step: 10 steps of a 64-row block of a
+    # 1,024-value state would hold 126 MB of them
+    draws_per_step = None
 
     def __init__(self, w1, b1, w2, b2, sample_sigmas):
         if not (sample_sigmas.size and ((sample_sigmas > 0) & (sample_sigmas < np.inf)).all()):
@@ -497,8 +518,7 @@ class _RowStreams:
             tail = self.buf[:, self.pos :]
             buf = np.empty((len(self.gens), tail.shape[1] + n_draws * r))
             buf[:, : tail.shape[1]] = tail
-            for gen, row in zip(self.gens, buf):
-                gen.standard_normal(out=row[tail.shape[1] :])
+            self.fill(buf[:, tail.shape[1] :])
             self.buf, self.pos = buf, 0
         out = self.buf[:, self.pos : self.pos + r]
         self.pos += r
@@ -506,6 +526,30 @@ class _RowStreams:
             # a spent buffer is held only by the caller's view, so its memory
             # is freed (and reused) as soon as the caller drops the draw
             self.buf, self.pos = np.empty((len(self.gens), 0)), 0
+        return out.reshape(shape)
+
+    def fill(self, out: np.ndarray) -> None:
+        """Fill row b of ``out`` with the next normals of row b's stream."""
+        for gen, row in zip(self.gens, out):
+            gen.standard_normal(out=row)
+
+
+class _DrawnRows:
+    """Noise source over a block's drawn ``[rows, values]`` noise: each draw
+    is the next columns of every row, as a read-only view, so row b's draws
+    come in the order its own stream made them."""
+
+    def __init__(self, noise: np.ndarray):
+        self.noise = noise
+        self.pos = 0
+
+    def standard_normal(self, shape) -> np.ndarray:
+        r = math.prod(shape[1:])
+        if self.pos + r > self.noise.shape[1]:
+            raise ForecastError(f"the noise holds {self.noise.shape[1]} values per row, "
+                                f"fewer than the rollout draws")
+        out = self.noise[:, self.pos : self.pos + r]
+        self.pos += r
         return out.reshape(shape)
 
 
@@ -523,12 +567,17 @@ def rollout(
     n_members: int,
     n_steps: int = 10,
     seed: int = 0,
+    noise: np.ndarray | None = None,
 ) -> EnsembleForecast:
     """Autoregressive ensemble rollout from standardized initial states, one
     step per day, as the forecasters are trained.
 
     Member m of init i uses an rng derived from (seed, m, i), so members are
-    independent and the whole forecast is bitwise reproducible. Inits are
+    independent and the whole forecast is bitwise reproducible. ``noise``,
+    when given, replaces those streams: a float [init x member, draw]
+    array, init-major, whose row is read left to right as the row's draws.
+    Drawn from the row streams, it gives the same forecast. It is read and
+    never written, so several rollouts can share one draw. Inits are
     advanced in blocks of init x member rows, one ``forecaster.step`` call
     per block and step. A block holds about 2**16 state values and at most
     512 rows, but always at least one init's members: 512 rows on a
@@ -537,7 +586,8 @@ def rollout(
     not an integer (a float, 3.0 included, or a bool) or lies outside
     ``ds``, a seed that is not an integer >= 0, an ``n_members`` or
     ``n_steps`` that is not an integer >= 1 and a forecaster whose state
-    dimensions are not the data's. An empty init list gives an empty forecast.
+    dimensions are not the data's, and ``noise`` of the wrong rows. An empty
+    init list gives an empty forecast.
     """
     init_indices = ds.check_indices(init_indices, "init index", ForecastError)
     seed = check_integer(seed, "seed", ForecastError)
@@ -546,15 +596,22 @@ def rollout(
     shape = ds.data.shape[1:]
     check_entries(getattr(forecaster, "arrays", {}), vars(forecaster), "forecaster",
                   ForecastError, dict(zip(STATE_DIMS, shape), values=math.prod(shape)))
+    if noise is None:
+        words = _row_seed_states(seed, n_members, init_indices)
+    else:
+        check_entries(NOISE_ENTRY, {"noise": noise}, "rollout", ForecastError,
+                      {"row": len(init_indices) * n_members})
+        noise = np.asarray(noise).view()
+        noise.flags.writeable = False
     traj = np.empty(
         (len(init_indices), n_members, n_steps) + shape, dtype=np.float32
     )
     step_dt = hours_delta(EnsembleForecast.lead_stride_hours)
-    words = _row_seed_states(seed, n_members, init_indices)
     per_block = _inits_per_block(math.prod(shape), n_members)
     for start in range(0, len(init_indices), per_block):
         inits = init_indices[start : start + per_block]
-        rng = _RowStreams(words[start * n_members : (start + len(inits)) * n_members], n_steps)
+        block = slice(start * n_members, (start + len(inits)) * n_members)
+        rng = _RowStreams(words[block], n_steps) if noise is None else _DrawnRows(noise[block])
         states = np.repeat(ds.data[inits].astype(np.float64), n_members, axis=0)
         times = np.repeat(ds.timestamps[inits], n_members)
         out = traj[start : start + len(inits)]
@@ -571,6 +628,69 @@ def rollout(
     return EnsembleForecast(init_indices.tolist(), traj)
 
 
+class RolloutError(ForecastError):
+    """A rollout of ``rollout_leads`` failed: ``key`` names its model, and
+    the message and ``__cause__`` are the rollout's error."""
+
+    def __init__(self, key, error: Exception):
+        super().__init__(str(error))
+        self.key = key
+
+
+def rollout_leads(
+    models: dict,
+    ds: GriddedDataset,
+    init_indices,
+    n_members: int,
+    n_steps: int,
+    seed: int,
+    leads_days,
+) -> dict:
+    """Each model of ``models`` (key -> forecaster) rolled out with one
+    seed's row streams, as a leads-only forecast under the same key: the
+    ``leads_days`` steps of ``rollout(model, ds, init_indices, n_members,
+    n_steps, seed)``, bit for bit.
+
+    Inits go in ``rollout``'s blocks, one ``rollout`` call per model and
+    block. Each block's ``n_steps * draws_per_step`` state-shaped normals
+    per row are drawn once, from the row streams, and shared by every model
+    whose class declares that ``draws_per_step``; a kind that declares None,
+    or no such attribute, draws from its own streams. A failed rollout
+    raises RolloutError naming its key.
+    """
+    init_indices = ds.check_indices(init_indices, "init index", ForecastError)
+    seed = check_integer(seed, "seed", ForecastError)
+    n_members = check_integer(n_members, "n_members", ForecastError, 1)
+    n_steps = check_integer(n_steps, "n_steps", ForecastError, 1)
+    lead_days = tuple(int(lead) for lead in leads_days)
+    steps = [lead - 1 for lead in lead_days]
+    if not all(0 <= k < n_steps for k in steps):
+        raise ForecastError(f"leads {list(lead_days)} must lie within 1..{n_steps} rollout steps")
+    shape = ds.data.shape[1:]
+    kept = {key: np.empty((len(init_indices), n_members, len(steps)) + shape, dtype=np.float32)
+            for key in models}
+    words = _row_seed_states(seed, n_members, init_indices)
+    per_block = _inits_per_block(math.prod(shape), n_members)
+    for start in range(0, len(init_indices), per_block):
+        inits = init_indices[start : start + per_block]
+        block = slice(start * n_members, (start + len(inits)) * n_members)
+        drawn = {}  # draws_per_step -> this block's shared noise
+        for key, model in models.items():
+            draws = getattr(model, "draws_per_step", None)
+            if draws is not None and draws not in drawn:
+                drawn[draws] = np.empty((block.stop - block.start,
+                                         n_steps * draws * math.prod(shape)))
+                if draws:
+                    _RowStreams(words[block], n_steps).fill(drawn[draws])
+            try:
+                fc = rollout(model, ds, inits, n_members, n_steps, seed, noise=drawn.get(draws))
+            except Exception as e:  # tag the failing model for the caller
+                raise RolloutError(key, e) from e
+            kept[key][start : start + len(inits)] = fc.trajectories[:, :, steps]
+    return {key: EnsembleForecast(init_indices.tolist(), traj, lead_days)
+            for key, traj in kept.items()}
+
+
 # ---------------------------------------------------------------------------
 # Serialization: one ``<prefix>.npz`` of named arrays per forecast or forecaster
 # ---------------------------------------------------------------------------
@@ -581,7 +701,11 @@ def _npz_path(prefix: str | Path) -> Path:
 
 
 def save_forecast(fc: EnsembleForecast, prefix: str | Path) -> None:
-    """Write ``<prefix>.npz``: float32 ``trajectories`` and int64 ``init_indices``."""
+    """Write ``<prefix>.npz``: float32 ``trajectories`` and int64 ``init_indices``.
+    A leads-only forecast is refused: its file would read back as steps 1..n."""
+    if fc.lead_days is not None:
+        raise ForecastError(f"cannot save a forecast that keeps only leads "
+                            f"{list(fc.lead_days)}: a forecast file holds every step")
     write_npz(
         _npz_path(prefix),
         trajectories=np.asarray(fc.trajectories, dtype=np.float32),

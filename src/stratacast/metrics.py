@@ -164,7 +164,8 @@ def evaluate_forecast(
 ) -> list[MetricRecord]:
     """One MetricRecord per (variable, lead). Raises, in this order,
     MetricError for a forecast with no inits or whose state shape is not the
-    truth's and for a lead listed twice or past the forecast's steps,
+    truth's and for a lead listed twice, past the forecast's steps or
+    not among a leads-only forecast's ``lead_days``,
     DatasetError for a lead off the truth's time grid, MetricError for an
     init index that is not an integer (a float, 3.0 included, or a bool) or
     lies outside the truth, and DatasetError for a lead whose truth is past
@@ -178,14 +179,19 @@ def evaluate_forecast(
         raise MetricError("forecast has no inits to score")
     check_entries(TRAJECTORY_ENTRY, vars(forecast), "forecast", MetricError,
                   dict(zip(STATE_DIMS, truth.data.shape[1:]), init=len(forecast.init_indices)))
-    check_leads(leads_days, forecast.n_steps, MetricError)
+    kept = forecast.lead_days  # a leads-only forecast's step leads, else None
+    check_leads(leads_days, forecast.n_steps if kept is None else max(kept, default=0),
+                MetricError)
+    missing = [lead for lead in leads_days if kept is not None and lead not in kept]
+    if missing:
+        raise MetricError(f"lead {missing[0]}d is not among the forecast's leads {list(kept)}")
     offsets = [truth.steps(lead * STEP_HOURS, f"lead {lead}d") for lead in leads_days]
     inits = truth.check_indices(forecast.init_indices, "init index", MetricError)
     if w is None:
         w = np.ones((truth.grid.n_lat, truth.grid.n_lon))
     records = []
     for lead, off in zip(leads_days, offsets):
-        step = int(lead) - 1  # rollouts step one day at a time
+        step = int(lead) - 1 if kept is None else kept.index(lead)  # one step per day
         truth_idx = inits + off
         bad = truth_idx >= truth.n_times
         if bad.any():

@@ -785,6 +785,14 @@ class TestPipeline:
         assert "Traceback" not in r.stderr
         assert not (tmp_path / "scores").exists()
 
+    def test_leads_only_forecast_is_not_saved_as_a_full_one(self, tmp_path):
+        fc = forecast_mod.EnsembleForecast([3], np.zeros((1, 2, 2, 1, 1, 1), np.float32), (5, 10))
+        with pytest.raises(forecast_mod.ForecastError,
+                           match=r"^cannot save a forecast that keeps only leads \[5, 10\]: "
+                                 r"a forecast file holds every step$"):
+            forecast_mod.save_forecast(fc, tmp_path / "forecast")
+        assert list(tmp_path.iterdir()) == []
+
     def test_run_scores_leads_past_ten_days(self, data_dir, tmp_path):
         cfg = tmp_path / "exp.json"
         cfg.write_text(json.dumps({

@@ -8,6 +8,7 @@ import pytest
 
 from stratacast import dataset as dsmod
 from stratacast import experiment
+from stratacast import forecast as forecast_mod
 from stratacast.dataset import GriddedDataset, GridSpec, SplitSpec, save_dataset
 from stratacast.experiment import (
     REPORT_HEADER,
@@ -18,7 +19,7 @@ from stratacast.experiment import (
     run_experiment,
     training_candidates,
 )
-from stratacast.forecast import ForecasterSpec, ToyDiffusionForecaster
+from stratacast.forecast import ForecasterSpec, StochasticLinearForecaster, ToyDiffusionForecaster
 from stratacast.metrics import MetricRecord
 from stratacast.selection import STRATEGIES
 from stratacast.synthetic import SyntheticConfig
@@ -142,53 +143,102 @@ class TestRunExperiment:
             assert r.crps == pytest.approx(0.0, abs=1e-10)
             assert r.rmse == pytest.approx(0.0, abs=1e-10)
 
-    def test_each_cell_selects_fits_rolls_out_and_scores_in_turn(self, small_grid, tmp_path,
-                                                                 monkeypatch):
+    def test_each_seed_selects_and_fits_every_strategy_then_rolls_out_and_scores(
+            self, small_grid, tmp_path, monkeypatch):
         calls = []
-        for name in ("run_strategy", "train", "rollout", "evaluate_forecast"):
-            fn = getattr(experiment, name)
-            monkeypatch.setattr(experiment, name,
-                                lambda *a, _n=name, _f=fn, **k: calls.append(_n) or _f(*a, **k))
+
+        def spy(module, name):
+            fn = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *a, **k: calls.append(name) or fn(*a, **k))
+
+        for name in ("run_strategy", "train", "evaluate_forecast"):
+            spy(experiment, name)
+        spy(forecast_mod, "rollout")  # the one call per (cell, block) of rollout_leads
         run_experiment(base_config(small_grid), tmp_path)
-        cells = 3 * 2  # full, random and stratified_time; two seeds
-        assert calls == ["run_strategy", "train", "rollout", "evaluate_forecast"] * cells
+        # full, random and stratified_time for each of two seeds; fewer than
+        # 512 init x member rows of a 32-value state are one block
+        seed = ["run_strategy", "train"] * 3 + ["rollout"] * 3 + ["evaluate_forecast"] * 3
+        assert calls == seed * 2
 
-    def test_a_cell_frees_its_model_and_forecast_before_the_next_cell(self, small_grid, tmp_path,
-                                                                      monkeypatch):
-        made, alive_at_select, run_strategy = [], [], experiment.run_strategy
+    def test_no_model_or_forecast_of_a_seed_is_alive_when_the_next_seed_selects(
+            self, small_grid, tmp_path, monkeypatch):
+        made, alive_at_select = [], []
+        run_strategy, fit, roll = (experiment.run_strategy, experiment.train,
+                                   experiment.rollout_leads)
 
-        def tracked(fn):
-            def call(*a, **k):
-                result = fn(*a, **k)
-                made.append(weakref.ref(result))
-                return result
-            return call
+        def train(*a, **k):
+            model = fit(*a, **k)
+            made.append((k["seed"], weakref.ref(model)))
+            return model
 
-        def select(*a, **k):
-            alive_at_select.extend(ref() is not None for ref in made)
-            return run_strategy(*a, **k)
+        def rollout_leads(models, *a):
+            forecasts = roll(models, *a)
+            made.extend((a[4], weakref.ref(fc)) for fc in forecasts.values())
+            return forecasts
 
-        monkeypatch.setattr(experiment, "train", tracked(experiment.train))
-        monkeypatch.setattr(experiment, "rollout", tracked(experiment.rollout))
+        def select(name, ds, candidates, budget, seed):
+            alive_at_select.extend(ref() is not None for s, ref in made if s < seed)
+            return run_strategy(name, ds, candidates, budget, seed)
+
+        monkeypatch.setattr(experiment, "train", train)
+        monkeypatch.setattr(experiment, "rollout_leads", rollout_leads)
         monkeypatch.setattr(experiment, "run_strategy", select)
         run_experiment(base_config(small_grid), tmp_path)
-        assert len(made) == 2 * 6 and alive_at_select and not any(alive_at_select)
+        # 3 models and 3 forecasts per seed; seed 8's 3 selections each see seed 7's 6
+        assert len(made) == 2 * 6 and len(alive_at_select) == 3 * 6
+        assert not any(alive_at_select)
 
-    def test_failed_fit_keeps_earlier_selection_files(self, small_grid, tmp_path, monkeypatch):
+    def test_failed_fit_keeps_the_selection_files_written_before_it(self, small_grid, tmp_path,
+                                                                    monkeypatch):
         fits, fit = [], experiment.train
 
         def train(*a, **k):
             fits.append(k["seed"])
-            if len(fits) == 3:  # the third cell: (random, seed 7)
+            if len(fits) == 4:  # the fourth fit: (full, seed 8), after all of seed 7's
                 raise RuntimeError("fit broke")
             return fit(*a, **k)
 
         monkeypatch.setattr(experiment, "train", train)
-        with pytest.raises(ExperimentError, match=r"^cell \(random, seed 7\) failed: fit broke$"):
+        with pytest.raises(ExperimentError, match=r"^cell \(full, seed 8\) failed: fit broke$"):
             run_experiment(base_config(small_grid), tmp_path)
         assert sorted(p.name for p in (tmp_path / "selections").iterdir()) == [
-            "full_seed7.json", "full_seed8.json", "random_seed7.json"]
+            "full_seed7.json", "full_seed8.json", "random_seed7.json",
+            "stratified_time_seed7.json"]
         assert not (tmp_path / "records.json").exists()
+
+    def test_non_finite_state_in_a_shared_noise_rollout_names_its_cell(self, small_grid,
+                                                                       tmp_path, monkeypatch):
+        fit, roll, noises = experiment.train, forecast_mod.rollout, []
+
+        def train(spec, ds, sel, **k):
+            model = fit(spec, ds, sel, **k)
+            if sel.strategy == "random":  # its first step overflows
+                model = StochasticLinearForecaster(model.a, model.b + np.inf, model.resid_std)
+            return model
+
+        def rollout(*a, noise=None):
+            noises.append(noise)
+            return roll(*a, noise=noise)
+
+        monkeypatch.setattr(experiment, "train", train)
+        monkeypatch.setattr(forecast_mod, "rollout", rollout)
+        with pytest.raises(ExperimentError, match=r"^cell \(random, seed 7\) failed: "
+                                                  r"non-finite state at init \d+, member 0, "
+                                                  r"step 0$"):
+            run_experiment(base_config(small_grid), tmp_path)
+        # full's rollout and random's read the same drawn block
+        assert len(noises) == 2 and noises[0] is noises[1] is not None
+
+    @pytest.mark.parametrize("kind, shared", [("stochastic_linear", "true"),
+                                              ("persistence", "false")])  # persistence draws none
+    def test_each_seed_logs_its_cells_shared_noise_and_rollout_time(self, small_grid, tmp_path,
+                                                                    caplog, kind, shared):
+        with caplog.at_level("INFO", logger="stratacast"):
+            run_experiment(base_config(small_grid, forecaster=ForecasterSpec(kind)), tmp_path)
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("seed:")]
+        assert [re.sub(r"rollout_s=\d+\.\d{6}$", "rollout_s=<t>", line) for line in lines] == [
+            f"seed: seed={s} cells=3 shared_noise={shared} rollout_s=<t>" for s in (7, 8)]
 
     def test_failed_selection_names_its_cell(self, small_grid, tmp_path):
         cfg = base_config(small_grid, strategies=["random"], fraction=1e-6)

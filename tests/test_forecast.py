@@ -21,9 +21,11 @@ from stratacast.forecast import (
     ForecasterSpec,
     PersistenceForecaster,
     StochasticLinearForecaster,
+    ToyDiffusionForecaster,
     load_forecast,
     load_forecaster,
     rollout,
+    rollout_leads,
     save_forecast,
     save_forecaster,
     train,
@@ -154,6 +156,20 @@ class TestStochasticLinearOracle:
         got = model.step(states, np.random.default_rng(seed), None)
         noise = np.random.default_rng(seed).standard_normal(states.shape)
         assert got.tobytes() == (a * states + b + np.abs(std) * noise).tobytes()
+
+    def test_step_leaves_the_array_its_rng_returned_unchanged(self):
+        rng = np.random.default_rng(3)
+        a, b, std = rng.standard_normal((3, 2, 3, 4))
+        model = StochasticLinearForecaster(a, b, np.abs(std))
+        drawn = []
+
+        class Recorded:
+            def standard_normal(self, shape):
+                drawn.append(np.random.default_rng(4).standard_normal(shape))
+                return drawn[-1]
+
+        model.step(rng.standard_normal((5, 2, 3, 4)), Recorded(), None)
+        assert drawn[0].tobytes() == np.random.default_rng(4).standard_normal((5, 2, 3, 4)).tobytes()
 
     @pytest.mark.parametrize("chunk_values", [1 << 17, 900])
     def test_two_variable_fit_through_train(self, two_var_grid, monkeypatch, chunk_values):
@@ -782,6 +798,124 @@ class TestBlockPlan:
             single = rollout(counted, ds, inits, n_members=n_members, n_steps=3, seed=seed)
         assert counted.calls == 3 * len(inits)
         assert planned.trajectories.tobytes() == single.trajectories.tobytes()
+
+
+def _variant(model):
+    """A second forecaster of the model's kind that steps differently."""
+    if isinstance(model, ClimatologyForecaster):
+        return ClimatologyForecaster(model.monthly_means * 0.5)
+    if isinstance(model, StochasticLinearForecaster):
+        return StochasticLinearForecaster(model.a * 0.5, model.b + 0.1, model.resid_std * 2.0)
+    if isinstance(model, ToyDiffusionForecaster):
+        return ToyDiffusionForecaster(model.w1, model.b1, model.w2 * 0.5, model.b2,
+                                      model.sample_sigmas)
+    return PersistenceForecaster()
+
+
+class TestRolloutLeads:
+    """``rollout_leads`` against one ``rollout`` per model over all inits."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        rows_per_block=st.integers(1, 12),
+        n_members=st.integers(1, 3),
+        inits=st.lists(st.integers(0, 700), min_size=1, max_size=9),
+        leads=st.lists(st.integers(1, 4), min_size=1, max_size=4, unique=True),
+        seed=st.integers(0, 2**32),
+    )
+    def test_property_each_forecast_is_its_own_rollouts_leads_bitwise(
+        self, trained_models, rows_per_block, n_members, inits, leads, seed
+    ):
+        ds, trained = trained_models
+        models = {(kind, i): m for kind, model in trained.items()
+                  for i, m in enumerate((model, _variant(model)))}
+        # blocks of rows_per_block // n_members inits (at least one), so most
+        # examples step several blocks
+        with mock.patch.object(forecast_mod, "_BLOCK_VALUES", rows_per_block * ds.data[0].size):
+            kept = rollout_leads(models, ds, inits, n_members, 4, seed, leads)
+            for key, model in models.items():
+                full = rollout(model, ds, inits, n_members, n_steps=4, seed=seed)
+                want = full.trajectories[:, :, [lead - 1 for lead in leads]]
+                assert kept[key].lead_days == tuple(leads)
+                assert kept[key].init_indices == full.init_indices
+                assert kept[key].trajectories.tobytes() == want.tobytes(), key
+
+    def test_one_draw_per_block_is_shared_by_a_kinds_models(self, trained_models,
+                                                            monkeypatch):
+        ds, trained = trained_models
+        noises, roll = [], forecast_mod.rollout
+
+        def spy(model, *a, noise=None):
+            noises.append((model.kind, noise))
+            return roll(model, *a, noise=noise)
+
+        monkeypatch.setattr(forecast_mod, "_BLOCK_VALUES", 6 * ds.data[0].size)
+        monkeypatch.setattr(forecast_mod, "rollout", spy)
+        models = {kind: trained[kind] for kind in ("stochastic_linear", "toy_diffusion")}
+        models["linear 2"] = _variant(trained["stochastic_linear"])
+        rollout_leads(models, ds, [30, 11, 52, 90], 3, 2, 5, [2])
+        # 2 inits of 3 members per block; one [6, 2 steps x 64 values] draw per
+        # block for both linear models, none for toy_diffusion
+        assert [kind for kind, _ in noises] == [
+            "stochastic_linear", "toy_diffusion", "stochastic_linear"] * 2
+        for block in (noises[:3], noises[3:]):
+            assert block[0][1].shape == (6, 2 * 64) and block[2][1] is block[0][1]
+            assert block[1][1] is None
+
+    def test_a_failed_rollout_names_its_key(self, trained_models):
+        ds, trained = trained_models
+        bad = StochasticLinearForecaster(trained["stochastic_linear"].a,
+                                         trained["stochastic_linear"].b + np.inf,
+                                         trained["stochastic_linear"].resid_std)
+        with pytest.raises(forecast_mod.RolloutError,
+                           match="^non-finite state at init 30, member 0, step 0$") as info:
+            rollout_leads({"ok": trained["stochastic_linear"], "bad": bad}, ds, [30, 11], 2,
+                          3, 0, [1])
+        assert info.value.key == "bad"
+
+    def test_leads_only_forecast_scores_as_its_full_rollout(self, trained_models):
+        ds, trained = trained_models
+        kept = rollout_leads(trained, ds, [30, 11, 52], 3, 4, 2, [4, 2])
+        for kind, model in trained.items():
+            full = rollout(model, ds, [30, 11, 52], 3, n_steps=4, seed=2)
+            assert (evaluate_forecast(kept[kind], ds, leads_days=(2, 4))
+                    == evaluate_forecast(full, ds, leads_days=(2, 4)))
+        with pytest.raises(MetricError, match=r"^lead 3d is not among the forecast's leads "
+                                              r"\[4, 2\]$"):
+            evaluate_forecast(kept["persistence"], ds, leads_days=(2, 3))
+        no_leads = EnsembleForecast([30], np.zeros((1, 3, 0, *ds.data.shape[1:]), np.float32), ())
+        with pytest.raises(MetricError, match=r"^lead 2d outside 1\.\.0 rollout steps$"):
+            evaluate_forecast(no_leads, ds, leads_days=(2,))
+
+    @pytest.mark.parametrize("leads", [[0], [4], [2, 5]])
+    def test_leads_past_the_steps_are_refused(self, trained_models, leads):
+        ds, trained = trained_models
+        with pytest.raises(ForecastError, match=r"must lie within 1\.\.3 rollout steps$"):
+            rollout_leads(trained, ds, [30], 2, 3, 0, leads)
+
+    def test_a_shared_draw_is_read_only_to_the_forecaster(self, trained_models):
+        ds, _ = trained_models
+
+        class ScalesItsDraw:
+            kind = "persistence"
+
+            def step(self, states, rng, valid_times):
+                z = rng.standard_normal(states.shape)
+                z *= 2.0
+                return states + z
+
+        with pytest.raises(ValueError, match="read-only"):
+            rollout(ScalesItsDraw(), ds, [30], 2, 1, 0, noise=np.zeros((2, 64)))
+
+    @pytest.mark.parametrize("noise, message", [
+        (np.zeros((3, 64)), "rollout entry 'noise' has shape (3, 64), not (2, 64)"),
+        (np.zeros(128), "rollout entry 'noise' must be a 2-D float array"),
+        (np.zeros((2, 63)), "the noise holds 63 values per row, fewer than the rollout draws"),
+    ], ids=["rows", "1d", "too_few_draws"])
+    def test_noise_that_does_not_fit_is_refused(self, trained_models, noise, message):
+        ds, trained = trained_models
+        with pytest.raises(ForecastError, match=re.escape(message)):
+            rollout(trained["stochastic_linear"], ds, [30], 2, 1, 0, noise=noise)
 
 
 class TestRowSeeds:

@@ -65,6 +65,44 @@ def test_perfbench_traces_a_run(tmp_path):
     assert layers - {s.name for s in tracer.spans} == set()
 
 
+def test_perfbench_counts_every_cells_rollout_and_scoring(tmp_path, monkeypatch):
+    """The benchmark's counters read the traced calls' arguments: the
+    ``member_steps`` of the outermost ``forecast.rollout`` spans and the
+    ``crps_pairs`` of the ``metrics.evaluate_forecast`` spans must add up to
+    what the run's shapes give, as the benchmark checks, with one forecaster
+    per rollout span. A run of 2 strategies x 2 seeds in several rollout
+    blocks is traced. The benchmark's files are read, not changed."""
+    from stratacast import forecast as forecast_mod
+    from stratacast.experiment import eval_init_times, load_standardized
+
+    spans = runpy.run_path(str(PERFBENCH / "spans.py"))
+    tracer = spans["Tracer"]()
+    cfg = ExperimentConfig(
+        strategies=["random"], forecaster=ForecasterSpec("stochastic_linear"),
+        split=SplitSpec((2000, 2000), None, (2001, 2001)),
+        synthetic=SyntheticConfig(GridSpec([-30.0, 0.0, 30.0], [0.0, 90.0, 180.0, 270.0]),
+                                  n_years=2, stride_hours=24, seasonal_amplitude=2.0,
+                                  regime_amplitude=1.5, ar1_coefficient=0.5, noise_std=0.5,
+                                  seed=0, n_variables=2),
+        n_members=3, n_seeds=2, n_steps=4, leads_days=(2, 4), eval_stride_hours=72.0)
+    ds = load_standardized(cfg.synthetic, cfg.split)
+    n_inits = len(eval_init_times(ds, cfg.split, cfg.n_steps, cfg.eval_stride_hours))
+    monkeypatch.setattr(forecast_mod, "_BLOCK_VALUES", 30 * ds.data[0].size)  # 10 inits a block
+    tracer.install()
+    try:
+        run_experiment(cfg, tmp_path)
+    finally:
+        tracer.uninstall()
+    cells, m = 2 * 2, cfg.n_members
+    rollouts = spans["outermost"](tracer.spans, {"forecast.rollout"})
+    assert sum(s.attrs["member_steps"] for s in rollouts) == cells * n_inits * m * cfg.n_steps
+    assert {s.attrs["kind"] for s in rollouts} == {cfg.forecaster.kind}
+    assert n_inits > 10 and len(rollouts) == cells * -(-n_inits // 10)
+    pairs = sum(s.attrs["crps_pairs"] for s in tracer.spans
+                if s.name == "metrics.evaluate_forecast")
+    assert pairs == cells * m * (m - 1) // 2 * n_inits * ds.data[0].size * len(cfg.leads_days)
+
+
 def test_readme_names_the_registered_strategies():
     """The first sentence of README's strategy bullet names each strategy by
     the name ``--strategy`` and run configs take, and no other."""
