@@ -179,6 +179,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path) -> list[MetricRec
                 sel = run_strategy(strategy, ds, candidates, budget, seed)
                 sel.save(out_dir / "selections" / f"{strategy}_seed{seed}.json")
                 models[strategy] = train(cfg.forecaster, ds, sel, seed=seed, split=cfg.split)
+            losses = getattr(models[strategy], "training_losses", None)
+            log.info("fit: strategy=%s seed=%d kind=%s final_loss=%s", strategy, seed,
+                     cfg.forecaster.kind, losses[-1] if losses else "none")
         t0 = time.perf_counter()
         try:
             forecasts = rollout_leads(models, ds, eval_inits, cfg.n_members, cfg.n_steps, seed,

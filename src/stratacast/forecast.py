@@ -30,7 +30,12 @@ Row streams equal ``np.random.default_rng([seed, member, init])``. The
 SeedSequence words of every row are computed in one vectorized pass per
 rollout, and each block has one ``_RowStreams`` that builds its rows'
 Generators from those words and prefetches small draws several at a time
-per row; neither changes the values drawn.
+per row; neither changes the values drawn. ``toy_diffusion`` makes its draws
+on a helper thread, one item ahead and in stream order (``_ahead``): the
+training batches' draws from its one training Generator, and each sampler
+sub-step's draw from the block's row streams. So the draws overlap the
+matrix products on a second CPU when one exists, and every weight, loss and
+trajectory is bitwise that of drawing in the loop.
 
 ``rollout_leads`` rolls several models out with one seed, as ``run`` does
 for a seed's strategies, and keeps only the scored leads. A kind that
@@ -43,7 +48,9 @@ own streams. Each model's forecast is bitwise the lead steps of its own
 from __future__ import annotations
 
 import functools
+import itertools
 import math
+from contextlib import closing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -259,6 +266,34 @@ def _log_linear_sigmas(sigma_max: float, sigma_min: float, n: int) -> np.ndarray
     return np.exp(np.linspace(math.log(sigma_max), math.log(sigma_min), n))
 
 
+_END = object()  # what the helper of ``_ahead`` returns once ``items`` is spent
+
+
+def _ahead(items):
+    """Yield the items of ``items`` in order, each one made on a one-worker
+    helper thread while the caller works on the item before it.
+
+    The helper makes item k + 1 once item k is handed over, so it runs at
+    most one item ahead, and a bounded ``items`` that the caller reads to
+    the end is read exactly as far as a plain loop reads it. An error raised
+    while making an item reaches the caller, type and message unchanged,
+    when it asks for that item. numpy's Generator fills and BLAS products
+    both release the GIL, so draws made here overlap the caller's matrix
+    work on a second CPU when one exists. A caller that may stop early
+    closes the generator (``contextlib.closing``), which joins the helper.
+    ``items`` draws only: it calls no public function of the package, so
+    every call a tracer sees stays on the caller's thread.
+    """
+    from concurrent.futures import ThreadPoolExecutor  # not loaded by ``import stratacast``
+
+    items = iter(items)
+    with ThreadPoolExecutor(1) as helper:
+        pending = helper.submit(next, items, _END)
+        while (item := pending.result()) is not _END:
+            pending = helper.submit(next, items, _END)
+            yield item
+
+
 class ToyDiffusionForecaster:
     """Small denoiser network sampled by SMLD-style ancestral steps.
 
@@ -296,7 +331,10 @@ class ToyDiffusionForecaster:
 
         The first layer is split by input block: the conditioning half
         ``cond @ w1[:D] + b1`` is the same at every noise level, so it is
-        computed once per call.
+        computed once per call. The ``n_sample_steps`` state-shaped draws
+        are made in stream order on a helper thread (``_ahead``), each one
+        while the network works on the sub-step before it, so the values
+        are those of drawing in the loop.
         """
         sig = self.sample_sigmas
         d = cond_flat.shape[1]
@@ -307,14 +345,13 @@ class ToyDiffusionForecaster:
             h = np.tanh(cond_h + noisy @ w_noisy + math.log(sigma) * w_sigma)
             return h @ self.w2 + self.b2
 
-        y = rng.standard_normal(cond_flat.shape) * sig[0]
-        for i in range(len(sig) - 1):
-            eps_hat = predict_noise(y, sig[i])
-            score = -eps_hat / sig[i]
-            dv = sig[i] ** 2 - sig[i + 1] ** 2
-            y = y + dv * score + np.sqrt(dv * sig[i + 1] ** 2 / sig[i] ** 2) * rng.standard_normal(
-                cond_flat.shape
-            )
+        with closing(_ahead(rng.standard_normal(cond_flat.shape) for _ in sig)) as draws:
+            y = next(draws) * sig[0]
+            for i, z in enumerate(draws):
+                eps_hat = predict_noise(y, sig[i])
+                score = -eps_hat / sig[i]
+                dv = sig[i] ** 2 - sig[i + 1] ** 2
+                y = y + dv * score + np.sqrt(dv * sig[i + 1] ** 2 / sig[i] ** 2) * z
         eps_hat = predict_noise(y, sig[-1])
         return y - sig[-1] * eps_hat
 
@@ -331,7 +368,11 @@ def _train_toy_diffusion(
     each batch's rows are read from the float32 archive. The ``rng`` draws
     and every floating-point operation keep the order of a loop over
     whole-set float64 pair copies, e.g. ``(g * (1 - beta2)) * g``, so the
-    weights and losses are bitwise that loop's."""
+    weights and losses are bitwise that loop's. After the initial weights,
+    the draws (per epoch a permutation, then per batch the noise levels and
+    the noise) are made in that order on a helper thread (``_ahead``), one
+    batch ahead; the gathers, products and Adam updates stay on the
+    caller's thread."""
     rng = np.random.default_rng([seed, 7])
     frames = ds.data.reshape(ds.n_times, -1)
     d, h = frames.shape[1], hp["hidden_width"]
@@ -347,31 +388,37 @@ def _train_toy_diffusion(
     model = ToyDiffusionForecaster(
         *params, _log_linear_sigmas(hp["sigma_max"], hp["sigma_min"], hp["n_sample_steps"]))
     batches = range(0, pair_idx.size, hp["batch_size"])
-    for _ in range(hp["n_epochs"]):
-        order = rng.permutation(pair_idx.size)
-        epoch_loss = 0.0
-        for start in batches:
-            rows = pair_idx[order[start : start + hp["batch_size"]]]
-            sigma = sigmas[rng.integers(0, sigmas.size, size=rows.size)][:, None]
-            eps = rng.standard_normal((rows.size, d))
-            noisy = sigma * eps
-            noisy += frames[rows + off]
-            inp = np.concatenate([frames[rows], noisy, np.log(sigma)], axis=1)
-            hact = np.tanh(inp @ w1 + b1)
-            diff = hact @ w2 + b2 - eps
-            epoch_loss += float(np.mean(diff ** 2))
-            gout = diff * 2.0 / diff.size
-            gh = (gout @ w2.T) * (1.0 - hact ** 2)
-            grads = [inp.T @ gh, gh.sum(axis=0), hact.T @ gout, gout.sum(axis=0)]
-            t_adam += 1
-            bc1, bc2 = 1 - beta1 ** t_adam, 1 - beta2 ** t_adam
-            for p, g, (m, v) in zip(params, grads, moments):
-                m *= beta1
-                m += g * (1 - beta1)
-                v *= beta2
-                v += g * (1 - beta2) * g
-                p -= (m / bc1) * lr / (np.sqrt(v / bc2) + eps_adam)
-        model.training_losses.append(epoch_loss / len(batches))
+
+    def batch_draws():  # every later rng call, in training order
+        for _ in range(hp["n_epochs"]):
+            order = rng.permutation(pair_idx.size)
+            for start in batches:
+                rows = pair_idx[order[start : start + hp["batch_size"]]]
+                sigma = sigmas[rng.integers(0, sigmas.size, size=rows.size)][:, None]
+                yield rows, sigma, rng.standard_normal((rows.size, d))
+
+    with closing(_ahead(batch_draws())) as draws:
+        for _ in range(hp["n_epochs"]):
+            epoch_loss = 0.0
+            for rows, sigma, eps in itertools.islice(draws, len(batches)):
+                noisy = sigma * eps
+                noisy += frames[rows + off]
+                inp = np.concatenate([frames[rows], noisy, np.log(sigma)], axis=1)
+                hact = np.tanh(inp @ w1 + b1)
+                diff = hact @ w2 + b2 - eps
+                epoch_loss += float(np.mean(diff ** 2))
+                gout = diff * 2.0 / diff.size
+                gh = (gout @ w2.T) * (1.0 - hact ** 2)
+                grads = [inp.T @ gh, gh.sum(axis=0), hact.T @ gout, gout.sum(axis=0)]
+                t_adam += 1
+                bc1, bc2 = 1 - beta1 ** t_adam, 1 - beta2 ** t_adam
+                for p, g, (m, v) in zip(params, grads, moments):
+                    m *= beta1
+                    m += g * (1 - beta1)
+                    v *= beta2
+                    v += g * (1 - beta2) * g
+                    p -= (m / bc1) * lr / (np.sqrt(v / bc2) + eps_adam)
+            model.training_losses.append(epoch_loss / len(batches))
     return model
 
 

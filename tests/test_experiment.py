@@ -240,6 +240,28 @@ class TestRunExperiment:
         assert [re.sub(r"rollout_s=\d+\.\d{6}$", "rollout_s=<t>", line) for line in lines] == [
             f"seed: seed={s} cells=3 shared_noise={shared} rollout_s=<t>" for s in (7, 8)]
 
+    @pytest.mark.parametrize("kind", ["toy_diffusion", "stochastic_linear"])
+    def test_each_fit_logs_its_final_training_loss(self, small_grid, tmp_path, caplog,
+                                                   monkeypatch, kind):
+        fit, fitted = experiment.train, []
+
+        def train(*a, **k):
+            fitted.append(fit(*a, **k))
+            return fitted[-1]
+
+        monkeypatch.setattr(experiment, "train", train)
+        hyper = {"n_epochs": 2, "hidden_width": 4} if kind == "toy_diffusion" else {}
+        cfg = base_config(small_grid, forecaster=ForecasterSpec(kind, hyper))
+        with caplog.at_level("INFO", logger="stratacast"):
+            run_experiment(cfg, tmp_path)
+        lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("fit:")]
+        cells = [(s, seed) for seed in (7, 8) for s in ("full", "random", "stratified_time")]
+        losses = [repr(m.training_losses[-1]) if kind == "toy_diffusion" else "none"
+                  for m in fitted]
+        assert lines == [f"fit: strategy={s} seed={seed} kind={kind} final_loss={loss}"
+                         for (s, seed), loss in zip(cells, losses)]
+        assert len(lines) == len(fitted) == 6
+
     def test_failed_selection_names_its_cell(self, small_grid, tmp_path):
         cfg = base_config(small_grid, strategies=["random"], fraction=1e-6)
         with pytest.raises(ExperimentError, match=r"cell \(random, seed 7\) failed"):

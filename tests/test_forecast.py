@@ -2,6 +2,7 @@ import math
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
 from datetime import datetime, timedelta
 from unittest import mock
@@ -452,6 +453,30 @@ def _reference_train(ds, pair_idx, off, hyper, seed):
     return (*params, losses)
 
 
+def _reference_sample(model, cond_flat, rng):
+    """The toy_diffusion ancestral sampler with every draw made in the loop,
+    kept verbatim as the oracle."""
+    sig = model.sample_sigmas
+    d = cond_flat.shape[1]
+    w_noisy, w_sigma = model.w1[d : 2 * d], model.w1[2 * d]
+    cond_h = cond_flat @ model.w1[:d] + model.b1
+
+    def predict_noise(noisy, sigma):
+        h = np.tanh(cond_h + noisy @ w_noisy + math.log(sigma) * w_sigma)
+        return h @ model.w2 + model.b2
+
+    y = rng.standard_normal(cond_flat.shape) * sig[0]
+    for i in range(len(sig) - 1):
+        eps_hat = predict_noise(y, sig[i])
+        score = -eps_hat / sig[i]
+        dv = sig[i] ** 2 - sig[i + 1] ** 2
+        y = y + dv * score + np.sqrt(dv * sig[i + 1] ** 2 / sig[i] ** 2) * rng.standard_normal(
+            cond_flat.shape
+        )
+    eps_hat = predict_noise(y, sig[-1])
+    return y - sig[-1] * eps_hat
+
+
 def _adam_step(p, g, m, v, bc1=0.1, bc2=0.001, lr=1e-3):
     """One in-place Adam update with the trainer's operation order."""
     m *= 0.9
@@ -536,6 +561,114 @@ class TestDiffusionTrainingOracle:
 
         d = two_var_grid.data[0].size
         assert peak(600) - peak(150) < (600 - 150) * d * 8
+
+
+def _random_diffusion_model(d, hidden, n_sample_steps):
+    rng = np.random.default_rng(0)
+    return ToyDiffusionForecaster(
+        rng.standard_normal((2 * d + 1, hidden)) / 4, rng.standard_normal(hidden),
+        rng.standard_normal((hidden, d)) / 4, rng.standard_normal(d),
+        forecast_mod._log_linear_sigmas(3.0, 0.02, n_sample_steps))
+
+
+class TestSamplerOracle:
+    """``sample``, whose draws are made on a helper thread, equals the loop
+    that draws in place bit for bit, from a plain Generator and from a
+    block's row streams, over two consecutive calls."""
+
+    @pytest.mark.parametrize("n_sample_steps", [1, 2, 24])
+    @pytest.mark.parametrize("source", ["generator", "row_streams"])
+    def test_sample_equals_the_in_loop_draws(self, n_sample_steps, source):
+        model = _random_diffusion_model(8, 5, n_sample_steps)
+        cond = np.random.default_rng(1).standard_normal((6, 8))
+
+        def rng():
+            if source == "generator":
+                return np.random.default_rng([4, 2])
+            return forecast_mod._RowStreams(forecast_mod._row_seed_states(3, 2, [4, 9, 11]), 3)
+
+        got_rng, want_rng = rng(), rng()
+        for _ in range(2):
+            got = model.sample(cond, got_rng)
+            want = _reference_sample(model, cond, want_rng)
+            assert got.tobytes() == want.tobytes()
+
+
+class TestDrawsAhead:
+    """``_ahead`` and its two callers leave no helper thread running, and an
+    error raised on the helper reaches the caller unchanged."""
+
+    def test_no_thread_outlives_train_or_rollout(self, trained_models):
+        ds, models = trained_models
+        before = threading.active_count()
+        train(ForecasterSpec("toy_diffusion", {"n_epochs": 2, "hidden_width": 4}), ds,
+              SubsetSelection("full", list(range(100)), 1.0, 0), seed=0)
+        assert threading.active_count() == before
+        rollout(models["toy_diffusion"], ds, [30, 40], n_members=2, n_steps=2, seed=0)
+        assert threading.active_count() == before
+
+    def test_no_thread_outlives_a_rollout_that_fails(self, trained_models):
+        ds, models = trained_models
+        model = models["toy_diffusion"]
+        broken = ToyDiffusionForecaster(model.w1, model.b1, model.w2, model.b2 + np.nan,
+                                        model.sample_sigmas)
+        before = threading.active_count()
+        with pytest.raises(ForecastError, match="non-finite state at init 30, member 0, step 0"):
+            rollout(broken, ds, [30, 40], n_members=2, n_steps=2, seed=0)
+        assert threading.active_count() == before
+
+    def test_a_sampler_that_fails_between_draws_closes_the_helper(self):
+        # the traceback pytest keeps holds the sampler's frame, so only an
+        # explicit close, not garbage collection, can have joined the helper
+        class FailsWhenAdded:
+            __array_ufunc__ = None
+
+            def __radd__(self, other):
+                raise RuntimeError("network failed")
+
+        model = _random_diffusion_model(8, 5, 24)
+        model.b2 = FailsWhenAdded()
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="network failed") as failed:
+            model.sample(np.zeros((3, 8)), np.random.default_rng(0))
+        assert threading.active_count() == before
+        assert failed.traceback
+
+    def test_a_consumer_that_stops_early_closes_the_helper(self):
+        made = []
+
+        def items():
+            for k in range(10):
+                made.append(k)
+                yield k
+
+        before = threading.active_count()
+        draws = forecast_mod._ahead(items())
+        assert [next(draws), next(draws)] == [0, 1]
+        draws.close()
+        assert threading.active_count() == before
+        assert made == [0, 1, 2]  # at most one item ahead of the caller
+
+    def test_an_error_while_drawing_reaches_the_caller(self):
+        def items():
+            yield 0
+            raise KeyError("drawn too far")
+
+        before = threading.active_count()
+        draws = forecast_mod._ahead(items())
+        assert next(draws) == 0
+        with pytest.raises(KeyError, match="drawn too far"):
+            next(draws)
+        assert threading.active_count() == before
+
+    def test_noise_too_short_for_the_sampler_is_refused(self, trained_models):
+        # one step of 24 sub-steps draws 24 x 64 values per row
+        ds, models = trained_models
+        before = threading.active_count()
+        with pytest.raises(ForecastError, match=re.escape(
+                "the noise holds 1535 values per row, fewer than the rollout draws")):
+            rollout(models["toy_diffusion"], ds, [30], 2, 1, 0, noise=np.zeros((2, 1535)))
+        assert threading.active_count() == before
 
 
 def _loop_rollout(model, ds, init_indices, n_members, n_steps, seed):
@@ -961,6 +1094,11 @@ class TestRowSeeds:
 
     def test_import_does_not_load_numpy_random(self):
         code = "import sys, stratacast; sys.exit('numpy.random' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code]).returncode == 0
+
+    def test_import_does_not_load_concurrent_futures(self):
+        # the sampler's and the trainer's helper thread is set up on first use
+        code = "import sys, stratacast; sys.exit('concurrent.futures' in sys.modules)"
         assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
     @pytest.mark.parametrize("seed, inits", [(-1, [0, 1]), (0, [3, -1]), (0, [2**32])])

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import math
 import re
 import runpy
 import subprocess
@@ -63,6 +64,54 @@ def test_perfbench_traces_a_run(tmp_path):
     layers = {"forecast.train", "forecast.rollout", "metrics.evaluate_forecast",
               "selection.run_strategy"}
     assert layers - {s.name for s in tracer.spans} == set()
+
+
+def test_perfbench_traces_a_toy_diffusion_run(tmp_path):
+    """``toy_diffusion`` makes its draws on a helper thread while it trains
+    and samples. The benchmark's tracer keeps one span stack per process, so
+    a traced function called from that thread would nest its span under
+    whatever the caller had open. A tiny toy_diffusion run under the tracer
+    must still give spans that none failed or lacks its attributes, all
+    closed, whose children plus the run's self time make up the run span,
+    and whose outermost rollouts count the member steps the shapes give.
+    The benchmark's files are read, not changed."""
+    from stratacast.experiment import eval_init_times, load_standardized
+
+    spans = runpy.run_path(str(PERFBENCH / "spans.py"))
+    tracer = spans["Tracer"]()
+    cfg = ExperimentConfig(
+        strategies=["random"],
+        forecaster=ForecasterSpec("toy_diffusion",
+                                  {"n_epochs": 2, "hidden_width": 4, "n_sample_steps": 3}),
+        split=SplitSpec((2000, 2000), None, (2001, 2001)),
+        synthetic=SyntheticConfig(GridSpec([-30.0, 0.0, 30.0], [0.0, 90.0, 180.0, 270.0]),
+                                  n_years=2, stride_hours=24, seasonal_amplitude=2.0,
+                                  regime_amplitude=1.5, ar1_coefficient=0.5, noise_std=0.5,
+                                  seed=0),
+        n_members=2, n_steps=2, leads_days=(1, 2), eval_stride_hours=240.0)
+    ds = load_standardized(cfg.synthetic, cfg.split)
+    n_inits = len(eval_init_times(ds, cfg.split, cfg.n_steps, cfg.eval_stride_hours))
+    tracer.install()
+    root = tracer.begin_run()
+    ok = False
+    try:
+        run_experiment(cfg, tmp_path)
+        ok = True
+    finally:
+        tracer.close(root, failed=not ok)
+        tracer.uninstall()
+    recorded = tracer.spans
+    assert tracer.missing == []
+    assert [s.name for s in recorded if "attr_error" in s.attrs or s.failed] == []
+    assert [s.name for s in recorded if math.isnan(s.end)] == []
+    kids = spans["children"](recorded, root)
+    assert abs(sum(k.duration for k in kids) + spans["self_time"](recorded, root)
+               - root.duration) <= 1e-6
+    rollouts = spans["outermost"](recorded, {"forecast.rollout"})
+    cells = 2  # full and random
+    assert n_inits > 0
+    assert sum(s.attrs["member_steps"] for s in rollouts) == (
+        cells * n_inits * cfg.n_members * cfg.n_steps)
 
 
 def test_perfbench_counts_every_cells_rollout_and_scoring(tmp_path, monkeypatch):
